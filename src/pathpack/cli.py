@@ -12,15 +12,13 @@ import io
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 
 from .config import (CONFIG_NAMES, HEURISTIC_CODES, SolverConfig,
-                     config_from_name)
+                     config_from_name, with_heuristics)
 from .graph import (Graph, GraphFormatError, Workspace, format_graph,
                     load_graph, random_gnp)
-from .kernels import BACKEND
 from .model import PackingInstance
 from .oracle import oracle_decide
 from .search import solve
@@ -83,34 +81,25 @@ def _add_solver_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timeout-ms", type=int, default=None)
 
 
-def _config_from_args(args) -> SolverConfig:
-    base = SolverConfig(
+def _base_config(args) -> SolverConfig:
+    """Pipeline switches shared by solve and bench; default heuristics."""
+    return SolverConfig(
         preprocess=not args.no_preprocess,
         trivial_detection=not args.no_trivial,
         dms_bare_lists_only=args.dms_bare_lists_only,
         timeout_ms=args.timeout_ms,
-        rng_seed=getattr(args, "seed", 0) or 0,
     )
+
+
+def _config_from_args(args) -> SolverConfig:
+    base = _base_config(args)
     if args.heur is None:
         return base
     codes = [c.strip() for c in args.heur.split(",") if c.strip()]
-    for c in codes:
-        if c not in HEURISTIC_CODES:
-            raise UsageError(f"unknown heuristic code {c!r}")
-    chosen = set(codes)
-    return SolverConfig(
-        preprocess=base.preprocess,
-        trivial_detection=base.trivial_detection,
-        b_cpl="b-cpl" in chosen,
-        b_sp="b-sp" in chosen,
-        b_fi="b-fi" in chosen,
-        d_ms="d-ms" in chosen,
-        dms_bare_lists_only=base.dms_bare_lists_only,
-        c_dist="c-dist" in chosen,
-        c_pl="c-pl" in chosen,
-        timeout_ms=base.timeout_ms,
-        rng_seed=base.rng_seed,
-    )
+    try:
+        return with_heuristics(base, codes)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _load_instance(args) -> PackingInstance:
@@ -134,7 +123,6 @@ def _config_json(cfg: SolverConfig) -> dict:
         "trivial_detection": cfg.trivial_detection,
         "dms_bare_lists_only": cfg.dms_bare_lists_only,
         "timeout_ms": cfg.timeout_ms,
-        "backend": BACKEND,
     }
 
 
@@ -243,13 +231,7 @@ def _cmd_bench(args, out) -> int:
     if args.ell_min < 1 or args.ell_max < args.ell_min:
         raise UsageError("need 1 <= ell-min <= ell-max")
     config_names = [c.strip() for c in args.configs.split(",") if c.strip()]
-    base = SolverConfig(
-        preprocess=not args.no_preprocess,
-        trivial_detection=not args.no_trivial,
-        dms_bare_lists_only=args.dms_bare_lists_only,
-        timeout_ms=args.timeout_ms,
-        rng_seed=args.seed,
-    )
+    base = _base_config(args)
     try:
         configs = {name: config_from_name(name, base) for name in config_names}
     except ValueError as exc:
@@ -287,11 +269,7 @@ def _cmd_bench(args, out) -> int:
         row.update(stats.as_dict())
         return {c: row[c] for c in CSV_COLUMNS}
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(run_task, tasks))
-    else:
-        rows = [run_task(t) for t in tasks]
+    rows = [run_task(t) for t in tasks]
 
     if args.output is None:
         writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS, lineterminator="\n")
@@ -349,7 +327,6 @@ def _build_parser() -> _Parser:
                               + ",".join(CONFIG_NAMES))
     p_bench.add_argument("--timeout-ms", type=int, default=None)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--jobs", type=int, default=1)
     p_bench.add_argument("--no-preprocess", action="store_true")
     p_bench.add_argument("--no-trivial", action="store_true")
     p_bench.add_argument("--dms-bare-lists-only", type=_bool_flag,

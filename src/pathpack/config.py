@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Optional
+from dataclasses import asdict, dataclass, replace
+from typing import Iterable, Optional
 
-__all__ = ["SolverConfig", "SolveStats", "config_from_name", "CONFIG_NAMES",
-           "HEURISTIC_CODES"]
+__all__ = ["SolverConfig", "SolveStats", "config_from_name",
+           "with_heuristics", "CONFIG_NAMES", "HEURISTIC_CODES"]
 
 # short codes accepted by --heur and by named configurations
 HEURISTIC_CODES = ("b-cpl", "b-sp", "b-fi", "d-ms", "c-dist", "c-pl")
@@ -14,11 +14,8 @@ HEURISTIC_CODES = ("b-cpl", "b-sp", "b-fi", "d-ms", "c-dist", "c-pl")
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Heuristic toggles and ordering choices.
-
-    ``rng_seed`` only feeds instance generation in the harness; a solve()
-    call itself is fully deterministic.
-    """
+    """Heuristic toggles and ordering choices; a solve() call is fully
+    deterministic for a fixed (instance, config) pair."""
 
     preprocess: bool = True
     trivial_detection: bool = True
@@ -30,27 +27,27 @@ class SolverConfig:
     c_dist: bool = True
     c_pl: bool = True
     timeout_ms: Optional[int] = None
-    rng_seed: int = 0
 
     def heuristic_codes(self) -> list[str]:
-        out = []
-        for code, on in (("b-cpl", self.b_cpl), ("b-sp", self.b_sp),
-                         ("b-fi", self.b_fi), ("d-ms", self.d_ms),
-                         ("c-dist", self.c_dist), ("c-pl", self.c_pl)):
-            if on:
-                out.append(code)
-        return out
+        return [code for code in HEURISTIC_CODES
+                if getattr(self, _field(code))]
 
-    def fingerprint(self) -> str:
-        heur = ",".join(self.heuristic_codes()) or "none"
-        bits = [f"heur={heur}"]
-        if not self.preprocess:
-            bits.append("no-preprocess")
-        if not self.trivial_detection:
-            bits.append("no-trivial")
-        if self.d_ms and not self.dms_bare_lists_only:
-            bits.append("dms-any-lists")
-        return ";".join(bits)
+
+def _field(code: str) -> str:
+    """SolverConfig field of a heuristic code ("b-sp" -> "b_sp")."""
+    return code.replace("-", "_")
+
+
+def with_heuristics(base: SolverConfig, codes: Iterable[str]) -> SolverConfig:
+    """``base`` with exactly the heuristics named by ``codes`` switched on;
+    the pipeline switches (preprocess, trivial detection, separator scope,
+    timeout) are kept."""
+    chosen = set(codes)
+    unknown = chosen.difference(HEURISTIC_CODES)
+    if unknown:
+        raise ValueError(f"unknown heuristic code {min(unknown)!r}")
+    return replace(base, **{_field(code): code in chosen
+                            for code in HEURISTIC_CODES})
 
 
 # named heuristic sets mirroring the evaluated configurations; preprocessing
@@ -74,27 +71,14 @@ CONFIG_NAMES = tuple(_NAMED_HEURISTICS)
 def config_from_name(name: str, base: Optional[SolverConfig] = None) -> SolverConfig:
     """Build a SolverConfig whose heuristic toggles match a named set.
 
-    Pipeline switches (preprocess, trivial detection, timeout, seed) are
-    taken from ``base`` when given, defaults otherwise.
+    Pipeline switches (preprocess, trivial detection, separator scope,
+    timeout) are taken from ``base`` when given, defaults otherwise.
     """
     canonical = _ALIASES.get(name, name)
     if canonical not in _NAMED_HEURISTICS:
         raise ValueError(f"unknown configuration name: {name!r}")
-    codes = set(_NAMED_HEURISTICS[canonical])
-    base = base if base is not None else SolverConfig()
-    return SolverConfig(
-        preprocess=base.preprocess,
-        trivial_detection=base.trivial_detection,
-        b_cpl="b-cpl" in codes,
-        b_sp="b-sp" in codes,
-        b_fi="b-fi" in codes,
-        d_ms="d-ms" in codes,
-        dms_bare_lists_only=base.dms_bare_lists_only,
-        c_dist="c-dist" in codes,
-        c_pl="c-pl" in codes,
-        timeout_ms=base.timeout_ms,
-        rng_seed=base.rng_seed,
-    )
+    return with_heuristics(base if base is not None else SolverConfig(),
+                           _NAMED_HEURISTICS[canonical])
 
 
 @dataclass

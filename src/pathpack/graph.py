@@ -1,14 +1,16 @@
 """Immutable simple undirected graph with masked BFS primitives.
 
 Vertices are dense ``0..n-1`` internally; the text file format and the CLI
-are 1-based.  The graph itself is immutable and shareable; all BFS scratch
-state lives in a per-run :class:`Workspace` so concurrent solves on one
-graph never interfere.
+are 1-based.  Adjacency is a tuple of sorted neighbor tuples, which the BFS
+kernel walks directly.  The graph itself is immutable and shareable; all
+BFS scratch state lives in a per-run :class:`Workspace` so concurrent
+solves on one graph never interfere.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
@@ -42,58 +44,56 @@ class GraphFormatError(ValueError):
 class Graph:
     """Simple, undirected, loopless graph over vertices ``0..n-1``.
 
-    Adjacency is stored CSR-style (``indptr``, ``nbrs``) with each row
-    sorted ascending, which the BFS kernels rely on for determinism.
+    ``adj[v]`` is the tuple of ``v``'s neighbors, sorted ascending, which
+    the BFS kernel relies on for determinism.
     """
 
-    __slots__ = ("n", "m", "indptr", "nbrs")
+    __slots__ = ("n", "m", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        adj: list[list[int]] = [[] for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
+        # rows share one int object per vertex id, which keeps large graphs
+        # small in memory
+        ids = list(range(n))
+        rows: list = [[] for _ in range(n)]
         m = 0
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate edge ({u},{v})")
-            seen.add(key)
-            adj[u].append(v)
-            adj[v].append(u)
+            rows[u].append(ids[v])
+            rows[v].append(ids[u])
             m += 1
+        for u, row in enumerate(rows):
+            row.sort()
+            if len(set(row)) != len(row):
+                v = next(a for a, b in zip(row, row[1:]) if a == b)
+                raise ValueError(f"duplicate edge ({u},{v})")
+            rows[u] = tuple(row)  # frees each list as soon as it is copied
         self.n = n
         self.m = m
-        self.indptr = np.zeros(n + 1, dtype=np.int32)
-        for u in range(n):
-            adj[u].sort()
-            self.indptr[u + 1] = self.indptr[u] + len(adj[u])
-        self.nbrs = np.empty(2 * m, dtype=np.int32)
-        for u in range(n):
-            self.nbrs[self.indptr[u]:self.indptr[u + 1]] = adj[u]
+        self.adj = tuple(rows)
 
-    def neighbors(self, v: int) -> np.ndarray:
-        """Sorted neighbor ids of ``v`` (a read-only view)."""
-        return self.nbrs[self.indptr[v]:self.indptr[v + 1]]
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        """Sorted neighbor ids of ``v``."""
+        return self.adj[v]
 
     def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
+        return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        row = self.neighbors(u)
-        i = int(np.searchsorted(row, v))
-        return i < row.size and row[i] == v
+        row = self.adj[u]
+        i = bisect_left(row, v)
+        return i < len(row) and row[i] == v
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges once, as (u, v) with u < v, in ascending order."""
-        for u in range(self.n):
-            for v in self.neighbors(u):
+        for u, row in enumerate(self.adj):
+            for v in row:
                 if u < v:
-                    yield (u, int(v))
+                    yield (u, v)
 
     def check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
@@ -121,8 +121,8 @@ class VertexMask:
         for v in self.removed:
             g.check_vertex(v)
 
-    def to_blocked(self, n: int) -> np.ndarray:
-        blocked = np.zeros(n, dtype=np.uint8)
+    def to_blocked(self, n: int) -> bytearray:
+        blocked = bytearray(n)
         for v in self.removed:
             blocked[v] = 1
         return blocked
@@ -133,17 +133,18 @@ class Workspace:
 
     Single-owner state: one Workspace must not be shared across concurrent
     solves.  ``dist_cache`` memoizes unmasked full-graph distance arrays
-    (used by checkpoint-gap bounds and candidate ordering).
+    (used by checkpoint-gap bounds and candidate ordering); they are int32
+    numpy arrays so that callers can compare them vectorized.
     """
 
     def __init__(self, g: Graph):
         n = g.n
         self.g = g
-        self.dist = np.empty(n, dtype=np.int32)
-        self.parent = np.empty(n, dtype=np.int32)
-        self.queue = np.empty(n, dtype=np.int32)
-        self.blocked = np.zeros(n, dtype=np.uint8)
-        self.blocked_base = np.zeros(n, dtype=np.uint8)
+        self.dist = [-1] * n
+        self.parent = [-1] * n
+        self.queue = [0] * n
+        self.blocked = bytearray(n)
+        self.blocked_base = bytearray(n)
         self.dist_cache: dict[int, np.ndarray] = {}
         self.root_flow: Optional[int] = None  # memo for the unmasked s-t flow
 
@@ -151,34 +152,32 @@ class Workspace:
         """Cached full-graph BFS distances from ``src`` (-1 = unreachable)."""
         hit = self.dist_cache.get(src)
         if hit is None:
-            none = np.zeros(self.g.n, dtype=np.uint8)
-            bfs_tree(self.g.indptr, self.g.nbrs, none, src, -1, -1, -1, -1,
+            bfs_tree(self.g.adj, bytearray(self.g.n), src, -1, -1, -1, -1,
                      self.dist, self.parent, self.queue)
-            hit = self.dist.copy()
+            hit = np.array(self.dist, dtype=np.int32)
             self.dist_cache[src] = hit
         return hit
 
 
-def _extract_path(parent: np.ndarray, a: int, b: int) -> tuple[int, ...]:
+def _extract_path(parent: list[int], a: int, b: int) -> tuple[int, ...]:
     out = [b]
     v = b
     while v != a:
-        v = int(parent[v])
+        v = parent[v]
         out.append(v)
     out.reverse()
     return tuple(out)
 
 
-def shortest_path_blocked(g: Graph, blocked: np.ndarray, a: int, b: int,
+def shortest_path_blocked(g: Graph, blocked: bytearray, a: int, b: int,
                           ws: Workspace,
                           ban_edge: Optional[tuple[int, int]] = None,
                           ) -> Optional[tuple[int, ...]]:
-    """Array-level shortest path used on the solver's hot path."""
+    """Buffer-level shortest path used on the solver's hot path."""
     if a == b:
         return (a,)
     bu, bv = ban_edge if ban_edge is not None else (-1, -1)
-    bfs_tree(g.indptr, g.nbrs, blocked, a, b, -1, bu, bv,
-             ws.dist, ws.parent, ws.queue)
+    bfs_tree(g.adj, blocked, a, b, -1, bu, bv, ws.dist, ws.parent, ws.queue)
     if ws.dist[b] < 0:
         return None
     return _extract_path(ws.parent, a, b)
@@ -201,7 +200,7 @@ def shortest_path(g: Graph, mask: Optional[VertexMask], a: int, b: int,
             raise ValueError("path endpoints must not be masked")
         blocked = mask.to_blocked(g.n)
     else:
-        blocked = np.zeros(g.n, dtype=np.uint8)
+        blocked = bytearray(g.n)
     if ws is None:
         ws = Workspace(g)
     return shortest_path_blocked(g, blocked, a, b, ws)
@@ -219,13 +218,13 @@ def distances_from(g: Graph, mask: Optional[VertexMask], src: int,
             raise ValueError("BFS source must not be masked")
         blocked = mask.to_blocked(g.n)
     else:
-        blocked = np.zeros(g.n, dtype=np.uint8)
+        blocked = bytearray(g.n)
     if ws is None:
         ws = Workspace(g)
     r = -1 if radius is None else radius
-    count = bfs_tree(g.indptr, g.nbrs, blocked, src, -1, r, -1, -1,
+    count = bfs_tree(g.adj, blocked, src, -1, r, -1, -1,
                      ws.dist, ws.parent, ws.queue)
-    return {int(ws.queue[i]): int(ws.dist[ws.queue[i]]) for i in range(count)}
+    return {v: ws.dist[v] for v in ws.queue[:count]}
 
 
 def neighborhood(g: Graph, src: int, r: int,

@@ -12,8 +12,6 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Union
 
-import numpy as np
-
 from .config import SolverConfig, SolveStats
 from .flows import st_flow_value
 from .graph import Workspace, shortest_path_blocked
@@ -104,7 +102,7 @@ def run_greedy(inst: CheckpointInstance, cfg: SolverConfig,
 
     blocked_base = ws.blocked_base
     blocked = ws.blocked
-    blocked_base[:] = 0
+    blocked_base[:] = bytes(g.n)
     completed: list[tuple[int, ...]] = []
 
     def remaining_bare(first_pending: int) -> bool:
@@ -135,7 +133,7 @@ def run_greedy(inst: CheckpointInstance, cfg: SolverConfig,
         subpaths: list[tuple[int, ...]] = []
         for j0 in range(len(entries) - 1):
             u, u2 = entries[j0], entries[j0 + 1]
-            np.copyto(blocked, blocked_base)
+            blocked[:] = blocked_base
             for q in subpaths:
                 for v in q:
                     blocked[v] = 1
@@ -164,7 +162,7 @@ def run_greedy(inst: CheckpointInstance, cfg: SolverConfig,
         for v in path[1:-1]:
             blocked_base[v] = 1
         if i0 + 1 < k and cut_check_enabled(i0 + 1):
-            removed = [int(v) for v in np.nonzero(blocked_base)[0]]
+            removed = [v for v, b in enumerate(blocked_base) if b]
             if st_flow_value(g, s, t, removed=removed) < k - (i0 + 1):
                 stats.dms_fired += 1
                 return GreedyFailure(FailureCondition.CUT_TOO_SMALL,

@@ -1,47 +1,36 @@
-"""Hot BFS kernels with two interchangeable backends.
+"""The masked BFS kernel.
 
 The solver spends nearly all of its time running breadth-first searches in
-small vertex-masked variants of one input graph, so this single kernel is
-worth compiling.  Two implementations are provided:
+small vertex-masked variants of one input graph.  ``bfs_tree`` is that one
+kernel: a scalar loop over the graph's sorted adjacency rows.
 
-* a scalar loop (``_bfs_scalar``) compiled with numba when available, and
-* a vectorized numpy twin (``_bfs_numpy``) used as a fallback.
-
-Both produce bit-identical results: BFS explores neighbors in ascending
-vertex id and fixes parent pointers on first discovery, which makes the
-extracted route the lexicographically smallest shortest path.  That
-canonical choice is what keeps solver runs reproducible across backends.
-
-Set the environment variable ``PATHPACK_NO_NUMBA=1`` before import to force
-the numpy backend (used by the backend benchmark and by CI to exercise both
-paths).
+BFS explores neighbors in ascending vertex id and fixes parent pointers on
+first discovery, which makes the extracted route the lexicographically
+smallest shortest path.  That canonical choice is what keeps solver runs,
+including search-tree node counts, reproducible.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-
-import numpy as np
-
-__all__ = ["BACKEND", "bfs_tree", "NO_PARENT"]
-
-NO_PARENT = np.int32(-1)
+__all__ = ["bfs_tree"]
 
 
-def _bfs_scalar(indptr, nbrs, blocked, src, target, radius, ban_u, ban_v,
-                dist, parent, queue):
-    """Masked BFS from ``src`` over a CSR adjacency.
+def bfs_tree(adj, blocked, src, target, radius, ban_u, ban_v,
+             dist, parent, queue):
+    """Masked BFS from ``src`` over the sorted adjacency rows ``adj``.
 
-    Fills ``dist`` (-1 = unreached) and ``parent`` arrays; ``queue`` is
-    scratch.  Stops expanding at depth ``radius`` (negative = unbounded) and
+    Fills the ``dist`` (-1 = unreached) and ``parent`` (-1 = none) lists;
+    ``queue`` is scratch of the same length and holds the vertices in
+    discovery order.  Vertices with a nonzero ``blocked`` entry are never
+    entered.  Stops expanding at depth ``radius`` (negative = unbounded) and
     returns early once ``target`` (negative = none) has been discovered, in
     which case only the target's ancestor chain is guaranteed to be filled.
     The undirected edge {ban_u, ban_v} is skipped when ban_u >= 0.
     Returns the number of vertices enqueued.
     """
-    dist[:] = -1
-    parent[:] = -1
+    n = len(dist)
+    dist[:] = [-1] * n
+    parent[:] = [-1] * n
     dist[src] = 0
     queue[0] = src
     if src == target:
@@ -54,8 +43,7 @@ def _bfs_scalar(indptr, nbrs, blocked, src, target, radius, ban_u, ban_v,
         du = dist[u]
         if radius >= 0 and du >= radius:
             continue
-        for ii in range(indptr[u], indptr[u + 1]):
-            v = nbrs[ii]
+        for v in adj[u]:
             if blocked[v] or dist[v] >= 0:
                 continue
             if ban_u >= 0 and ((u == ban_u and v == ban_v)
@@ -68,77 +56,3 @@ def _bfs_scalar(indptr, nbrs, blocked, src, target, radius, ban_u, ban_v,
             if v == target:
                 return tail
     return tail
-
-
-def _bfs_numpy(indptr, nbrs, blocked, src, target, radius, ban_u, ban_v,
-               dist, parent, queue):
-    """Vectorized level-synchronous twin of ``_bfs_scalar``.
-
-    Per level, all frontier adjacencies are gathered in queue order; keeping
-    the first occurrence of each newly seen vertex reproduces the scalar
-    first-discovery parent rule exactly.  Early exit happens at level
-    granularity, which still guarantees the target's ancestor chain.
-    """
-    dist[:] = -1
-    parent[:] = -1
-    dist[src] = 0
-    queue[0] = src
-    if src == target:
-        return 1
-    total = 1
-    frontier = np.array([src], dtype=np.int32)
-    level = 0
-    while frontier.size:
-        if 0 <= radius <= level:
-            break
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        m = int(counts.sum())
-        if m == 0:
-            break
-        # ragged gather of all frontier adjacency rows, in queue order
-        cum = np.concatenate((np.zeros(1, dtype=counts.dtype),
-                              np.cumsum(counts)[:-1]))
-        take = np.repeat(starts - cum, counts) + np.arange(m, dtype=counts.dtype)
-        cand = nbrs[take]
-        origin = np.repeat(frontier, counts)
-        keep = (dist[cand] < 0) & (blocked[cand] == 0)
-        if ban_u >= 0:
-            keep &= ~(((origin == ban_u) & (cand == ban_v))
-                      | ((origin == ban_v) & (cand == ban_u)))
-        cand = cand[keep]
-        origin = origin[keep]
-        if cand.size == 0:
-            break
-        _, first = np.unique(cand, return_index=True)
-        order = np.sort(first)
-        fresh = cand[order]
-        dist[fresh] = level + 1
-        parent[fresh] = origin[order]
-        queue[total:total + fresh.size] = fresh
-        total += fresh.size
-        level += 1
-        frontier = fresh
-        if target >= 0 and dist[target] >= 0:
-            break
-    return total
-
-
-def _want_numba() -> bool:
-    flag = os.environ.get("PATHPACK_NO_NUMBA", "").strip().lower()
-    return flag not in ("1", "true", "yes")
-
-
-if _want_numba():
-    try:
-        import numba
-
-        bfs_tree = numba.njit(cache=True)(_bfs_scalar)
-        BACKEND = "numba"
-    except ImportError:  # pragma: no cover - exercised only without numba
-        warnings.warn("numba unavailable, falling back to the numpy BFS kernel")
-        bfs_tree = _bfs_numpy
-        BACKEND = "numpy"
-else:
-    bfs_tree = _bfs_numpy
-    BACKEND = "numpy"

@@ -44,7 +44,6 @@ def enumerate_bounded_paths(g: Graph, s: int, t: int,
         if len(stack) - 1 == ell:
             return
         for v in g.neighbors(u):
-            v = int(v)
             if on_path[v]:
                 continue
             stack.append(v)

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .flows import min_total_length_disjoint_paths, st_flow_value
 from .graph import Graph, Workspace, shortest_path_blocked
 from .model import CheckpointInstance, PackingInstance, Solution
@@ -66,14 +64,11 @@ def reduce_instance(inst: CheckpointInstance,
     s, t, ell = inst.base.s, inst.base.t, inst.base.ell
     if ws is None:
         ws = Workspace(g)
-    ds = ws.distances_unmasked(s)
-    dt = ws.distances_unmasked(t)
+    ds = ws.distances_unmasked(s).tolist()
+    dt = ws.distances_unmasked(t).tolist()
     half = ell // 2
-    keep = np.zeros(g.n, dtype=bool)
-    for v in range(g.n):
-        if 0 <= ds[v] <= ell and 0 <= dt[v] <= ell \
-                and (ds[v] <= half or dt[v] <= half):
-            keep[v] = True
+    keep = [0 <= ds[v] <= ell and 0 <= dt[v] <= ell
+            and (ds[v] <= half or dt[v] <= half) for v in range(g.n)]
     # terminals always stay so the reduced instance remains well formed,
     # even when they cannot reach each other within ell
     keep[s] = True
@@ -86,7 +81,7 @@ def reduce_instance(inst: CheckpointInstance,
         for v in range(g.n):
             if not keep[v] or v == s or v == t:
                 continue
-            deg = int(np.count_nonzero(keep[g.neighbors(v)]))
+            deg = sum(keep[w] for w in g.neighbors(v))
             if deg <= 1:
                 keep[v] = False
                 changed = True
@@ -156,8 +151,7 @@ def detect_trivial(inst: CheckpointInstance,
         return _no("ell1")
 
     if ell == 2:
-        common = sorted(set(map(int, g.neighbors(s)))
-                        & set(map(int, g.neighbors(t))))
+        common = sorted(set(g.neighbors(s)) & set(g.neighbors(t)))
         count = len(common) + (1 if g.has_edge(s, t) else 0)
         if count < k:
             return _no("ell2")
@@ -171,8 +165,7 @@ def detect_trivial(inst: CheckpointInstance,
         return _yes(Solution(tuple(paths[:k])), "ell2")
 
     if k == 1:
-        none = np.zeros(g.n, dtype=np.uint8)
-        path = shortest_path_blocked(g, none, s, t, ws)
+        path = shortest_path_blocked(g, bytearray(g.n), s, t, ws)
         if path is not None and len(path) - 1 <= ell:
             return _yes(Solution((path,)), "k1")
         return _no("k1")

@@ -214,7 +214,8 @@ class _TreeSearch:
         stats.nodes += 1
         if depth > stats.max_depth:
             stats.max_depth = depth
-        assert depth <= self.k * self.ell, "search depth bound violated"
+        if depth > self.k * self.ell:
+            raise AssertionError("search depth bound violated")
 
         reason = node_infeasible(inst, cfg, self.dist_fn)
         if reason == "len":
@@ -236,13 +237,16 @@ class _TreeSearch:
         rule = outcome.condition.rule
         if rule == 1:
             stats.br1 += 1
-            assert len(candidates) <= self.k * self.ell
+            bound = self.k * self.ell
         elif rule == 2:
             stats.br2 += 1
-            assert len(candidates) <= self.k * self.ell * self.ell
+            bound = self.k * self.ell * self.ell
         else:
             stats.br3 += 1
-            assert len(candidates) <= self.k * self.k * self.ell * self.ell
+            bound = self.k * self.k * self.ell * self.ell
+        if len(candidates) > bound:
+            raise AssertionError(f"rule {rule} branched {len(candidates)} "
+                                 f"ways, above its bound {bound}")
 
         mark = self.store.mark()
         try:
@@ -332,6 +336,8 @@ def solve(inst: PackingInstance,
         witness = report.solution_to_original(witness)
     if witness is not None:
         check = validate_solution(from_packing(inst), witness)
-        assert check.ok, f"internal error: witness rejected ({check.violation})"
+        if not check.ok:
+            raise AssertionError(
+                f"internal error: witness rejected ({check.violation})")
     stats.wall_ms = (time.perf_counter() - t0) * 1000.0
     return decision, witness, stats

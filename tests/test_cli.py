@@ -213,14 +213,3 @@ def test_bench_appends_to_csv(gex_file, tmp_path):
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 3  # one header, two appended runs
 
-
-def test_bench_jobs_flag_keeps_row_order(gex_file):
-    base = ["bench", gex_file, "--pairs", "2", "--k-min", "2", "--k-max", "2",
-            "--ell-min", "5", "--ell-max", "6", "--configs", "all,bare",
-            "--seed", "5"]
-    _, seq = _run(base)
-    _, par = _run(base + ["--jobs", "4"])
-    strip = lambda text: [
-        {k: v for k, v in row.items() if k != "wall_ms"}
-        for row in csv.DictReader(io.StringIO(text))]
-    assert strip(seq) == strip(par)

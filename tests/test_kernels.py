@@ -1,97 +1,108 @@
 import random
 
-import numpy as np
+import networkx as nx
 import pytest
 
 from pathpack import Graph, random_gnp
-from pathpack.kernels import _bfs_numpy, _bfs_scalar, bfs_tree
+from pathpack.kernels import bfs_tree
+from pathpack.oracle import enumerate_bounded_paths
 
 
-def _buffers(n):
-    return (np.empty(n, np.int32), np.empty(n, np.int32),
-            np.empty(n, np.int32))
-
-
-def _run(kernel, g, blocked, src, target=-1, radius=-1, ban=(-1, -1)):
-    dist, parent, queue = _buffers(g.n)
-    count = kernel(g.indptr, g.nbrs, blocked, src, target, radius,
-                   ban[0], ban[1], dist, parent, queue)
+def _run(g, blocked, src, target=-1, radius=-1, ban=(-1, -1)):
+    dist, parent, queue = [0] * g.n, [0] * g.n, [0] * g.n
+    count = bfs_tree(g.adj, blocked, src, target, radius, ban[0], ban[1],
+                     dist, parent, queue)
     return count, dist, parent, queue
 
 
 def _chain(parent, a, b):
     out = [b]
     while out[-1] != a:
-        out.append(int(parent[out[-1]]))
+        out.append(parent[out[-1]])
     return out[::-1]
-
-
-KERNELS = [_bfs_scalar, _bfs_numpy, bfs_tree]
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_backends_agree_full_bfs(seed):
+    """The kernel against networkx on the unblocked induced subgraph, plus
+    the first-discovery parent rule checked from the queue order."""
     rng = random.Random(seed)
     n = rng.randrange(2, 16)
     g = random_gnp(n, rng.choice([0.1, 0.3, 0.6]), seed)
-    blocked = np.zeros(n, np.uint8)
+    blocked = bytearray(n)
     for v in rng.sample(range(n), rng.randrange(0, n // 2 + 1)):
         blocked[v] = 1
     src = rng.randrange(n)
     blocked[src] = 0
-    results = [_run(k, g, blocked, src) for k in KERNELS]
-    c0, d0, p0, q0 = results[0]
-    for c, d, p, q in results[1:]:
-        assert c == c0
-        assert np.array_equal(d, d0)
-        assert np.array_equal(p, p0)
-        assert np.array_equal(q[:c], q0[:c0])
+    count, dist, parent, queue = _run(g, blocked, src)
+
+    ref = nx.Graph()
+    ref.add_nodes_from(v for v in range(n) if not blocked[v])
+    ref.add_edges_from((u, v) for u, v in g.edges()
+                       if not blocked[u] and not blocked[v])
+    want = nx.single_source_shortest_path_length(ref, src)
+    assert dist == [want.get(v, -1) for v in range(n)]
+
+    order = queue[:count]
+    assert sorted(order) == sorted(want)
+    assert [dist[v] for v in order] == sorted(dist[v] for v in order)
+    position = {v: i for i, v in enumerate(order)}
+    assert parent[src] == -1
+    for v in order[1:]:
+        earlier = [u for u in g.neighbors(v)
+                   if u in position and dist[u] == dist[v] - 1]
+        assert parent[v] == min(earlier, key=position.__getitem__)
+    for v in range(n):
+        if v not in position:
+            assert parent[v] == -1
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_backends_agree_target_paths(seed):
+    """The route to the target is the lexicographically smallest shortest
+    path, as enumerated by the brute-force oracle."""
     rng = random.Random(seed + 100)
     n = rng.randrange(2, 16)
     g = random_gnp(n, 0.3, seed + 100)
-    blocked = np.zeros(n, np.uint8)
     src, target = rng.randrange(n), rng.randrange(n)
-    paths = []
-    for k in KERNELS:
-        _, dist, parent, _ = _run(k, g, blocked, src, target=target)
-        paths.append(None if dist[target] < 0
-                     else tuple(_chain(parent, src, target)))
-    assert paths[0] == paths[1] == paths[2]
+    _, dist, parent, _ = _run(g, bytearray(n), src, target=target)
+    ref = nx.Graph(list(g.edges()))
+    ref.add_nodes_from(range(n))
+    if not nx.has_path(ref, src, target):
+        assert dist[target] == -1
+        return
+    length = nx.shortest_path_length(ref, src, target)
+    assert dist[target] == length
+    if src == target:
+        assert parent[target] == -1
+        return
+    want = min(enumerate_bounded_paths(g, src, target, length))
+    assert tuple(_chain(parent, src, target)) == want
 
 
 def test_radius_limits_expansion():
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    blocked = np.zeros(5, np.uint8)
-    for k in KERNELS:
-        _, dist, _, _ = _run(k, g, blocked, 0, radius=2)
-        assert list(dist) == [0, 1, 2, -1, -1]
+    count, dist, _, _ = _run(g, bytearray(5), 0, radius=2)
+    assert dist == [0, 1, 2, -1, -1]
+    assert count == 3
 
 
 def test_ban_edge_skips_only_that_edge():
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
-    blocked = np.zeros(3, np.uint8)
-    for k in KERNELS:
-        _, dist, parent, _ = _run(k, g, blocked, 0, ban=(0, 2))
-        assert dist[2] == 2 and parent[2] == 1
+    _, dist, parent, _ = _run(g, bytearray(3), 0, ban=(0, 2))
+    assert dist[2] == 2 and parent[2] == 1
 
 
 def test_blocked_vertices_unreachable():
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    blocked = np.zeros(4, np.uint8)
+    blocked = bytearray(4)
     blocked[3] = 1
-    for k in KERNELS:
-        _, dist, _, _ = _run(k, g, blocked, 0)
-        assert dist[3] == -1 and dist[2] == 2
+    _, dist, _, _ = _run(g, blocked, 0)
+    assert dist[3] == -1 and dist[2] == 2
 
 
 def test_parent_is_first_discovery_lexicographic():
     # two equal-length routes 0-1-3 and 0-2-3: parent of 3 must be 1
     g = Graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-    blocked = np.zeros(4, np.uint8)
-    for k in KERNELS:
-        _, dist, parent, _ = _run(k, g, blocked, 0)
-        assert parent[3] == 1
+    _, _, parent, _ = _run(g, bytearray(4), 0)
+    assert parent[3] == 1

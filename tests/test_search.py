@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -278,6 +282,37 @@ def test_depth_and_branch_bounds_hold():
             cfg = config_from_name(name, SolverConfig(trivial_detection=False))
             _, _, st = solve(PackingInstance(g, s, t, k, ell), cfg)
             assert st.max_depth <= k * ell
+
+
+_STUBBED_CHECK = """
+import sys
+import pathpack.search as search
+from pathpack import Graph, PackingInstance
+from pathpack.model import ValidationReport
+
+search.validate_solution = lambda inst, sol: ValidationReport(False, "stub")
+cycle = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+print("optimize", sys.flags.optimize)
+try:
+    search.solve(PackingInstance(cycle, 0, 2, 2, 2))
+except AssertionError as exc:
+    print("raised:", exc)
+else:
+    print("returned")
+"""
+
+
+def test_witness_check_survives_python_O():
+    # the final witness check must not be an assert statement, which -O strips
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", _STUBBED_CHECK],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "optimize 1"
+    assert lines[1] == "raised: internal error: witness rejected (stub)"
 
 
 # ---------------------------------------------------------------------------
