@@ -6,15 +6,25 @@ unit flow with successive shortest paths).
 Splitting each vertex v into v_in -> v_out (unit arc) turns vertex
 disjointness into arc disjointness; an original s-t path of length L becomes
 an s_out -> t_in path of length 2L - 1.
+
+A solve builds at most one split digraph and runs every flow on it:
+``reset`` restores the capacities between flows, and a vertex is shut out by
+closing its internal arc (capacity 0) instead of rebuilding the network.
+Each flow does only the work its caller needs: ``_max_flow`` stops after
+``limit`` augmentations (the separator tests only compare the value with a
+target), and each shortest-path round of the min-cost flow stops once the
+sink is settled.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional
 
-from .graph import Graph
+if TYPE_CHECKING:
+    from .graph import Graph
 
 __all__ = [
     "SplitDigraph",
@@ -40,46 +50,55 @@ class SplitDigraph:
     """Residual network over the split digraph.
 
     Arcs are stored in pairs: even id = real arc (capacity 1, cost 1), odd
-    id = its residual reverse (capacity 0, cost -1).  The leading real arcs
-    are the internal arcs, one per (kept) vertex in id order; cross arcs
-    follow in edge order, two per original edge.
+    id = its residual reverse (capacity 0, cost -1), so a real arc carries
+    flow exactly when its reverse has capacity.  Real arc v < n is the
+    internal arc v_in -> v_out of vertex v; cross arcs follow in edge order,
+    two per original edge {u, v} with u < v: u_out -> v_in, then
+    v_out -> u_in.  Every node lists its arcs in id order, so v_out's cross
+    arcs come in ascending neighbour order.
+
+    One network serves a whole solve.  ``reset`` restores the capacities;
+    ``close`` then shuts vertices out by zeroing their internal arcs, which
+    leaves the same flows as deleting those vertices: a closed v_in is a
+    dead end and v_out cannot be entered.
     """
 
-    def __init__(self, g: Graph, removed: Optional[Sequence[int]] = None):
+    def __init__(self, g: Graph):
         n = g.n
-        alive = [True] * n
-        if removed is not None:
-            for v in removed:
-                alive[v] = False
         self.graph_n = n
         self.node_count = 2 * n
-        self.adj: list[list[int]] = [[] for _ in range(self.node_count)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.alive = alive
-        for v in range(n):
-            if alive[v]:
-                self._add_arc(_vin(v), _vout(v))
-        for u, v in g.edges():
-            if alive[u] and alive[v]:
-                self._add_arc(_vout(u), _vin(v))
-                self._add_arc(_vout(v), _vin(u))
-        self.arc_count = len(self.to) // 2
+        # internal arc v is ids (2v, 2v + 1) and node v_in is 2v, so the
+        # first arc of every node is the arc with the node's own id
+        adj = [[x] for x in range(2 * n)]
+        to = [x ^ 1 for x in range(2 * n)]
+        e = 2 * n
+        for u, row in enumerate(g.adj):
+            u_in = 2 * u
+            u_out = u_in + 1
+            adj_uin = adj[u_in]
+            adj_uout = adj[u_out]
+            for v in row[bisect_right(row, u):]:
+                v_in = 2 * v
+                to += (v_in, u_out, u_in, v_in + 1)
+                adj_uout.append(e)
+                adj[v_in].append(e + 1)
+                adj[v_in + 1].append(e + 2)
+                adj_uin.append(e + 3)
+                e += 4
+        self.adj = adj
+        self.to = to
+        self.arc_count = e // 2
+        self.cap = [1, 0] * self.arc_count
 
-    def _add_arc(self, u: int, w: int) -> None:
-        self.adj[u].append(len(self.to))
-        self.to.append(w)
-        self.cap.append(1)
-        self.adj[w].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
+    def reset(self) -> None:
+        """Restore every capacity: no flow, no closed vertex."""
+        self.cap[:] = [1, 0] * self.arc_count
 
-    def flow_on(self, real_arc: int) -> int:
-        return 1 - self.cap[2 * real_arc]
-
-    def cancel_flow(self, real_arc: int) -> None:
-        self.cap[2 * real_arc] = 1
-        self.cap[2 * real_arc + 1] = 0
+    def close(self, vertices: Iterable[int]) -> None:
+        """Shut the given vertices out of the next flow (after ``reset``)."""
+        cap = self.cap
+        for v in vertices:
+            cap[2 * v] = 0
 
 
 def split_transform(g: Graph) -> SplitDigraph:
@@ -87,60 +106,68 @@ def split_transform(g: Graph) -> SplitDigraph:
     return SplitDigraph(g)
 
 
-def _max_flow(net: SplitDigraph, source: int, sink: int) -> int:
-    """Edmonds-Karp on the unit-capacity residual network."""
+def _max_flow(net: SplitDigraph, s: int, t: int,
+              limit: Optional[int]) -> int:
+    """Edmonds-Karp from s_out to t_in on the unit-capacity residual
+    network; stops after ``limit`` augmentations (None: at the maximum)."""
+    adj, to, cap = net.adj, net.to, net.cap
     nn = net.node_count
-    parent_arc = [-1] * nn
+    source, sink = _vout(s), _vin(t)
     value = 0
-    while True:
-        for i in range(nn):
-            parent_arc[i] = -1
+    while limit is None or value < limit:
+        parent_arc = [-1] * nn
         parent_arc[source] = -2
         queue = [source]
-        head = 0
         reached = False
-        while head < len(queue) and not reached:
-            u = queue[head]
-            head += 1
-            for e in net.adj[u]:
-                if net.cap[e] <= 0:
-                    continue
-                w = net.to[e]
-                if parent_arc[w] != -1:
-                    continue
-                parent_arc[w] = e
-                if w == sink:
-                    reached = True
-                    break
-                queue.append(w)
+        for u in queue:
+            for e in adj[u]:
+                if cap[e]:
+                    w = to[e]
+                    if parent_arc[w] == -1:
+                        parent_arc[w] = e
+                        if w == sink:
+                            reached = True
+                            break
+                        queue.append(w)
+            if reached:
+                break
         if not reached:
-            return value
+            break
         w = sink
         while w != source:
             e = parent_arc[w]
-            net.cap[e] -= 1
-            net.cap[e ^ 1] += 1
-            w = net.to[e ^ 1]
+            cap[e] -= 1
+            cap[e ^ 1] += 1
+            w = to[e ^ 1]
         value += 1
+    return value
+
+
+def _check_terminals(g: Graph, s: int, t: int,
+                     removed: Optional[Iterable[int]]) -> list[int]:
+    if s == t:
+        raise ValueError("terminals s and t must differ")
+    g.check_vertex(s)
+    g.check_vertex(t)
+    removed_list = sorted(set(removed)) if removed is not None else []
+    if s in removed_list or t in removed_list:
+        raise ValueError("terminals must not be removed")
+    return removed_list
 
 
 def st_flow_value(g: Graph, s: int, t: int,
                   removed: Optional[Iterable[int]] = None) -> int:
-    """Max s_out -> t_in flow value in the split digraph.
+    """Max s_out -> t_in flow value in the split digraph, with the
+    ``removed`` vertices shut out.
 
     Equals the maximum number of internally vertex-disjoint s-t paths (a
     direct s-t edge contributes one unit that no internal arc can cut), so
     this is the quantity the solver compares against k.
     """
-    if s == t:
-        raise ValueError("terminals s and t must differ")
-    g.check_vertex(s)
-    g.check_vertex(t)
-    removed_list = sorted(set(removed)) if removed is not None else None
-    if removed_list is not None and (s in removed_list or t in removed_list):
-        raise ValueError("terminals must not be removed")
-    net = SplitDigraph(g, removed_list)
-    return _max_flow(net, _vout(s), _vin(t))
+    removed_list = _check_terminals(g, s, t, removed)
+    net = SplitDigraph(g)
+    net.close(removed_list)
+    return _max_flow(net, s, t, None)
 
 
 def min_vertex_separator_size(g: Graph, s: int, t: int) -> float:
@@ -171,28 +198,119 @@ class DisjointPathsResult:
 _UNREACHED = 1 << 60
 
 
-def _dijkstra_reduced(net: SplitDigraph, source: int, potential: list[int],
-                      dist: list[int], parent_arc: list[int]) -> None:
+def _dijkstra_reduced(net: SplitDigraph, source: int, sink: int,
+                      potential: list[int], dist: list[int],
+                      parent_arc: list[int]) -> None:
+    """Shortest paths under reduced costs, stopped when the sink is settled.
+
+    Every node still unsettled then has ``dist >= dist[sink]``, and the
+    caller caps potentials at ``dist[sink]``, so stopping early gives the
+    same potentials and the same sink path as settling every node.
+    """
     nn = net.node_count
-    for i in range(nn):
-        dist[i] = _UNREACHED
-        parent_arc[i] = -1
+    adj, to, cap = net.adj, net.to, net.cap
+    dist[:] = [_UNREACHED] * nn
+    parent_arc[:] = [-1] * nn
     dist[source] = 0
     heap = [(0, source)]
     while heap:
         d, u = heapq.heappop(heap)
         if d > dist[u]:
             continue
-        for e in net.adj[u]:
-            if net.cap[e] <= 0:
-                continue
-            w = net.to[e]
-            cost = 1 if e % 2 == 0 else -1
-            nd = d + cost + potential[u] - potential[w]
-            if nd < dist[w]:
-                dist[w] = nd
-                parent_arc[w] = e
-                heapq.heappush(heap, (nd, w))
+        if u == sink:
+            return
+        base = d + potential[u]
+        for e in adj[u]:
+            if cap[e]:
+                w = to[e]
+                nd = base - potential[w] + (-1 if e & 1 else 1)
+                if nd < dist[w]:
+                    dist[w] = nd
+                    parent_arc[w] = e
+                    heapq.heappush(heap, (nd, w))
+
+
+def _min_cost_paths(net: SplitDigraph, s: int, t: int,
+                    k: int) -> Optional[DisjointPathsResult]:
+    """k disjoint s-t paths of minimum total length on ``net`` (reset, and
+    with any removed vertices closed), or None when fewer than k exist."""
+    source, sink = _vout(s), _vin(t)
+    to, cap = net.to, net.cap
+    nn = net.node_count
+    potential = [0] * nn
+    dist = [_UNREACHED] * nn
+    parent_arc = [-1] * nn
+    for _ in range(k):
+        _dijkstra_reduced(net, source, sink, potential, dist, parent_arc)
+        cap_at = dist[sink]
+        if cap_at >= _UNREACHED:
+            return None
+        # capping at dist[sink] keeps reduced costs non-negative even for
+        # nodes this round could not reach (or did not settle)
+        potential = [p + (d if d < cap_at else cap_at)
+                     for p, d in zip(potential, dist)]
+        w = sink
+        while w != source:
+            e = parent_arc[w]
+            cap[e] -= 1
+            cap[e ^ 1] += 1
+            w = to[e ^ 1]
+    return _decompose(net, s, t, k)
+
+
+def _decompose(net: SplitDigraph, s: int, t: int,
+               k: int) -> DisjointPathsResult:
+    """Split the unit flow into k paths, walking only arcs that carry flow.
+
+    At each v_out the flowed cross arc with the smallest head is taken; a
+    used arc gets its capacity back, so it is not taken twice.  Two opposite
+    cross arcs of one edge that both carry flow cancel (a cost-optimal flow
+    has none, but the decomposition must not rely on that).
+    """
+    source, sink = _vout(s), _vin(t)
+    adj, to, cap = net.adj, net.to, net.cap
+    n = net.graph_n
+    paths: list[tuple[int, ...]] = []
+    split_total = 0
+    for _ in range(k):
+        path = [s]
+        cur = source
+        while True:
+            nxt = -1
+            for e in adj[cur]:
+                if e & 1 or not cap[e | 1]:
+                    continue
+                cap[e] = 1
+                cap[e | 1] = 0
+                # the opposite cross arc of the same edge is the other arc
+                # of its pair: real arcs n + 2j and n + 2j + 1
+                partner = 2 * (n + ((e // 2 - n) ^ 1))
+                if cap[partner | 1]:
+                    cap[partner] = 1
+                    cap[partner | 1] = 0
+                    continue
+                nxt = to[e]
+                break
+            if nxt < 0:
+                raise AssertionError("flow decomposition ran out of arcs")
+            if nxt == sink:
+                path.append(t)
+                split_total += 1
+                break
+            # nxt is x_in: its only real arc is the internal arc, id nxt
+            if not cap[nxt | 1]:
+                raise AssertionError("flow decomposition ran out of arcs")
+            cap[nxt] = 1
+            cap[nxt | 1] = 0
+            path.append(nxt // 2)
+            cur = nxt | 1
+            split_total += 2
+        paths.append(tuple(path))
+
+    total = sum(len(p) - 1 for p in paths)
+    if 2 * total != split_total + k:
+        raise AssertionError("length conversion identity violated")
+    return DisjointPathsResult(tuple(paths), total, split_total)
 
 
 def min_total_length_disjoint_paths(g: Graph, s: int, t: int, k: int,
@@ -206,81 +324,7 @@ def min_total_length_disjoint_paths(g: Graph, s: int, t: int, k: int,
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if s == t:
-        raise ValueError("terminals s and t must differ")
-    g.check_vertex(s)
-    g.check_vertex(t)
-    removed_list = sorted(set(removed)) if removed is not None else None
-    if removed_list is not None and (s in removed_list or t in removed_list):
-        raise ValueError("terminals must not be removed")
-    net = SplitDigraph(g, removed_list)
-    source, sink = _vout(s), _vin(t)
-    nn = net.node_count
-    potential = [0] * nn
-    dist = [_UNREACHED] * nn
-    parent_arc = [-1] * nn
-    for _ in range(k):
-        _dijkstra_reduced(net, source, potential, dist, parent_arc)
-        if dist[sink] >= _UNREACHED:
-            return None
-        # capping at dist[sink] keeps reduced costs non-negative even for
-        # nodes this round could not reach
-        cap_at = dist[sink]
-        for i in range(nn):
-            potential[i] += dist[i] if dist[i] < cap_at else cap_at
-        w = sink
-        while w != source:
-            e = parent_arc[w]
-            net.cap[e] -= 1
-            net.cap[e ^ 1] += 1
-            w = net.to[e ^ 1]
-
-    # cancel opposite cross arcs first (a cost-optimal flow should not
-    # contain any, but decomposition must not rely on that)
-    n = g.n
-    cross_base = sum(1 for v in range(n) if net.alive[v])
-    for a in range(cross_base, net.arc_count, 2):
-        if net.flow_on(a) == 1 and net.flow_on(a + 1) == 1:
-            net.cancel_flow(a)
-            net.cancel_flow(a + 1)
-
-    # per-node flowed out-arcs, consumed greedily by smallest head id
-    out_flow: list[list[int]] = [[] for _ in range(nn)]
-    for a in range(net.arc_count):
-        if net.flow_on(a) == 1:
-            e = 2 * a
-            u = net.to[e ^ 1]
-            out_flow[u].append(e)
-    for u in range(nn):
-        out_flow[u].sort(key=lambda e: net.to[e])
-
-    paths: list[tuple[int, ...]] = []
-    split_total = 0
-    for _ in range(k):
-        path = [s]
-        cur = source
-        arcs_used = 0
-        while cur != sink:
-            if not out_flow[cur]:
-                raise AssertionError("flow decomposition ran out of arcs")
-            e = out_flow[cur].pop(0)
-            arcs_used += 1
-            nxt = net.to[e]
-            if nxt == sink:
-                path.append(t)
-                cur = nxt
-                continue
-            x = nxt // 2
-            internal = out_flow[nxt].pop(0)
-            arcs_used += 1
-            if net.to[internal] != _vout(x):
-                raise AssertionError("expected the internal arc of a vertex")
-            path.append(x)
-            cur = _vout(x)
-        paths.append(tuple(path))
-        split_total += arcs_used
-
-    total = sum(len(p) - 1 for p in paths)
-    if 2 * total != split_total + k:
-        raise AssertionError("length conversion identity violated")
-    return DisjointPathsResult(tuple(paths), total, split_total)
+    removed_list = _check_terminals(g, s, t, removed)
+    net = SplitDigraph(g)
+    net.close(removed_list)
+    return _min_cost_paths(net, s, t, k)

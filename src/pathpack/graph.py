@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
+from .flows import SplitDigraph
 from .kernels import bfs_tree
 
 __all__ = [
@@ -129,12 +130,14 @@ class VertexMask:
 
 
 class Workspace:
-    """Per-run scratch buffers for BFS and mask composition.
+    """Per-run scratch buffers for BFS, mask composition and flows.
 
     Single-owner state: one Workspace must not be shared across concurrent
     solves.  ``dist_cache`` memoizes unmasked full-graph distance arrays
     (used by checkpoint-gap bounds and candidate ordering); they are int32
-    numpy arrays so that callers can compare them vectorized.
+    numpy arrays so that callers can compare them vectorized.  The split
+    digraph that trivial detection and the separator checks share is built
+    on first use.
     """
 
     def __init__(self, g: Graph):
@@ -147,6 +150,16 @@ class Workspace:
         self.blocked_base = bytearray(n)
         self.dist_cache: dict[int, np.ndarray] = {}
         self.root_flow: Optional[int] = None  # memo for the unmasked s-t flow
+        self._split: Optional[SplitDigraph] = None
+
+    def split_digraph(self) -> SplitDigraph:
+        """The graph's split digraph with no flow and no closed vertex:
+        built on the first call, reset on each later one."""
+        if self._split is None:
+            self._split = SplitDigraph(self.g)
+        else:
+            self._split.reset()
+        return self._split
 
     def distances_unmasked(self, src: int) -> np.ndarray:
         """Cached full-graph BFS distances from ``src`` (-1 = unreachable)."""

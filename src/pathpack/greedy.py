@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .config import SolverConfig, SolveStats
-from .flows import st_flow_value
+from .flows import _max_flow
 from .graph import Workspace, shortest_path_blocked
 from .model import CheckpointInstance
 
@@ -120,7 +120,7 @@ def run_greedy(inst: CheckpointInstance, cfg: SolverConfig,
     # (the unmasked flow value is fixed per solve, so it is memoized)
     if not cfg.trivial_detection and cut_check_enabled(0):
         if ws.root_flow is None:
-            ws.root_flow = st_flow_value(g, s, t)
+            ws.root_flow = _max_flow(ws.split_digraph(), s, t, None)
         if ws.root_flow < k:
             stats.dms_fired += 1
             return GreedyFailure(FailureCondition.CUT_TOO_SMALL, 1, None,
@@ -162,8 +162,12 @@ def run_greedy(inst: CheckpointInstance, cfg: SolverConfig,
         for v in path[1:-1]:
             blocked_base[v] = 1
         if i0 + 1 < k and cut_check_enabled(i0 + 1):
-            removed = [v for v, b in enumerate(blocked_base) if b]
-            if st_flow_value(g, s, t, removed=removed) < k - (i0 + 1):
+            # shut the consumed vertices out of the shared split digraph; the
+            # flow stops once it reaches the k - (i0 + 1) paths still needed
+            need = k - (i0 + 1)
+            net = ws.split_digraph()
+            net.close([v for v, b in enumerate(blocked_base) if b])
+            if _max_flow(net, s, t, need) < need:
                 stats.dms_fired += 1
                 return GreedyFailure(FailureCondition.CUT_TOO_SMALL,
                                      i0 + 2, None, tuple(completed), ())

@@ -165,7 +165,13 @@ class CheckpointInstance:
         new_entries = entries[:pos] + (v,) + entries[pos:]
         new_lists = (self.lists[:list_index] + (new_entries,)
                      + self.lists[list_index + 1:])
-        return CheckpointInstance(self.base, new_lists, self.intervals)
+        # the parent passed the checks and the branching rules only insert
+        # unlisted non-terminal vertices, so the child skips __post_init__
+        child = object.__new__(CheckpointInstance)
+        object.__setattr__(child, "base", self.base)
+        object.__setattr__(child, "lists", new_lists)
+        object.__setattr__(child, "intervals", self.intervals)
+        return child
 
 
 def from_packing(inst: PackingInstance) -> CheckpointInstance:

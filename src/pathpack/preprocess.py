@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .flows import min_total_length_disjoint_paths, st_flow_value
+from .flows import _max_flow, _min_cost_paths
 from .graph import Graph, Workspace, shortest_path_blocked
 from .model import CheckpointInstance, PackingInstance, Solution
 
@@ -74,17 +74,24 @@ def reduce_instance(inst: CheckpointInstance,
     keep[s] = True
     keep[t] = True
 
-    # iterated degree <= 1 pruning; each round removes at least one vertex
-    changed = True
-    while changed:
-        changed = False
-        for v in range(g.n):
-            if not keep[v] or v == s or v == t:
-                continue
-            deg = sum(keep[w] for w in g.neighbors(v))
-            if deg <= 1:
-                keep[v] = False
-                changed = True
+    # degree <= 1 peeling with a work queue over live degrees (Batagelj &
+    # Zaversnik 2003): a vertex is queued once, when its live degree first
+    # drops to 1 or below.  Removal only lowers degrees, so the kept set is
+    # the same as that of any removal order.
+    adj = g.adj
+    live = keep.__getitem__
+    deg = [sum(map(live, adj[v])) if keep[v] else 0 for v in range(g.n)]
+    queue = [v for v in range(g.n)
+             if keep[v] and deg[v] <= 1 and v != s and v != t]
+    for v in queue:
+        keep[v] = False
+    for v in queue:
+        for w in adj[v]:
+            if keep[w]:
+                deg[w] -= 1
+                if deg[w] == 1 and w != s and w != t:
+                    keep[w] = False
+                    queue.append(w)
 
     kept_sorted = [v for v in range(g.n) if keep[v]]
     to_reduced = {v: i for i, v in enumerate(kept_sorted)}
@@ -170,10 +177,11 @@ def detect_trivial(inst: CheckpointInstance,
             return _yes(Solution((path,)), "k1")
         return _no("k1")
 
-    if st_flow_value(g, s, t) < k:
+    # both flows run on the workspace's one split digraph, reset in between;
+    # the separator test stops as soon as it has found k paths
+    if _max_flow(ws.split_digraph(), s, t, k) < k:
         return _no("min-separator")
-
-    result = min_total_length_disjoint_paths(g, s, t, k)
+    result = _min_cost_paths(ws.split_digraph(), s, t, k)
     if result is None:
         return _no("min-total-length")
     longest = max(len(p) - 1 for p in result.paths)

@@ -74,12 +74,19 @@ def _pool_base(fail: GreedyFailure, cp_union: set[int],
     return [v for v in pool if v not in cp_union]
 
 
+def _expect(fail: GreedyFailure, condition: FailureCondition) -> None:
+    # an explicit raise, so the check survives python -O
+    if fail.condition is not condition:
+        raise AssertionError(f"expected a {condition.name} failure, "
+                             f"got {fail.condition.name}")
+
+
 def branch_no_subpath(fail: GreedyFailure, inst: CheckpointInstance,
                       cfg: SolverConfig,
                       dist_fn: Optional[DistFn] = None) -> list[Candidate]:
     """Rule 1: the missing subpath must use a previously consumed vertex;
     try each at the break position."""
-    assert fail.condition is FailureCondition.NO_SUBPATH
+    _expect(fail, FailureCondition.NO_SUBPATH)
     cp_union = inst.checkpoint_union()
     entries = inst.lists[fail.i_beta - 1]
     j = fail.j_beta
@@ -99,7 +106,7 @@ def branch_overlong(fail: GreedyFailure, inst: CheckpointInstance,
     but rejected subpath participates with its actual length), ties by
     ascending position; otherwise ascending position.
     """
-    assert fail.condition is FailureCondition.OVERLONG
+    _expect(fail, FailureCondition.OVERLONG)
     cp_union = inst.checkpoint_union()
     entries = inst.lists[fail.i_beta - 1]
     j_b = fail.j_beta
@@ -127,7 +134,7 @@ def branch_cut(fail: GreedyFailure, inst: CheckpointInstance,
     """Rule 3: after a failed separator check, some still-pending subpath of
     some still-pending list must use a consumed vertex; try every (list,
     position) combination over the completed paths' internal vertices."""
-    assert fail.condition is FailureCondition.CUT_TOO_SMALL
+    _expect(fail, FailureCondition.CUT_TOO_SMALL)
     cp_union = inst.checkpoint_union()
     pool_set: set[int] = set()
     for p in fail.complete_paths:
@@ -184,14 +191,15 @@ def node_infeasible(inst: CheckpointInstance, cfg: SolverConfig,
 
 class _TreeSearch:
     def __init__(self, root: CheckpointInstance, cfg: SolverConfig,
-                 stats: SolveStats, deadline: Optional[float]):
+                 stats: SolveStats, deadline: Optional[float],
+                 ws: Workspace):
         self.cfg = cfg
         self.stats = stats
         self.deadline = deadline
         self.root = root
         self.k = root.base.k
         self.ell = root.base.ell
-        self.ws = Workspace(root.base.graph)
+        self.ws = ws
         self.store = root.intervals
         self.dist_fn = self.ws.distances_unmasked
 
@@ -304,12 +312,14 @@ def solve(inst: PackingInstance,
         stats.n_after = report.n_after
         stats.m_after = report.m_after
 
+    # one workspace, and so at most one split digraph, for the whole solve
+    ws = Workspace(root.base.graph)
     decision = "no"
     witness: Optional[Solution] = None
     try:
         outcome = None
         if cfg.trivial_detection:
-            outcome = detect_trivial(root)
+            outcome = detect_trivial(root, ws)
         if outcome is not None and outcome.kind == "yes":
             decision = "yes"
             witness = outcome.witness
@@ -318,7 +328,7 @@ def solve(inst: PackingInstance,
             decision = "no"
             stats.solved_by = "trivial-no"
         else:
-            search = _TreeSearch(root, cfg, stats, deadline)
+            search = _TreeSearch(root, cfg, stats, deadline, ws)
             paths = search.run()
             if paths is not None:
                 decision = "yes"

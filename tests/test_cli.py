@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +45,27 @@ def test_solve_no_exit_one(tmp_path):
                       "--k", "2", "--ell", "5"])
     assert code == 1
     assert "decision: no" in out
+
+
+def _python_m(*argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-m", "pathpack", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def test_python_m_pathpack_runs_solve(gex_file, tmp_path):
+    proc = _python_m("solve", gex_file, "--s", "1", "--t", "5",
+                     "--k", "2", "--ell", "5")
+    assert proc.returncode == 0, proc.stderr
+    assert "decision: yes" in proc.stdout
+    path = tmp_path / "path.txt"
+    path.write_text("3 2\n1 2\n2 3\n")
+    proc = _python_m("solve", str(path), "--s", "1", "--t", "3",
+                     "--k", "2", "--ell", "5")
+    assert proc.returncode == 1, proc.stderr
+    assert "decision: no" in proc.stdout
 
 
 def test_solve_same_terminals_usage_error(gex_file):

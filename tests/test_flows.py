@@ -1,10 +1,11 @@
 import math
 import random
 
+import networkx as nx
 import pytest
 
 from pathpack import Graph, PackingInstance, random_gnp
-from pathpack.flows import (min_total_length_disjoint_paths,
+from pathpack.flows import (_max_flow, min_total_length_disjoint_paths,
                             min_vertex_separator_size, split_transform,
                             st_flow_value)
 from pathpack.oracle import enumerate_bounded_paths, oracle_decide
@@ -161,3 +162,231 @@ def test_matches_brute_force_minimum(seed):
         assert not (inner & seen)
         seen |= inner
     assert got.total_length == sum(len(p) - 1 for p in got.paths)
+
+
+# ---------------------------------------------------------------------------
+# network layout, reset, closed vertices and the flow limit
+# ---------------------------------------------------------------------------
+
+def _grid(w, h, dropout=0.0, seed=0):
+    rng = random.Random(seed)
+    edges = []
+    for y in range(h):
+        for x in range(w):
+            v = y * w + x
+            if x + 1 < w and rng.random() >= dropout:
+                edges.append((v, v + 1))
+            if y + 1 < h and rng.random() >= dropout:
+                edges.append((v, v + w))
+    return Graph(w * h, edges)
+
+
+def _reference_layout(g):
+    """Arc-by-arc builder: internal arcs in vertex order, then two cross
+    arcs per edge in edge order, each with its reverse right after it."""
+    adj = [[] for _ in range(2 * g.n)]
+    to, cap = [], []
+
+    def add(u, w):
+        adj[u].append(len(to))
+        to.append(w)
+        cap.append(1)
+        adj[w].append(len(to))
+        to.append(u)
+        cap.append(0)
+
+    for v in range(g.n):
+        add(2 * v, 2 * v + 1)
+    for u, v in g.edges():
+        add(2 * u + 1, 2 * v)
+        add(2 * v + 1, 2 * u)
+    return adj, to, cap
+
+
+def _layout_graphs():
+    yield Graph(2, [(0, 1)])
+    yield Graph(4, [(0, 3), (1, 2)])
+    yield _grid(5, 4, 0.2, seed=3)
+    for seed in range(5):
+        yield random_gnp(30, 0.15, 300 + seed)
+
+
+def test_flat_build_matches_reference_layout(gex):
+    for g in [gex, *_layout_graphs()]:
+        net = split_transform(g)
+        adj, to, cap = _reference_layout(g)
+        assert net.adj == adj
+        assert net.to == to
+        assert net.cap == cap
+        assert net.arc_count == g.n + 2 * g.m
+
+
+def test_reset_restores_capacities(gex):
+    net = split_transform(gex)
+    first = _max_flow(net, vid(1), vid(5), None)
+    assert net.cap != _reference_layout(gex)[2]
+    net.reset()
+    assert net.cap == _reference_layout(gex)[2]
+    assert _max_flow(net, vid(1), vid(5), None) == first == 2
+
+
+def _delete(g, removed):
+    """The subgraph induced on the vertices not in ``removed``, relabeled
+    in ascending order, and the relabeling."""
+    keep = [v for v in range(g.n) if v not in removed]
+    new = {v: i for i, v in enumerate(keep)}
+    edges = [(new[u], new[v]) for u, v in g.edges()
+             if u in new and v in new]
+    return Graph(len(keep), edges), new
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_closed_vertices_flow_like_deleted_ones(seed):
+    rng = random.Random(seed + 500)
+    n = rng.randrange(8, 40)
+    g = random_gnp(n, rng.choice([0.1, 0.2, 0.35]), seed + 500)
+    s, t = rng.sample(range(n), 2)
+    others = [v for v in range(n) if v not in (s, t)]
+    removed = set(rng.sample(others, rng.randrange(0, len(others) // 2 + 1)))
+    h, new = _delete(g, removed)
+    want = st_flow_value(h, new[s], new[t])
+    assert st_flow_value(g, s, t, removed=removed) == want
+    net = split_transform(g)
+    net.close(removed)
+    assert _max_flow(net, s, t, None) == want
+    # the reset network forgets the closed vertices
+    net.reset()
+    assert _max_flow(net, s, t, None) == st_flow_value(g, s, t)
+    k = rng.randrange(1, 4)
+    got = min_total_length_disjoint_paths(g, s, t, k, removed=removed)
+    ref = min_total_length_disjoint_paths(h, new[s], new[t], k)
+    assert (got is None) == (ref is None)
+    if got is not None:
+        assert got.total_length == ref.total_length
+        assert not removed & {v for p in got.paths for v in p}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_capped_max_flow_is_min_of_limit_and_value(seed):
+    rng = random.Random(seed + 700)
+    n = rng.randrange(6, 40)
+    g = random_gnp(n, rng.choice([0.1, 0.25, 0.4]), seed + 700)
+    s, t = rng.sample(range(n), 2)
+    value = st_flow_value(g, s, t)
+    net = split_transform(g)
+    for limit in range(0, value + 3):
+        net.reset()
+        assert _max_flow(net, s, t, limit) == min(limit, value)
+
+
+# ---------------------------------------------------------------------------
+# networkx as an independent reference, on graphs too large for the oracle
+# ---------------------------------------------------------------------------
+
+def _to_nx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def _reference_graphs():
+    for seed in range(900, 912):
+        rng = random.Random(seed)
+        n = rng.randrange(40, 90)
+        g = random_gnp(n, rng.choice([4.0, 6.0, 9.0]) / (n - 1), seed)
+        yield f"gnp{seed}", g, seed
+    for seed in range(950, 956):
+        rng = random.Random(seed)
+        g = _grid(rng.randrange(6, 10), rng.randrange(6, 10),
+                  rng.choice([0.0, 0.1, 0.25]), seed)
+        yield f"grid{seed}", g, seed
+
+
+_REFERENCE = list(_reference_graphs())
+
+
+@pytest.mark.parametrize("name,g,seed", _REFERENCE,
+                         ids=[name for name, _, _ in _REFERENCE])
+def test_flow_value_matches_networkx_connectivity(name, g, seed):
+    rng = random.Random(seed)
+    h = _to_nx(g)
+    for _ in range(6):
+        s, t = rng.sample(range(g.n), 2)
+        if h.has_edge(s, t):
+            # networkx counts no paths through an edge it cannot cut; the
+            # direct edge is one more route for the split digraph
+            h2 = h.copy()
+            h2.remove_edge(s, t)
+            want = nx.algorithms.connectivity.local_node_connectivity(
+                h2, s, t) + 1
+        else:
+            want = nx.algorithms.connectivity.local_node_connectivity(
+                h, s, t)
+        assert st_flow_value(g, s, t) == want
+
+
+def _nx_min_total_length(g, s, t, k):
+    """Minimum total length of k disjoint s-t paths by networkx min-cost
+    flow on the split digraph, or None when fewer than k exist."""
+    d = nx.DiGraph()
+    for v in range(g.n):
+        d.add_edge(("in", v), ("out", v), capacity=1, weight=0)
+    for u, v in g.edges():
+        d.add_edge(("out", u), ("in", v), capacity=1, weight=1)
+        d.add_edge(("out", v), ("in", u), capacity=1, weight=1)
+    d.add_edge("source", ("out", s), capacity=k, weight=0)
+    flow = nx.max_flow_min_cost(d, "source", ("in", t))
+    if sum(flow["source"].values()) < k:
+        return None
+    return nx.cost_of_flow(d, flow)
+
+
+@pytest.mark.parametrize("name,g,seed", _REFERENCE,
+                         ids=[name for name, _, _ in _REFERENCE])
+def test_min_total_length_matches_networkx_min_cost(name, g, seed):
+    rng = random.Random(seed + 1)
+    for _ in range(4):
+        s, t = rng.sample(range(g.n), 2)
+        k = rng.randrange(1, 5)
+        got = min_total_length_disjoint_paths(g, s, t, k)
+        want = _nx_min_total_length(g, s, t, k)
+        if want is None:
+            assert got is None
+            continue
+        assert got is not None
+        assert got.total_length == want
+        assert 2 * got.total_length == got.split_length + k
+
+
+# ---------------------------------------------------------------------------
+# pinned witnesses: the paths the flows return on seeded graphs
+# ---------------------------------------------------------------------------
+
+_PINNED = [
+    (("gnp", 33, 1000), 6, 25, 3,
+     ((6, 3, 7, 30, 25), (6, 10, 22, 21, 20, 9, 25), (6, 24, 27, 14, 25))),
+    (("gnp", 21, 1001), 6, 2, 4,
+     ((6, 1, 19, 13, 2), (6, 11, 3, 4, 2), (6, 12, 20, 2),
+      (6, 18, 14, 0, 2))),
+    (("gnp", 36, 1002), 26, 14, 2, ((26, 6, 7, 14), (26, 14))),
+    (("gnp", 35, 1003), 23, 14, 4, None),
+    (("gnp", 33, 1004), 6, 32, 4,
+     ((6, 2, 11, 32), (6, 7, 32), (6, 21, 17, 32), (6, 29, 19, 32))),
+    (("gnp", 35, 1005), 25, 34, 3,
+     ((25, 2, 18, 11, 34), (25, 15, 29, 33, 7, 34), (25, 30, 6, 34))),
+    (("grid", 5, 4), 0, 19, 2,
+     ((0, 1, 2, 3, 4, 9, 14, 19), (0, 5, 6, 7, 8, 13, 18, 19))),
+    (("grid", 6, 6), 7, 28, 4,
+     ((7, 1, 2, 3, 4, 5, 11, 17, 23, 29, 28),
+      (7, 6, 12, 18, 19, 20, 26, 32, 33, 34, 28),
+      (7, 8, 9, 10, 16, 22, 28), (7, 13, 14, 15, 21, 27, 28))),
+]
+
+
+@pytest.mark.parametrize("spec,s,t,k,paths", _PINNED)
+def test_min_total_length_witnesses_pinned(spec, s, t, k, paths):
+    kind, a, b = spec
+    g = random_gnp(a, 0.15, b) if kind == "gnp" else _grid(a, b)
+    got = min_total_length_disjoint_paths(g, s, t, k)
+    assert (None if got is None else got.paths) == paths

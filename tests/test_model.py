@@ -54,6 +54,17 @@ def test_insertion_keeps_invariants(gex):
     assert grand.intervals is ci.intervals
 
 
+
+def test_insertion_child_equals_checked_instance(gex):
+    # children skip the constructor checks, so they must come out exactly
+    # as the checked constructor would build them
+    ci = from_packing(_inst(gex))
+    child = ci.with_insertion(0, 1, vid(3)).with_insertion(1, 1, vid(9))
+    checked = CheckpointInstance(child.base, child.lists, child.intervals)
+    assert child == checked
+    assert hash(child) == hash(checked)
+    assert type(child) is CheckpointInstance
+
 def test_too_long_lists():
     assert is_list_trivially_too_long(list(range(7)), 5)
     assert not is_list_trivially_too_long(list(range(6)), 5)

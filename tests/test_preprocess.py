@@ -1,9 +1,10 @@
 import random
+import time
 
 import pytest
 
-from pathpack import (Graph, PackingInstance, SolverConfig, from_packing,
-                      random_gnp, validate_solution)
+from pathpack import (Graph, PackingInstance, SolverConfig, Workspace,
+                      from_packing, random_gnp, validate_solution)
 from pathpack.oracle import oracle_decide
 from pathpack.preprocess import detect_trivial, reduce_instance
 from pathpack.search import solve
@@ -47,6 +48,51 @@ def test_reduce_iterates_degree_one_removal():
     ci = from_packing(PackingInstance(g, 0, 1, 1, 3))
     reduced, report = reduce_instance(ci)
     assert report.kept == {0, 1, 2}
+
+
+def _naive_kept(g, s, t, ell):
+    """Reference for reduce_instance's kept set: the distance filter, then
+    full passes removing degree <= 1 vertices until nothing changes."""
+    ws = Workspace(g)
+    ds = ws.distances_unmasked(s).tolist()
+    dt = ws.distances_unmasked(t).tolist()
+    keep = [0 <= ds[v] <= ell and 0 <= dt[v] <= ell
+            and (ds[v] <= ell // 2 or dt[v] <= ell // 2) for v in range(g.n)]
+    keep[s] = keep[t] = True
+    changed = True
+    while changed:
+        changed = False
+        for v in range(g.n):
+            if keep[v] and v not in (s, t) and sum(
+                    keep[w] for w in g.neighbors(v)) <= 1:
+                keep[v] = False
+                changed = True
+    return {v for v in range(g.n) if keep[v]}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_reduce_peeling_matches_naive_fixpoint(seed):
+    rng = random.Random(seed + 4000)
+    n = rng.randrange(10, 120)
+    g = random_gnp(n, rng.choice([1.2, 2.0, 3.0]) / (n - 1), seed + 4000)
+    s, t = rng.sample(range(n), 2)
+    ell = rng.randrange(2, 12)
+    _, report = reduce_instance(from_packing(PackingInstance(g, s, t, 1, ell)))
+    assert set(report.kept) == _naive_kept(g, s, t, ell)
+
+
+def test_reduce_long_pendant_path_is_linear():
+    # a 4-cycle 0-1-2-3 with a pendant path of 10^5 vertices hanging off 1
+    length = 100_000
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (1, 4)]
+    edges += [(v, v + 1) for v in range(4, 4 + length - 1)]
+    g = Graph(4 + length, edges)
+    ci = from_packing(PackingInstance(g, 0, 2, 2, 2 * length))
+    start = time.perf_counter()
+    _, report = reduce_instance(ci)
+    elapsed = time.perf_counter() - start
+    assert report.kept == {0, 1, 2, 3}
+    assert elapsed < 1.0
 
 
 def test_reduce_kept_monotone_in_ell(gex):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from pathpack import (CheckpointInstance, Graph, PackingInstance,
-                      SolverConfig, config_from_name, from_packing,
+                      SolverConfig, Workspace, config_from_name, from_packing,
                       random_gnp, validate_solution)
 from pathpack.greedy import FailureCondition, GreedyFailure, run_greedy
 from pathpack.oracle import oracle_decide
@@ -228,7 +228,7 @@ def test_interval_scope_unwinds_to_empty(gex):
     from pathpack.search import _TreeSearch
     ci = from_packing(PackingInstance(gex, vid(1), vid(5), 2, 4))
     cfg = config_from_name("b-sp+b-fi", SolverConfig(trivial_detection=False))
-    search = _TreeSearch(ci, cfg, SolveStats(), None)
+    search = _TreeSearch(ci, cfg, SolveStats(), None, Workspace(gex))
     assert search.run() is None
     assert len(ci.intervals) == 0
 
@@ -313,6 +313,45 @@ def test_witness_check_survives_python_O():
     lines = proc.stdout.splitlines()
     assert lines[0] == "optimize 1"
     assert lines[1] == "raised: internal error: witness rejected (stub)"
+
+
+
+_WRONG_FAILURE = """
+import sys
+from pathpack import PackingInstance, SolverConfig, from_packing, random_gnp
+from pathpack.greedy import FailureCondition, GreedyFailure
+from pathpack.search import branch_cut, branch_no_subpath, branch_overlong
+
+print("optimize", sys.flags.optimize)
+inst = from_packing(PackingInstance(random_gnp(6, 0.5, 1), 0, 5, 2, 4))
+fail = GreedyFailure(FailureCondition.NO_SUBPATH, 1, 1, (), ())
+for brancher in (branch_overlong, branch_cut):
+    try:
+        brancher(fail, inst, SolverConfig())
+    except AssertionError as exc:
+        print("raised:", exc)
+    else:
+        print("returned")
+"""
+
+
+def test_branch_condition_checks_survive_python_O():
+    # each brancher refuses a failure of another rule, also under -O
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", _WRONG_FAILURE],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "optimize 1",
+        "raised: expected a OVERLONG failure, got NO_SUBPATH",
+        "raised: expected a CUT_TOO_SMALL failure, got NO_SUBPATH",
+    ]
+    fail = GreedyFailure(FailureCondition.OVERLONG, 1, 1, (), ())
+    inst = from_packing(PackingInstance(random_gnp(6, 0.5, 1), 0, 5, 2, 4))
+    with pytest.raises(AssertionError, match="NO_SUBPATH"):
+        branch_no_subpath(fail, inst, SolverConfig())
 
 
 # ---------------------------------------------------------------------------
