@@ -3,26 +3,21 @@ of length at most ell, built around a branching search with greedy
 localization, plus preprocessing, trivial-instance detection, pruning and
 ordering heuristics, a brute-force reference, and a benchmark harness."""
 
-from .graph import (Graph, VertexMask, Workspace, GraphFormatError,
-                    parse_graph, load_graph, format_graph, random_gnp,
-                    shortest_path, distances_from, neighborhood)
-from .model import (PackingInstance, CheckpointInstance, Solution,
-                    IntervalStore, ForbiddenInterval, from_packing,
-                    validate_solution, is_list_trivially_too_long)
+from .graph import (Graph, Workspace, GraphFormatError, parse_graph,
+                    load_graph, format_graph, random_gnp)
+from .model import (PackingInstance, Solution, from_packing,
+                    validate_solution)
 from .config import SolverConfig, SolveStats, config_from_name, CONFIG_NAMES
 from .search import solve
-from .oracle import OracleAnswer, enumerate_bounded_paths, oracle_decide
+from .oracle import oracle_decide
 
 __all__ = [
-    "Graph", "VertexMask", "Workspace", "GraphFormatError",
+    "Graph", "Workspace", "GraphFormatError",
     "parse_graph", "load_graph", "format_graph", "random_gnp",
-    "shortest_path", "distances_from", "neighborhood",
-    "PackingInstance", "CheckpointInstance", "Solution",
-    "IntervalStore", "ForbiddenInterval", "from_packing",
-    "validate_solution", "is_list_trivially_too_long",
+    "PackingInstance", "Solution", "from_packing", "validate_solution",
     "SolverConfig", "SolveStats", "config_from_name", "CONFIG_NAMES",
     "solve",
-    "OracleAnswer", "enumerate_bounded_paths", "oracle_decide",
+    "oracle_decide",
 ]
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import random
@@ -15,7 +16,7 @@ import sys
 from typing import Optional, Sequence
 
 
-from .config import (CONFIG_NAMES, HEURISTIC_CODES, SolverConfig,
+from .config import (CONFIG_NAMES, HEURISTIC_CODES, SolverConfig, SolveStats,
                      config_from_name, with_heuristics)
 from .graph import (Graph, GraphFormatError, Workspace, format_graph,
                     load_graph, random_gnp)
@@ -23,7 +24,7 @@ from .model import PackingInstance
 from .oracle import oracle_decide
 from .search import solve
 
-__all__ = ["main", "entry", "CSV_COLUMNS"]
+__all__ = ["main", "entry"]
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -31,12 +32,9 @@ EXIT_TIMEOUT = 2
 EXIT_USAGE = 64
 EXIT_BAD_FILE = 65
 
-CSV_COLUMNS = [
-    "graph", "s", "t", "k", "ell", "config", "decision", "solved_by",
-    "nodes", "br1", "br2", "br3", "prunes_len", "prunes_bcpl", "prunes_bsp",
-    "bfi_recorded", "bfi_masked", "dms_fired", "max_depth",
-    "n_before", "n_after", "m_before", "m_after", "wall_ms",
-]
+# the run (instance, config, decision), then every SolveStats field in order
+CSV_COLUMNS = (["graph", "s", "t", "k", "ell", "config", "decision"]
+               + [f.name for f in dataclasses.fields(SolveStats)])
 
 
 class UsageError(Exception):
@@ -83,6 +81,8 @@ def _add_solver_args(p: argparse.ArgumentParser) -> None:
 
 def _base_config(args) -> SolverConfig:
     """Pipeline switches shared by solve and bench; default heuristics."""
+    if args.timeout_ms is not None and args.timeout_ms < 1:
+        raise UsageError("--timeout-ms must be at least 1")
     return SolverConfig(
         preprocess=not args.no_preprocess,
         trivial_detection=not args.no_trivial,
@@ -226,6 +226,8 @@ def _error_row(path: str) -> dict:
 
 
 def _cmd_bench(args, out) -> int:
+    if args.pairs < 1:
+        raise UsageError("--pairs must be at least 1")
     if args.k_min < 1 or args.k_max < args.k_min:
         raise UsageError("need 1 <= k-min <= k-max")
     if args.ell_min < 1 or args.ell_max < args.ell_min:

@@ -63,7 +63,6 @@ _NAMED_HEURISTICS: dict[str, tuple[str, ...]] = {
     "b-sp+c+d-ms": ("b-sp", "c-dist", "c-pl", "d-ms"),
     "all": ("b-sp", "b-fi", "c-dist", "c-pl", "d-ms"),
 }
-_ALIASES = {"b-sp+c-dist+c-pl": "b-sp+c"}
 
 CONFIG_NAMES = tuple(_NAMED_HEURISTICS)
 
@@ -74,11 +73,10 @@ def config_from_name(name: str, base: Optional[SolverConfig] = None) -> SolverCo
     Pipeline switches (preprocess, trivial detection, separator scope,
     timeout) are taken from ``base`` when given, defaults otherwise.
     """
-    canonical = _ALIASES.get(name, name)
-    if canonical not in _NAMED_HEURISTICS:
+    if name not in _NAMED_HEURISTICS:
         raise ValueError(f"unknown configuration name: {name!r}")
     return with_heuristics(base if base is not None else SolverConfig(),
-                           _NAMED_HEURISTICS[canonical])
+                           _NAMED_HEURISTICS[name])
 
 
 @dataclass
@@ -89,9 +87,11 @@ class SolveStats:
     entered at all); ``max_depth`` uses the convention that the root sits at
     depth 0, which keeps max_depth <= k*ell structural.  ``bfi_recorded``
     counts pushed forbidden intervals, ``bfi_masked`` the candidate
-    insertions they masked out of the branching.
+    insertions they masked out of the branching.  The field order is the
+    column order of the bench CSV.
     """
 
+    solved_by: str = ""
     nodes: int = 0
     br1: int = 0
     br2: int = 0
@@ -102,13 +102,12 @@ class SolveStats:
     bfi_recorded: int = 0
     bfi_masked: int = 0
     dms_fired: int = 0
-    solved_by: str = ""
-    wall_ms: float = 0.0
+    max_depth: int = 0
     n_before: int = 0
     n_after: int = 0
     m_before: int = 0
     m_after: int = 0
-    max_depth: int = 0
+    wall_ms: float = 0.0
 
     def as_dict(self) -> dict:
         return asdict(self)

@@ -28,14 +28,9 @@ if TYPE_CHECKING:
 
 __all__ = [
     "SplitDigraph",
-    "DisjointPathsResult",
-    "split_transform",
     "st_flow_value",
-    "min_vertex_separator_size",
     "min_total_length_disjoint_paths",
 ]
-
-_INF = float("inf")
 
 
 def _vin(v: int) -> int:
@@ -101,11 +96,6 @@ class SplitDigraph:
             cap[2 * v] = 0
 
 
-def split_transform(g: Graph) -> SplitDigraph:
-    """Build the split digraph of ``g``: 2n nodes, n + 2m arcs."""
-    return SplitDigraph(g)
-
-
 def _max_flow(net: SplitDigraph, s: int, t: int,
               limit: Optional[int]) -> int:
     """Edmonds-Karp from s_out to t_in on the unit-capacity residual
@@ -168,20 +158,6 @@ def st_flow_value(g: Graph, s: int, t: int,
     net = SplitDigraph(g)
     net.close(removed_list)
     return _max_flow(net, s, t, None)
-
-
-def min_vertex_separator_size(g: Graph, s: int, t: int) -> float:
-    """Size of a minimum s-t vertex separator.
-
-    When s and t are adjacent no vertex separator exists; the distinguished
-    marker ``inf`` is returned (callers that need a path count should use
-    :func:`st_flow_value` instead).
-    """
-    if s == t:
-        raise ValueError("terminals s and t must differ")
-    if g.has_edge(s, t):
-        return _INF
-    return st_flow_value(g, s, t)
 
 
 @dataclass(frozen=True)

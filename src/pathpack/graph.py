@@ -1,17 +1,19 @@
-"""Immutable simple undirected graph with masked BFS primitives.
+"""Immutable simple undirected graph, its per-run workspace, the text format
+and the seeded G(n, p) generator.
 
 Vertices are dense ``0..n-1`` internally; the text file format and the CLI
 are 1-based.  Adjacency is a tuple of sorted neighbor tuples, which the BFS
 kernel walks directly.  The graph itself is immutable and shareable; all
 BFS scratch state lives in a per-run :class:`Workspace` so concurrent
-solves on one graph never interfere.
+solves on one graph never interfere.  The solver's two BFS queries are
+:func:`shortest_path_blocked` (a shortest path avoiding a ``bytearray`` of
+blocked vertices) and :meth:`Workspace.distances_unmasked`.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -21,16 +23,12 @@ from .kernels import bfs_tree
 
 __all__ = [
     "Graph",
-    "VertexMask",
     "Workspace",
     "GraphFormatError",
     "parse_graph",
     "load_graph",
     "format_graph",
     "random_gnp",
-    "shortest_path",
-    "distances_from",
-    "neighborhood",
 ]
 
 
@@ -104,31 +102,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class VertexMask:
-    """A set of vertices treated as absent, together with incident edges.
-
-    A masked view of ``g`` is exactly the subgraph induced on the vertices
-    not in ``removed``.  Masks compose additively; the solver layers them
-    instead of ever copying the graph.
-    """
-
-    removed: frozenset[int] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        object.__setattr__(self, "removed", frozenset(self.removed))
-
-    def check(self, g: Graph) -> None:
-        for v in self.removed:
-            g.check_vertex(v)
-
-    def to_blocked(self, n: int) -> bytearray:
-        blocked = bytearray(n)
-        for v in self.removed:
-            blocked[v] = 1
-        return blocked
-
-
 class Workspace:
     """Per-run scratch buffers for BFS, mask composition and flows.
 
@@ -165,7 +138,7 @@ class Workspace:
         """Cached full-graph BFS distances from ``src`` (-1 = unreachable)."""
         hit = self.dist_cache.get(src)
         if hit is None:
-            bfs_tree(self.g.adj, bytearray(self.g.n), src, -1, -1, -1, -1,
+            bfs_tree(self.g.adj, bytearray(self.g.n), src, -1, -1, -1,
                      self.dist, self.parent, self.queue)
             hit = np.array(self.dist, dtype=np.int32)
             self.dist_cache[src] = hit
@@ -186,66 +159,21 @@ def shortest_path_blocked(g: Graph, blocked: bytearray, a: int, b: int,
                           ws: Workspace,
                           ban_edge: Optional[tuple[int, int]] = None,
                           ) -> Optional[tuple[int, ...]]:
-    """Buffer-level shortest path used on the solver's hot path."""
-    if a == b:
-        return (a,)
-    bu, bv = ban_edge if ban_edge is not None else (-1, -1)
-    bfs_tree(g.adj, blocked, a, b, -1, bu, bv, ws.dist, ws.parent, ws.queue)
-    if ws.dist[b] < 0:
-        return None
-    return _extract_path(ws.parent, a, b)
-
-
-def shortest_path(g: Graph, mask: Optional[VertexMask], a: int, b: int,
-                  ws: Optional[Workspace] = None,
-                  ) -> Optional[tuple[int, ...]]:
-    """Minimum-length a-b path in the masked view, or None if disconnected.
+    """Minimum-length a-b path avoiding the vertices with a nonzero
+    ``blocked`` entry (and the edge ``ban_edge``, if given), or None if
+    there is none.
 
     Deterministic: among equal-length routes the lexicographically smallest
     vertex sequence is returned (ascending-id BFS, parents fixed on first
     discovery).
     """
-    g.check_vertex(a)
-    g.check_vertex(b)
-    if mask is not None:
-        mask.check(g)
-        if a in mask.removed or b in mask.removed:
-            raise ValueError("path endpoints must not be masked")
-        blocked = mask.to_blocked(g.n)
-    else:
-        blocked = bytearray(g.n)
-    if ws is None:
-        ws = Workspace(g)
-    return shortest_path_blocked(g, blocked, a, b, ws)
-
-
-def distances_from(g: Graph, mask: Optional[VertexMask], src: int,
-                   radius: Optional[int] = None,
-                   ws: Optional[Workspace] = None) -> dict[int, int]:
-    """Exact BFS distances from ``src`` for every vertex within ``radius``
-    (all reachable vertices when radius is None)."""
-    g.check_vertex(src)
-    if mask is not None:
-        mask.check(g)
-        if src in mask.removed:
-            raise ValueError("BFS source must not be masked")
-        blocked = mask.to_blocked(g.n)
-    else:
-        blocked = bytearray(g.n)
-    if ws is None:
-        ws = Workspace(g)
-    r = -1 if radius is None else radius
-    count = bfs_tree(g.adj, blocked, src, -1, r, -1, -1,
-                     ws.dist, ws.parent, ws.queue)
-    return {v: ws.dist[v] for v in ws.queue[:count]}
-
-
-def neighborhood(g: Graph, src: int, r: int,
-                 ws: Optional[Workspace] = None) -> set[int]:
-    """All vertices at distance <= r from ``src`` (always contains src)."""
-    if r < 0:
-        raise ValueError("radius must be non-negative")
-    return set(distances_from(g, None, src, radius=r, ws=ws))
+    if a == b:
+        return (a,)
+    bu, bv = ban_edge if ban_edge is not None else (-1, -1)
+    bfs_tree(g.adj, blocked, a, b, bu, bv, ws.dist, ws.parent, ws.queue)
+    if ws.dist[b] < 0:
+        return None
+    return _extract_path(ws.parent, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +191,6 @@ def parse_graph(text: str) -> Graph:
     edges: list[tuple[int, int]] = []
     n = 0
     m_expected = 0
-    seen: set[tuple[int, int]] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -288,10 +215,6 @@ def parse_graph(text: str) -> Graph:
             raise GraphFormatError(f"endpoint out of range 1..{n}", line_no)
         if a == b:
             raise GraphFormatError("self-loop not allowed", line_no)
-        key = (a, b) if a < b else (b, a)
-        if key in seen:
-            raise GraphFormatError(f"duplicate edge {a} {b}", line_no)
-        seen.add(key)
         edges.append((a - 1, b - 1))
     if header is None:
         raise GraphFormatError("missing '<n> <m>' header", 1)
@@ -299,7 +222,33 @@ def parse_graph(text: str) -> Graph:
         raise GraphFormatError(
             f"declared {m_expected} edges but found {len(edges)}",
             len(text.splitlines()) or 1)
-    return Graph(n, edges)
+    try:
+        return Graph(n, edges)
+    except ValueError:
+        # every edge passed the range and self-loop checks above, so the
+        # graph rejected a repeated edge
+        _raise_repeated_edge(text)
+        raise
+
+
+def _raise_repeated_edge(text: str) -> None:
+    """Raise GraphFormatError at the first edge line whose unordered pair
+    appeared before.  ``text`` has passed every other check of
+    :func:`parse_graph`."""
+    seen: set[tuple[int, int]] = set()
+    header = True
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if header:
+            header = False
+            continue
+        a, b = map(int, line.split())
+        key = (a, b) if a < b else (b, a)
+        if key in seen:
+            raise GraphFormatError(f"duplicate edge {a} {b}", line_no)
+        seen.add(key)
 
 
 def load_graph(path) -> Graph:

@@ -18,7 +18,7 @@ from .graph import Workspace, shortest_path_blocked
 from .model import CheckpointInstance
 
 __all__ = ["FailureCondition", "GreedySuccess", "GreedyFailure",
-           "GreedyOutcome", "run_greedy"]
+           "run_greedy"]
 
 
 class FailureCondition(enum.Enum):

@@ -15,16 +15,15 @@ from __future__ import annotations
 __all__ = ["bfs_tree"]
 
 
-def bfs_tree(adj, blocked, src, target, radius, ban_u, ban_v,
-             dist, parent, queue):
+def bfs_tree(adj, blocked, src, target, ban_u, ban_v, dist, parent, queue):
     """Masked BFS from ``src`` over the sorted adjacency rows ``adj``.
 
     Fills the ``dist`` (-1 = unreached) and ``parent`` (-1 = none) lists;
     ``queue`` is scratch of the same length and holds the vertices in
     discovery order.  Vertices with a nonzero ``blocked`` entry are never
-    entered.  Stops expanding at depth ``radius`` (negative = unbounded) and
-    returns early once ``target`` (negative = none) has been discovered, in
-    which case only the target's ancestor chain is guaranteed to be filled.
+    entered.  Returns early once ``target`` (negative = none) has been
+    discovered, in which case only the target's ancestor chain is guaranteed
+    to be filled.
     The undirected edge {ban_u, ban_v} is skipped when ban_u >= 0.
     Returns the number of vertices enqueued.
     """
@@ -41,8 +40,6 @@ def bfs_tree(adj, blocked, src, target, radius, ban_u, ban_v,
         u = queue[head]
         head += 1
         du = dist[u]
-        if radius >= 0 and du >= radius:
-            continue
         for v in adj[u]:
             if blocked[v] or dist[v] >= 0:
                 continue

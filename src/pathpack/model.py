@@ -12,13 +12,9 @@ __all__ = [
     "PackingInstance",
     "CheckpointInstance",
     "Solution",
-    "ForbiddenInterval",
     "IntervalStore",
-    "ValidationReport",
     "from_packing",
     "validate_solution",
-    "is_list_trivially_too_long",
-    "check_checkpoint_list",
 ]
 
 
@@ -180,12 +176,6 @@ def from_packing(inst: PackingInstance) -> CheckpointInstance:
     return CheckpointInstance(inst, tuple(bare for _ in range(inst.k)))
 
 
-def is_list_trivially_too_long(entries: Sequence[int], ell: int) -> bool:
-    """A list with more than ell + 1 entries cannot be satisfied by a path
-    of length at most ell."""
-    return len(entries) > ell + 1
-
-
 @dataclass(frozen=True)
 class Solution:
     """A witness: k vertex sequences, validatable independently of how they
@@ -198,14 +188,13 @@ class Solution:
 class ValidationReport:
     ok: bool
     violation: Optional[str] = None
-    path_index: Optional[int] = None
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-def _bad(reason: str, i: Optional[int] = None) -> ValidationReport:
-    return ValidationReport(False, reason, i)
+def _bad(reason: str) -> ValidationReport:
+    return ValidationReport(False, reason)
 
 
 def validate_solution(inst: CheckpointInstance, sol: Solution) -> ValidationReport:
@@ -221,19 +210,19 @@ def validate_solution(inst: CheckpointInstance, sol: Solution) -> ValidationRepo
         return _bad(f"expected {k} paths, got {len(sol.paths)}")
     for i, path in enumerate(sol.paths):
         if len(path) < 2:
-            return _bad("path has fewer than two vertices", i)
+            return _bad(f"path {i} has fewer than two vertices")
         if path[0] != s or path[-1] != t:
-            return _bad("path endpoints are not (s, t)", i)
+            return _bad(f"path {i}: endpoints are not (s, t)")
         if len(set(path)) != len(path):
-            return _bad("path revisits a vertex", i)
+            return _bad(f"path {i} revisits a vertex")
         for v in path:
             if not (0 <= v < g.n):
-                return _bad(f"vertex {v} out of range", i)
+                return _bad(f"path {i}: vertex {v} out of range")
         for a, b in zip(path, path[1:]):
             if not g.has_edge(a, b):
-                return _bad(f"({a},{b}) is not an edge", i)
+                return _bad(f"path {i}: ({a},{b}) is not an edge")
         if len(path) - 1 > ell:
-            return _bad(f"length {len(path) - 1} exceeds bound {ell}", i)
+            return _bad(f"path {i}: length {len(path) - 1} exceeds {ell}")
         # the path must visit its list's entries in order, interior
         # checkpoints at interior positions
         pos = {v: j for j, v in enumerate(path)}
@@ -241,19 +230,19 @@ def validate_solution(inst: CheckpointInstance, sol: Solution) -> ValidationRepo
         for entry in inst.lists[i]:
             at = pos.get(entry)
             if at is None:
-                return _bad(f"checkpoint {entry} missing from path", i)
+                return _bad(f"path {i}: checkpoint {entry} missing")
             if at <= prev:
-                return _bad(f"checkpoint {entry} out of order", i)
+                return _bad(f"path {i}: checkpoint {entry} out of order")
             prev = at
         for entry in inst.lists[i][1:-1]:
             if pos[entry] in (0, len(path) - 1):
-                return _bad(f"checkpoint {entry} at terminal position", i)
+                return _bad(f"path {i}: checkpoint {entry} at a terminal")
     for i in range(k):
         for j in range(i + 1, k):
             if sol.paths[i] == sol.paths[j]:
-                return _bad(f"paths {i} and {j} are identical", j)
+                return _bad(f"paths {i} and {j} are identical")
             shared = (set(sol.paths[i]) & set(sol.paths[j])) - {s, t}
             if shared:
                 v = min(shared)
-                return _bad(f"paths {i} and {j} share internal vertex {v}", j)
+                return _bad(f"paths {i} and {j} share internal vertex {v}")
     return ValidationReport(True)

@@ -13,7 +13,7 @@ from typing import Optional
 from .graph import Graph
 from .model import PackingInstance, Solution
 
-__all__ = ["OracleAnswer", "enumerate_bounded_paths", "oracle_decide"]
+__all__ = ["oracle_decide"]
 
 
 @dataclass(frozen=True)

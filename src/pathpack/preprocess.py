@@ -20,26 +20,23 @@ from .flows import _max_flow, _min_cost_paths
 from .graph import Graph, Workspace, shortest_path_blocked
 from .model import CheckpointInstance, PackingInstance, Solution
 
-__all__ = ["ReductionReport", "TrivialOutcome", "reduce_instance",
-           "detect_trivial"]
+__all__ = ["reduce_instance", "detect_trivial"]
 
 
 @dataclass(frozen=True)
 class ReductionReport:
     """Which vertices survived and how ids translate.
 
-    ``to_original[new_id] = old_id``; ``to_reduced`` maps the other way for
-    kept vertices only.  The kept order is ascending, so reduced ids
-    preserve the original relative order (BFS tie-breaking is unchanged).
+    ``to_original[new_id] = old_id`` lists the kept vertices in ascending
+    order, so reduced ids preserve the original relative order (BFS
+    tie-breaking is unchanged).
     """
 
-    kept: frozenset[int]
     n_before: int
     n_after: int
     m_before: int
     m_after: int
     to_original: tuple[int, ...]
-    to_reduced: dict[int, int]
 
     def path_to_original(self, path: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(self.to_original[v] for v in path)
@@ -109,11 +106,9 @@ def reduce_instance(inst: CheckpointInstance,
                       for entries in inst.lists)
     reduced = CheckpointInstance(new_base, new_lists, inst.intervals)
     report = ReductionReport(
-        kept=frozenset(kept_sorted),
         n_before=g.n, n_after=reduced_g.n,
         m_before=g.m, m_after=reduced_g.m,
         to_original=tuple(kept_sorted),
-        to_reduced=to_reduced,
     )
     return reduced, report
 

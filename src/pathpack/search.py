@@ -18,12 +18,10 @@ from .config import SolverConfig, SolveStats
 from .graph import Workspace
 from .greedy import FailureCondition, GreedyFailure, GreedySuccess, run_greedy
 from .model import (CheckpointInstance, PackingInstance, Solution,
-                    from_packing, is_list_trivially_too_long,
-                    validate_solution)
+                    from_packing, validate_solution)
 from .preprocess import detect_trivial, reduce_instance
 
-__all__ = ["Candidate", "solve", "node_infeasible",
-           "branch_no_subpath", "branch_overlong", "branch_cut"]
+__all__ = ["solve", "node_infeasible"]
 
 _FAR = 1 << 30  # distance placeholder for unreachable pairs
 
@@ -169,7 +167,8 @@ def node_infeasible(inst: CheckpointInstance, cfg: SolverConfig,
     g = inst.base.graph
     ell = inst.base.ell
     for entries in inst.lists:
-        if is_list_trivially_too_long(entries, ell):
+        # a path of length <= ell visits at most ell + 1 entries
+        if len(entries) > ell + 1:
             return "len"
     if cfg.b_cpl:
         for entries in inst.lists:

@@ -9,9 +9,14 @@ from pathlib import Path
 import pytest
 
 from pathpack import format_graph, parse_graph
-from pathpack.cli import CSV_COLUMNS, main
+from pathpack.cli import main
 
-
+# the bench CSV header as documented in the README; the first seven columns
+# describe the run, the rest are the solve statistics
+CSV_HEADER = ("graph,s,t,k,ell,config,decision,solved_by,nodes,br1,br2,br3,"
+              "prunes_len,prunes_bcpl,prunes_bsp,bfi_recorded,bfi_masked,"
+              "dms_fired,max_depth,n_before,n_after,m_before,m_after,wall_ms")
+STATS_COLUMNS = CSV_HEADER.split(",")[7:]
 
 
 @pytest.fixture()
@@ -80,6 +85,26 @@ def test_solve_bad_heuristic_usage_error(gex_file):
     assert code == 64
 
 
+@pytest.fixture()
+def gnp_file(tmp_path):
+    path = tmp_path / "g.txt"
+    assert _run(["gen", "--n", "30", "--p", "0.2", "--seed", "3",
+                 "-o", str(path)])[0] == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("extra", [
+    ["--timeout-ms", "-5"],
+    ["--timeout-ms", "-5", "--no-trivial"],
+    ["--timeout-ms", "0"],
+])
+def test_solve_non_positive_timeout_usage_error(gnp_file, extra):
+    code, out = _run(["solve", gnp_file, "--s", "1", "--t", "30",
+                      "--k", "2", "--ell", "5", *extra])
+    assert code == 64
+    assert out == ""
+
+
 def test_solve_malformed_file_exit_65(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("3 2\n1 2\n2 2\n")
@@ -104,6 +129,7 @@ def test_solve_json_round_trips(gex_file):
     paths = payload["witness"]
     assert all(p[0] == 1 and p[-1] == 5 for p in paths)
     assert payload["stats"]["solved_by"] == "trivial-yes"
+    assert set(payload["stats"]) == set(STATS_COLUMNS)
     assert set(payload["config"]) >= {"heuristics", "preprocess",
                                       "trivial_detection"}
 
@@ -179,9 +205,9 @@ def test_bench_row_counting(gex_file):
                       "--ell-min", "5", "--ell-max", "5",
                       "--configs", "all,bare", "--seed", "3"])
     assert code == 0
+    assert out.splitlines()[0] == CSV_HEADER
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 2
-    assert list(rows[0]) == CSV_COLUMNS
     assert {r["config"] for r in rows} == {"all", "bare"}
 
 
@@ -225,6 +251,19 @@ def test_bench_unreadable_file_warning_row(tmp_path, capsys):
     assert "warning" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [
+    ["--pairs", "-2"],
+    ["--pairs", "0"],
+    ["--pairs", "1", "--timeout-ms", "0"],
+])
+def test_bench_non_positive_pairs_or_timeout_usage_error(gnp_file, extra):
+    code, out = _run(["bench", gnp_file, "--k-min", "2", "--k-max", "2",
+                      "--ell-min", "5", "--ell-max", "5", "--configs", "all",
+                      *extra])
+    assert code == 64
+    assert out == ""
+
+
 def test_bench_appends_to_csv(gex_file, tmp_path):
     target = tmp_path / "runs.csv"
     for _ in range(2):
@@ -235,6 +274,6 @@ def test_bench_appends_to_csv(gex_file, tmp_path):
                         "-o", str(target)])
         assert code == 0
     lines = target.read_text().splitlines()
-    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert lines[0] == CSV_HEADER
     assert len(lines) == 3  # one header, two appended runs
 

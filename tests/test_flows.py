@@ -1,13 +1,11 @@
-import math
 import random
 
 import networkx as nx
 import pytest
 
 from pathpack import Graph, PackingInstance, random_gnp
-from pathpack.flows import (_max_flow, min_total_length_disjoint_paths,
-                            min_vertex_separator_size, split_transform,
-                            st_flow_value)
+from pathpack.flows import (SplitDigraph, _max_flow,
+                            min_total_length_disjoint_paths, st_flow_value)
 from pathpack.oracle import enumerate_bounded_paths, oracle_decide
 
 from conftest import vid
@@ -19,12 +17,12 @@ from conftest import vid
 
 def test_split_counts_single_edge():
     g = Graph(2, [(0, 1)])
-    sd = split_transform(g)
+    sd = SplitDigraph(g)
     assert sd.node_count == 4 and sd.arc_count == 4
 
 
 def test_split_counts_fixture(gex):
-    sd = split_transform(gex)
+    sd = SplitDigraph(gex)
     assert sd.node_count == 22
     assert sd.arc_count == 11 + 24
 
@@ -42,23 +40,23 @@ def test_split_length_conversion_identity():
 
 def test_separator_path_graph():
     g = Graph(3, [(0, 1), (1, 2)])
-    assert min_vertex_separator_size(g, 0, 2) == 1
+    assert st_flow_value(g, 0, 2) == 1
 
 
 def test_separator_fixture(gex):
-    assert min_vertex_separator_size(gex, vid(1), vid(5)) == 2
+    assert st_flow_value(gex, vid(1), vid(5)) == 2
 
 
 def test_separator_complete_bipartite():
     # s and t are the two degree-3 vertices of K_{2,3}
     g = Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
-    assert min_vertex_separator_size(g, 0, 1) == 3
+    assert st_flow_value(g, 0, 1) == 3
 
 
 def test_separator_adjacent_terminals_marker():
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
-    assert min_vertex_separator_size(g, 0, 2) == math.inf
-    # the flow value still counts the direct edge as one route
+    # no vertex separates adjacent terminals: the flow value counts the
+    # direct edge as one route
     assert st_flow_value(g, 0, 2) == 2
 
 
@@ -213,7 +211,7 @@ def _layout_graphs():
 
 def test_flat_build_matches_reference_layout(gex):
     for g in [gex, *_layout_graphs()]:
-        net = split_transform(g)
+        net = SplitDigraph(g)
         adj, to, cap = _reference_layout(g)
         assert net.adj == adj
         assert net.to == to
@@ -222,7 +220,7 @@ def test_flat_build_matches_reference_layout(gex):
 
 
 def test_reset_restores_capacities(gex):
-    net = split_transform(gex)
+    net = SplitDigraph(gex)
     first = _max_flow(net, vid(1), vid(5), None)
     assert net.cap != _reference_layout(gex)[2]
     net.reset()
@@ -251,7 +249,7 @@ def test_closed_vertices_flow_like_deleted_ones(seed):
     h, new = _delete(g, removed)
     want = st_flow_value(h, new[s], new[t])
     assert st_flow_value(g, s, t, removed=removed) == want
-    net = split_transform(g)
+    net = SplitDigraph(g)
     net.close(removed)
     assert _max_flow(net, s, t, None) == want
     # the reset network forgets the closed vertices
@@ -273,7 +271,7 @@ def test_capped_max_flow_is_min_of_limit_and_value(seed):
     g = random_gnp(n, rng.choice([0.1, 0.25, 0.4]), seed + 700)
     s, t = rng.sample(range(n), 2)
     value = st_flow_value(g, s, t)
-    net = split_transform(g)
+    net = SplitDigraph(g)
     for limit in range(0, value + 3):
         net.reset()
         assert _max_flow(net, s, t, limit) == min(limit, value)

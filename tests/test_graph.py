@@ -2,12 +2,32 @@ import random
 
 import pytest
 
-from pathpack import (Graph, GraphFormatError, VertexMask, distances_from,
-                      format_graph, neighborhood, parse_graph, random_gnp,
-                      shortest_path)
+from pathpack import (Graph, GraphFormatError, Workspace, format_graph,
+                      parse_graph, random_gnp)
+from pathpack.graph import shortest_path_blocked
+from pathpack.kernels import bfs_tree
 from pathpack.oracle import enumerate_bounded_paths
 
 from conftest import vid, vids
+
+
+def _blocked(n, removed=()):
+    blocked = bytearray(n)
+    for v in removed:
+        blocked[v] = 1
+    return blocked
+
+
+def _shortest_path(g, a, b, removed=()):
+    return shortest_path_blocked(g, _blocked(g.n, removed), a, b,
+                                 Workspace(g))
+
+
+def _ball(g, src, r):
+    """Distance of every vertex within ``r`` of ``src``, read from the
+    unmasked distance array."""
+    dist = Workspace(g).distances_unmasked(src)
+    return {v: int(dist[v]) for v in range(g.n) if 0 <= dist[v] <= r}
 
 
 # ---------------------------------------------------------------------------
@@ -35,75 +55,64 @@ def test_rejects_self_loops_duplicates_and_range():
 
 
 # ---------------------------------------------------------------------------
-# shortest_path
+# shortest_path_blocked / distances_unmasked
 # ---------------------------------------------------------------------------
 
 def test_shortest_path_direct_edge_dominates():
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
-    assert shortest_path(g, None, 0, 2) == (0, 2)
+    assert _shortest_path(g, 0, 2) == (0, 2)
 
 
 def test_shortest_path_on_fixture(gex):
-    assert shortest_path(gex, None, vid(1), vid(5)) == vids(1, 2, 3, 4, 5)
+    assert _shortest_path(gex, vid(1), vid(5)) == vids(1, 2, 3, 4, 5)
 
 
 def test_shortest_path_masked_disconnects(gex):
-    mask = VertexMask(vids(2, 3, 4))
-    assert shortest_path(gex, mask, vid(1), vid(5)) is None
+    assert _shortest_path(gex, vid(1), vid(5), vids(2, 3, 4)) is None
 
 
 def test_shortest_path_same_vertex(gex):
-    assert shortest_path(gex, None, 3, 3) == (3,)
-
-
-def test_shortest_path_usage_errors(gex):
-    with pytest.raises(ValueError):
-        shortest_path(gex, None, 0, 99)
-    with pytest.raises(ValueError):
-        shortest_path(gex, VertexMask({0}), 0, 4)
+    assert _shortest_path(gex, 3, 3) == (3,)
 
 
 def test_shortest_path_deterministic(gex):
-    first = shortest_path(gex, None, vid(1), vid(5))
+    first = _shortest_path(gex, vid(1), vid(5))
     for _ in range(5):
-        assert shortest_path(gex, None, vid(1), vid(5)) == first
+        assert _shortest_path(gex, vid(1), vid(5)) == first
 
-
-# ---------------------------------------------------------------------------
-# distances_from / neighborhood
-# ---------------------------------------------------------------------------
 
 def test_distances_radius_two_fixture(gex):
-    got = distances_from(gex, None, vid(1), radius=2)
-    assert got == {vid(1): 0, vid(2): 1, vid(6): 1,
-                   vid(3): 2, vid(7): 2, vid(9): 2}
+    assert _ball(gex, vid(1), 2) == {vid(1): 0, vid(2): 1, vid(6): 1,
+                                     vid(3): 2, vid(7): 2, vid(9): 2}
 
 
 def test_distances_radius_zero(gex):
-    assert distances_from(gex, None, vid(4), radius=0) == {vid(4): 0}
+    assert _ball(gex, vid(4), 0) == {vid(4): 0}
 
 
 def test_distances_path_graph_unbounded():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    assert distances_from(g, None, 0) == {0: 0, 1: 1, 2: 2, 3: 3}
+    assert Workspace(g).distances_unmasked(0).tolist() == [0, 1, 2, 3]
 
 
 def test_neighborhood_fixture(gex):
-    assert neighborhood(gex, vid(1), 2) == set(vids(1, 2, 6, 3, 7, 9))
-    assert neighborhood(gex, vid(5), 2) == set(vids(5, 4, 11, 3, 8, 10))
+    assert set(_ball(gex, vid(1), 2)) == set(vids(1, 2, 6, 3, 7, 9))
+    assert set(_ball(gex, vid(5), 2)) == set(vids(5, 4, 11, 3, 8, 10))
 
 
 def test_neighborhood_zero_and_monotone(gex):
-    assert neighborhood(gex, vid(3), 0) == {vid(3)}
+    assert set(_ball(gex, vid(3), 0)) == {vid(3)}
     for r in range(5):
-        assert neighborhood(gex, vid(1), r) <= neighborhood(gex, vid(1), r + 1)
+        assert set(_ball(gex, vid(1), r)) <= set(_ball(gex, vid(1), r + 1))
 
 
 def test_masked_view_excludes_removed_everywhere(gex):
-    mask = VertexMask({vid(2)})
-    dist = distances_from(gex, mask, vid(1))
-    assert vid(2) not in dist
-    path = shortest_path(gex, mask, vid(1), vid(5))
+    blocked = _blocked(gex.n, [vid(2)])
+    ws = Workspace(gex)
+    bfs_tree(gex.adj, blocked, vid(1), -1, -1, -1,
+             ws.dist, ws.parent, ws.queue)
+    assert ws.dist[vid(2)] == -1
+    path = shortest_path_blocked(gex, blocked, vid(1), vid(5), ws)
     assert vid(2) not in path
 
 
@@ -125,7 +134,7 @@ def test_shortest_path_matches_exhaustive_enumeration(seed):
     if a != b:
         cands = enumerate_bounded_paths(sub, a, b, n)
         best = min((len(p) - 1 for p in cands), default=None)
-    got = shortest_path(g, VertexMask(removed), a, b)
+    got = _shortest_path(g, a, b, removed)
     if best is None and a != b:
         assert got is None
     elif a != b:
@@ -153,6 +162,7 @@ def test_parse_accepts_comments_and_blanks():
     ("3 2\n1 2\n2 2\n", 3),          # self-loop
     ("3 2\n1 2\n1 2\n", 3),          # duplicate
     ("3 2\n1 2\n2 1\n", 3),          # reversed duplicate
+    ("# c\n3 3\n1 2\n\n# x\n2 3\n3 2\n", 7),  # after comments and blanks
     ("3 2\n1 4\n2 3\n", 2),          # out of range
     ("3 2\n1 2\nx y\n", 3),          # not integers
     ("3 1\n1 2\n2 3\n", 3),          # too many edges

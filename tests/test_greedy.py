@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from pathpack import (CheckpointInstance, Graph, PackingInstance,
-                      SolverConfig, from_packing, random_gnp,
-                      validate_solution)
+from pathpack import (Graph, PackingInstance, SolverConfig, from_packing,
+                      random_gnp, validate_solution)
 from pathpack.greedy import (FailureCondition, GreedyFailure, GreedySuccess,
                              run_greedy)
+from pathpack.model import CheckpointInstance
 from pathpack.oracle import enumerate_bounded_paths
 
 from conftest import vid, vids

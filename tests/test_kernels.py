@@ -8,9 +8,9 @@ from pathpack.kernels import bfs_tree
 from pathpack.oracle import enumerate_bounded_paths
 
 
-def _run(g, blocked, src, target=-1, radius=-1, ban=(-1, -1)):
+def _run(g, blocked, src, target=-1, ban=(-1, -1)):
     dist, parent, queue = [0] * g.n, [0] * g.n, [0] * g.n
-    count = bfs_tree(g.adj, blocked, src, target, radius, ban[0], ban[1],
+    count = bfs_tree(g.adj, blocked, src, target, ban[0], ban[1],
                      dist, parent, queue)
     return count, dist, parent, queue
 
@@ -78,13 +78,6 @@ def test_backends_agree_target_paths(seed):
         return
     want = min(enumerate_bounded_paths(g, src, target, length))
     assert tuple(_chain(parent, src, target)) == want
-
-
-def test_radius_limits_expansion():
-    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    count, dist, _, _ = _run(g, bytearray(5), 0, radius=2)
-    assert dist == [0, 1, 2, -1, -1]
-    assert count == 3
 
 
 def test_ban_edge_skips_only_that_edge():

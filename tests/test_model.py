@@ -1,8 +1,9 @@
 import pytest
 
-from pathpack import (CheckpointInstance, IntervalStore, PackingInstance,
-                      Solution, from_packing, is_list_trivially_too_long,
-                      validate_solution)
+from pathpack import PackingInstance, Solution, from_packing, validate_solution
+from pathpack import SolverConfig
+from pathpack.model import CheckpointInstance, IntervalStore
+from pathpack.search import node_infeasible
 
 from conftest import vid, vids
 
@@ -65,10 +66,18 @@ def test_insertion_child_equals_checked_instance(gex):
     assert hash(child) == hash(checked)
     assert type(child) is CheckpointInstance
 
-def test_too_long_lists():
-    assert is_list_trivially_too_long(list(range(7)), 5)
-    assert not is_list_trivially_too_long(list(range(6)), 5)
-    assert not is_list_trivially_too_long([0, 1], 1)
+
+def test_too_long_lists(gex):
+    # a path of length <= ell visits at most ell + 1 list entries; the
+    # check lives in search.node_infeasible, with every other bound off
+    bare = SolverConfig(b_cpl=False, b_sp=False)
+    base = _inst(gex, k=1, ell=5)
+    ci = CheckpointInstance(base, (vids(1, 2, 9, 10, 11, 3, 5),))
+    assert node_infeasible(ci, bare) == "len"
+    ci = CheckpointInstance(base, (vids(1, 2, 9, 10, 11, 5),))
+    assert node_infeasible(ci, bare) is None
+    ci = from_packing(PackingInstance(gex, vid(1), vid(2), 1, 1))
+    assert node_infeasible(ci, bare) is None
 
 
 # ---------------------------------------------------------------------------

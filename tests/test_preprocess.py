@@ -29,7 +29,7 @@ def test_reduce_removes_pendant_vertex():
     g12 = Graph(12, edges)
     ci = from_packing(PackingInstance(g12, vid(1), vid(5), 2, 5))
     reduced, report = reduce_instance(ci)
-    assert 11 not in report.kept
+    assert 11 not in report.to_original
     assert report.n_after == 11
 
 
@@ -38,7 +38,7 @@ def test_reduce_star_graph():
     g = Graph(8, [(0, i) for i in range(1, 8)])
     ci = from_packing(PackingInstance(g, 1, 2, 1, 2))
     reduced, report = reduce_instance(ci)
-    assert report.kept == {0, 1, 2}
+    assert set(report.to_original) == {0, 1, 2}
     assert reduced.base.graph.n == 3
 
 
@@ -47,7 +47,7 @@ def test_reduce_iterates_degree_one_removal():
     g = Graph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5)])
     ci = from_packing(PackingInstance(g, 0, 1, 1, 3))
     reduced, report = reduce_instance(ci)
-    assert report.kept == {0, 1, 2}
+    assert set(report.to_original) == {0, 1, 2}
 
 
 def _naive_kept(g, s, t, ell):
@@ -78,7 +78,7 @@ def test_reduce_peeling_matches_naive_fixpoint(seed):
     s, t = rng.sample(range(n), 2)
     ell = rng.randrange(2, 12)
     _, report = reduce_instance(from_packing(PackingInstance(g, s, t, 1, ell)))
-    assert set(report.kept) == _naive_kept(g, s, t, ell)
+    assert set(report.to_original) == _naive_kept(g, s, t, ell)
 
 
 def test_reduce_long_pendant_path_is_linear():
@@ -91,7 +91,7 @@ def test_reduce_long_pendant_path_is_linear():
     start = time.perf_counter()
     _, report = reduce_instance(ci)
     elapsed = time.perf_counter() - start
-    assert report.kept == {0, 1, 2, 3}
+    assert set(report.to_original) == {0, 1, 2, 3}
     assert elapsed < 1.0
 
 
@@ -100,7 +100,7 @@ def test_reduce_kept_monotone_in_ell(gex):
     for ell in range(1, 8):
         ci = from_packing(PackingInstance(gex, vid(1), vid(5), 2, ell))
         _, report = reduce_instance(ci)
-        kept = set(report.kept)
+        kept = set(report.to_original)
         assert prev <= kept
         prev = kept
 
@@ -110,8 +110,8 @@ def test_reduce_maps_ids_order_preserving():
     ci = from_packing(PackingInstance(g, 0, 4, 1, 3))
     reduced, report = reduce_instance(ci)
     assert list(report.to_original) == sorted(report.to_original)
-    back = [report.to_original[v] for v in range(reduced.base.graph.n)]
-    assert back == sorted(report.kept)
+    for u, v in reduced.base.graph.edges():
+        assert g.has_edge(report.to_original[u], report.to_original[v])
 
 
 def test_reduce_decision_invariant_random():

@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from pathpack import (CheckpointInstance, Graph, PackingInstance,
-                      SolverConfig, Workspace, config_from_name, from_packing,
-                      random_gnp, validate_solution)
+from pathpack import (Graph, PackingInstance, SolverConfig, Workspace,
+                      config_from_name, from_packing, random_gnp,
+                      validate_solution)
 from pathpack.greedy import FailureCondition, GreedyFailure, run_greedy
+from pathpack.model import CheckpointInstance
 from pathpack.oracle import oracle_decide
 from pathpack.search import (branch_cut, branch_no_subpath, branch_overlong,
                              node_infeasible, solve)
@@ -35,6 +36,12 @@ def test_infeasible_overfull_list(gex):
     entries = vids(1, 2, 9, 10, 11, 3, 5)  # 7 entries > ell + 1
     ci = CheckpointInstance(base, (entries,))
     assert node_infeasible(ci, SolverConfig()) == "len"
+    # ell + 1 entries still fit a path of length ell
+    bare = SolverConfig(b_cpl=False, b_sp=False)
+    ci = CheckpointInstance(base, (vids(1, 2, 9, 10, 11, 5),))
+    assert node_infeasible(ci, bare) is None
+    ci = from_packing(PackingInstance(gex, vid(1), vid(2), 1, 1))
+    assert node_infeasible(ci, bare) is None
 
 
 def test_infeasible_consecutive_adjacency_bound(gex):
