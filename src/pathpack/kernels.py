@@ -15,7 +15,8 @@ from __future__ import annotations
 __all__ = ["bfs_tree"]
 
 
-def bfs_tree(adj, blocked, src, target, ban_u, ban_v, dist, parent, queue):
+def bfs_tree(adj, blocked, src, target, ban_u, ban_v, dist, parent, queue,
+             depth=-1):
     """Masked BFS from ``src`` over the sorted adjacency rows ``adj``.
 
     Fills the ``dist`` (-1 = unreached) and ``parent`` (-1 = none) lists;
@@ -25,7 +26,9 @@ def bfs_tree(adj, blocked, src, target, ban_u, ban_v, dist, parent, queue):
     discovered, in which case only the target's ancestor chain is guaranteed
     to be filled.
     The undirected edge {ban_u, ban_v} is skipped when ban_u >= 0.
-    Returns the number of vertices enqueued.
+    A non-negative ``depth`` stops the search at the first dequeued vertex
+    at that distance, so only vertices within ``depth`` of ``src`` are
+    reached.  Returns the number of vertices enqueued.
     """
     n = len(dist)
     dist[:] = [-1] * n
@@ -38,8 +41,10 @@ def bfs_tree(adj, blocked, src, target, ban_u, ban_v, dist, parent, queue):
     tail = 1
     while head < tail:
         u = queue[head]
-        head += 1
         du = dist[u]
+        if du == depth:
+            break
+        head += 1
         for v in adj[u]:
             if blocked[v] or dist[v] >= 0:
                 continue

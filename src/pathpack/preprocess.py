@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from . import graph
 from .flows import _max_flow, _min_cost_paths
 from .graph import Graph, Workspace, shortest_path_blocked
 from .model import CheckpointInstance, PackingInstance, Solution
@@ -46,9 +47,12 @@ class ReductionReport:
 
 
 def reduce_instance(inst: CheckpointInstance,
-                    ws: Optional[Workspace] = None,
                     ) -> tuple[CheckpointInstance, ReductionReport]:
     """Shrink the instance to the relevant neighborhood of the terminals.
+
+    Both BFS stop at distance ell, and the filter, the peeling and the
+    relabelling visit only the vertices within ell of s, so the work
+    follows the size of that ball rather than the size of the graph.
 
     Every checkpoint must survive (checkpoints come from candidate solution
     paths, which the kept set covers by construction); a missing one is an
@@ -59,42 +63,52 @@ def reduce_instance(inst: CheckpointInstance,
         raise ValueError("reduce expects an empty forbidden-interval store")
     g = inst.base.graph
     s, t, ell = inst.base.s, inst.base.t, inst.base.ell
-    if ws is None:
-        ws = Workspace(g)
-    ds = ws.distances_unmasked(s).tolist()
-    dt = ws.distances_unmasked(t).tolist()
+    adj = g.adj
+    n = g.n
+    unblocked = bytearray(n)
+    ds, dt, parent, queue = [-1] * n, [-1] * n, [-1] * n, [0] * n
+    # the kernel is looked up as graph.bfs_tree at call time, so wrapping
+    # that one name (as perfbench's tracer does) sees these calls too
+    ball = queue[:graph.bfs_tree(adj, unblocked, s, -1, -1, -1, ds, parent,
+                                 queue, ell)]
+    graph.bfs_tree(adj, unblocked, t, -1, -1, -1, dt, parent, queue, ell)
     half = ell // 2
-    keep = [0 <= ds[v] <= ell and 0 <= dt[v] <= ell
-            and (ds[v] <= half or dt[v] <= half) for v in range(g.n)]
+    keep = bytearray(n)
+    for v in ball:
+        if dt[v] >= 0 and (ds[v] <= half or dt[v] <= half):
+            keep[v] = 1
     # terminals always stay so the reduced instance remains well formed,
     # even when they cannot reach each other within ell
-    keep[s] = True
-    keep[t] = True
+    keep[s] = 1
+    keep[t] = 1
+    candidates = [v for v in ball if keep[v]]
+    if ds[t] < 0:
+        candidates.append(t)
 
     # degree <= 1 peeling with a work queue over live degrees (Batagelj &
     # Zaversnik 2003): a vertex is queued once, when its live degree first
     # drops to 1 or below.  Removal only lowers degrees, so the kept set is
     # the same as that of any removal order.
-    adj = g.adj
     live = keep.__getitem__
-    deg = [sum(map(live, adj[v])) if keep[v] else 0 for v in range(g.n)]
-    queue = [v for v in range(g.n)
-             if keep[v] and deg[v] <= 1 and v != s and v != t]
-    for v in queue:
-        keep[v] = False
-    for v in queue:
+    deg = {v: sum(map(live, adj[v])) for v in candidates}
+    peel = [v for v in candidates if deg[v] <= 1 and v != s and v != t]
+    for v in peel:
+        keep[v] = 0
+    for v in peel:
         for w in adj[v]:
             if keep[w]:
                 deg[w] -= 1
                 if deg[w] == 1 and w != s and w != t:
-                    keep[w] = False
-                    queue.append(w)
+                    keep[w] = 0
+                    peel.append(w)
 
-    kept_sorted = [v for v in range(g.n) if keep[v]]
+    # ids are relabelled in ascending order, so each reduced row is the
+    # kept part of the original row and stays sorted
+    kept_sorted = sorted(v for v in candidates if keep[v])
     to_reduced = {v: i for i, v in enumerate(kept_sorted)}
-    edges = [(to_reduced[u], to_reduced[v]) for u, v in g.edges()
-             if keep[u] and keep[v]]
-    reduced_g = Graph(len(kept_sorted), edges)
+    reduced_g = Graph.from_sorted_rows(
+        tuple([to_reduced[w] for w in adj[v] if keep[w]])
+        for v in kept_sorted)
     for entries in inst.lists:
         for v in entries:
             if not keep[v]:

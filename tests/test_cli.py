@@ -119,6 +119,31 @@ def test_solve_missing_file_exit_65(tmp_path):
     assert code == 65
 
 
+@pytest.fixture()
+def binary_file(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfe3 2\n1 2\n2 3\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_undecodable_file_exit_65(binary_file, command, capsys):
+    code, out = _run([command, binary_file, "--s", "1", "--t", "3",
+                      "--k", "1", "--ell", "2"])
+    assert code == 65
+    assert out == ""
+    assert "bad graph file: line 1: expected two integers" in (
+        capsys.readouterr().err)
+
+
+def test_undecodable_bytes_in_a_comment_are_accepted(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"# caf\xe9\n3 2\n1 2\n2 3\n")
+    code, out = _run(["solve", str(path), "--s", "1", "--t", "3",
+                      "--k", "1", "--ell", "2"])
+    assert code == 0 and "decision: yes" in out
+
+
 def test_solve_json_round_trips(gex_file):
     code, out = _run(["solve", gex_file, "--s", "1", "--t", "5",
                       "--k", "2", "--ell", "5", "--json"])
@@ -249,6 +274,20 @@ def test_bench_unreadable_file_warning_row(tmp_path, capsys):
     assert rows[0]["decision"] == "error"
     assert rows[0]["solved_by"] == "unreadable"
     assert "warning" in capsys.readouterr().err
+
+
+def test_bench_skips_undecodable_file(binary_file, gex_file, capsys):
+    code, out = _run(["bench", binary_file, gex_file, "--pairs", "1",
+                      "--k-min", "1", "--k-max", "1", "--ell-min", "4",
+                      "--ell-max", "4", "--configs", "all", "--seed", "1"])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["graph"] for r in rows] == [binary_file, gex_file]
+    assert rows[0]["decision"] == "error"
+    assert rows[0]["solved_by"] == "unreadable"
+    assert rows[1]["decision"] in ("yes", "no")
+    assert f"warning: skipping {binary_file}: line 1" in (
+        capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("extra", [

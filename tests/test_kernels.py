@@ -99,3 +99,28 @@ def test_parent_is_first_discovery_lexicographic():
     g = Graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     _, _, parent, _ = _run(g, bytearray(4), 0)
     assert parent[3] == 1
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_depth_bound_reaches_exactly_the_ball(seed):
+    """A search stopped at ``depth`` enqueues the vertices within ``depth``
+    of the source, in the order, with the distances and the parents of the
+    unbounded search."""
+    rng = random.Random(seed + 200)
+    n = rng.randrange(2, 40)
+    g = random_gnp(n, rng.choice([0.05, 0.1, 0.2]), seed + 200)
+    blocked = bytearray(n)
+    for v in rng.sample(range(n), rng.randrange(0, n // 4 + 1)):
+        blocked[v] = 1
+    src = rng.randrange(n)
+    blocked[src] = 0
+    full_count, full_dist, full_parent, full_queue = _run(g, blocked, src)
+    for depth in range(0, 6):
+        dist, parent, queue = [0] * n, [0] * n, [0] * n
+        count = bfs_tree(g.adj, blocked, src, -1, -1, -1,
+                         dist, parent, queue, depth)
+        ball = [v for v in full_queue[:full_count] if full_dist[v] <= depth]
+        assert queue[:count] == ball
+        assert dist == [d if d <= depth else -1 for d in full_dist]
+        assert parent == [p if full_dist[v] <= depth else -1
+                          for v, p in enumerate(full_parent)]

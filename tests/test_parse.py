@@ -1,0 +1,283 @@
+"""Parity of the bulk graph parser with a plain line-by-line reference.
+
+Seeded mutations of valid files must either parse to the same adjacency as
+the reference below or raise GraphFormatError with the same line number and
+message.
+"""
+
+import random
+import re
+
+import pytest
+
+from pathpack import Graph, GraphFormatError, parse_graph, random_gnp
+
+MAX_HEADER = 2**31 - 1
+TOKEN = re.compile(r"[+-]?[0-9]+")
+
+
+def reference_parse(text):
+    """The format read one line at a time: ("ok", adj) or ("error",
+    line_no, message) for the first line that breaks a rule."""
+    lines = text.splitlines()
+    header = None
+    edges = []
+    seen = set()
+
+    def error(message, line_no):
+        return ("error", line_no, f"line {line_no}: {message}")
+
+    for line_no, line in enumerate(lines, start=1):
+        body = line.strip()
+        if body.startswith("#"):
+            continue
+        parts = body.split()
+        if not parts and line.isascii():
+            continue
+        if (len(parts) != 2 or not line.isascii()
+                or not all(TOKEN.fullmatch(p) for p in parts)):
+            return error("expected two integers", line_no)
+        a, b = int(parts[0]), int(parts[1])
+        if header is None:
+            if a < 0 or b < 0:
+                return error("negative header values", line_no)
+            if a > MAX_HEADER or b > MAX_HEADER:
+                return error(f"header values above {MAX_HEADER}", line_no)
+            header = (a, b)
+            continue
+        n, m = header
+        if len(edges) >= m:
+            return error(f"more than the declared {m} edges", line_no)
+        if not (1 <= a <= n and 1 <= b <= n):
+            return error(f"endpoint out of range 1..{n}", line_no)
+        if a == b:
+            return error("self-loop not allowed", line_no)
+        key = (min(a, b), max(a, b))
+        if key in seen:
+            return error(f"duplicate edge {a} {b}", line_no)
+        seen.add(key)
+        edges.append((a - 1, b - 1))
+    if header is None:
+        return error("missing '<n> <m>' header", 1)
+    if len(edges) != header[1]:
+        return error(f"declared {header[1]} edges but found {len(edges)}",
+                     len(lines) or 1)
+    rows = [[] for _ in range(header[0])]
+    for u, v in edges:
+        rows[u].append(v)
+        rows[v].append(u)
+    return ("ok", tuple(tuple(sorted(row)) for row in rows))
+
+
+def outcome(text):
+    try:
+        g = parse_graph(text)
+    except GraphFormatError as exc:
+        return ("error", exc.line_no, str(exc))
+    return ("ok", g.adj)
+
+
+# ---------------------------------------------------------------------------
+# seeded mutations
+# ---------------------------------------------------------------------------
+
+BREAKS = ["\n", "\r\n", "\r", "\f", "\x0b", "\x1c", "\x1d", "\x1e", "\x85",
+          "\u2028", "\u2029"]
+SPACES = [" ", "  ", "\t", "\x1f", " \t "]
+ODD_SPACES = ["\xa0", "\u3000"]
+COMMENTS = ["# comment", "  # indented", "#", "# caf\u00e9 \u2603",
+            "\t# tab", "# 1 2", "#\x00"]
+BLANKS = ["", "   ", "\t", "\x1f", "\xa0", " \u3000 "]
+TOKENS = ["+3", "-3", "+0", "-0", "+-3", "--3", "-", "+", "3+", "3-2",
+          "1_0", "0x1", "1.0", "1e2", "x", "\u0663", "\uff13", "\u00b2",
+          "12345678901234567890", "-12345678901234567890",
+          "99999999999999999999", "00000000000000000003",
+          "9223372036854775807", "9223372036854775808", "2147483648",
+          "4294967296", "#"]
+
+
+def _valid_lines(rng):
+    """Header and edge lines of a small valid graph, in random order and
+    orientation."""
+    n = rng.randrange(2, 14)
+    g = random_gnp(n, rng.choice([0.2, 0.4, 0.7]), rng.randrange(10**6))
+    edges = list(g.edges())
+    rng.shuffle(edges)
+    lines = [[str(n), str(g.m)]]
+    for u, v in edges:
+        if rng.random() < 0.5:
+            u, v = v, u
+        lines.append([str(u + 1), str(v + 1)])
+    return lines
+
+
+def _mutate(rng, lines):
+    """Apply one random mutation to the token lists in ``lines``."""
+    kind = rng.randrange(11)
+    i = rng.randrange(len(lines))
+    line = lines[i]
+    if kind == 0 and isinstance(line, list):            # a third token
+        line.append(rng.choice(["1", "7", "x"]))
+    elif kind == 1 and isinstance(line, list) and line:  # a missing token
+        line.pop(rng.randrange(len(line)))
+    elif kind == 2:                                     # comment or blank
+        lines.insert(i, rng.choice(COMMENTS + BLANKS))
+    elif kind == 3 and isinstance(line, list) and line:  # an odd token
+        line[rng.randrange(len(line))] = rng.choice(TOKENS)
+    elif kind == 4 and isinstance(line, list) and line:  # a signed value
+        j = rng.randrange(len(line))
+        if line[j].isdigit():
+            line[j] = rng.choice(["+", "-", "+0", "00"]) + line[j]
+    elif kind == 5 and len(lines) > 1:                  # reversed duplicate
+        src = rng.choice(lines[1:])
+        if isinstance(src, list) and len(src) == 2:
+            lines.insert(rng.randrange(1, len(lines) + 1), src[::-1])
+    elif kind == 6 and len(lines) > 1:                  # drop an edge line
+        del lines[rng.randrange(1, len(lines))]
+    elif kind == 7 and isinstance(lines[0], list) and len(lines[0]) == 2:
+        head = lines[0]                                 # change the header
+        j = rng.randrange(2)
+        if head[j].lstrip("+-").isdigit():
+            head[j] = str(int(head[j]) + rng.choice([-2, -1, 1, 2**31]))
+    elif kind == 8 and isinstance(line, list) and len(line) == 2:
+        line[1] = line[0]                               # self-loop
+    elif kind == 9:                                     # trailing '#'
+        if isinstance(line, list):
+            line.append("#")
+    else:                                               # non-ASCII space
+        if isinstance(line, list) and line:
+            line.insert(rng.randrange(len(line) + 1), rng.choice(ODD_SPACES))
+
+
+def _render(rng, lines):
+    out = []
+    for line in lines:
+        if isinstance(line, str):
+            out.append(line)
+            continue
+        lead = rng.choice(["", "", " ", "\t"])
+        sep = [rng.choice(SPACES) for _ in line]
+        out.append(lead + "".join(tok + s for tok, s in zip(line, sep))
+                   .rstrip(" \t\x1f") + rng.choice(["", "", " "]))
+    breaks = [rng.choice(BREAKS) if rng.random() < 0.2 else "\n"
+              for _ in out]
+    text = "".join(line + br for line, br in zip(out, breaks))
+    if rng.random() < 0.2:
+        text = text[:-len(breaks[-1])] if breaks else text
+    return text
+
+
+def _mutated_text(seed):
+    rng = random.Random(seed)
+    lines = _valid_lines(rng)
+    for _ in range(rng.choice([0, 1, 1, 2, 3])):
+        _mutate(rng, lines)
+    return _render(rng, lines)
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_mutated_files_match_the_line_by_line_reference(seed):
+    text = _mutated_text(seed)
+    want = reference_parse(text)
+    assert outcome(text) == want
+    assert outcome(text.encode("utf-8")) == want
+
+
+def test_mutations_reach_both_outcomes_and_every_message():
+    seen = set()
+    for seed in range(300):
+        result = reference_parse(_mutated_text(seed))
+        seen.add(result[0] if result[0] == "ok"
+                 else re.sub(r"[0-9]+", "N", result[2].split(": ", 1)[1]))
+    assert seen >= {"ok", "expected two integers", "negative header values",
+                    "header values above N", "more than the declared N edges",
+                    "endpoint out of range N..N", "self-loop not allowed",
+                    "declared N edges but found N"}
+    assert any(s.startswith("duplicate edge") for s in seen)
+
+
+# ---------------------------------------------------------------------------
+# fixed cases
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("text", [
+    "",
+    "\n\n",
+    "# only a comment\n",
+    "3 0",
+    "0 0\n",
+    "3 1\n1 2 # trailing comment\n",
+    "3 1\r\n1 2\r\n",
+    "3 1\n\x851 2\n",
+    "3 1\n1\u20282\n",
+    "3 1\n+1 -2\n",
+    "3 1\n01 0002\n",
+    "3 1\n1 2\n\n\n",
+    "3 2\n1 2\n2 1\n",
+    "3 1\n1\x1f2\n",
+    "3 1\n1\xa02\n",
+    "\ufeff3 1\n1 2\n",
+    "2147483648 0\n",
+    "3 2147483648\n",
+    "-1 99999999999999999999\n",
+    "99999999999999999999 1\n1 2\n",
+    "3 1\n1 99999999999999999999\n",
+    "3 1\n1 -99999999999999999999\n",
+    "3 1\n-\n",
+    "3 1\n1 -\n",
+    "3 -\n",
+    "- 0\n",
+    "+ +\n",
+    "3 1\n1 2\n\xa0\n",
+    "3 2\n1 2\n1 2 3\n",
+    "3 1\n1 2\n2 3\n3 1\n",
+])
+def test_fixed_cases_match_the_reference(text):
+    assert outcome(text) == reference_parse(text)
+    assert outcome(text.encode("utf-8")) == reference_parse(text)
+
+
+def test_undecodable_bytes_fail_outside_comments_only():
+    g = parse_graph(b"# caf\xe9 \xff\n3 2\n1 2\n2 3\n")
+    assert g.adj == ((1,), (0, 2), (1,))
+    with pytest.raises(GraphFormatError) as err:
+        parse_graph(b"\xff\xfe3 2\n1 2\n2 3\n")
+    assert err.value.line_no == 1
+    with pytest.raises(GraphFormatError) as err:
+        parse_graph(b"3 2\n1 2\n2 3\xe9\n")
+    assert err.value.line_no == 3
+
+
+@pytest.mark.parametrize("text,line", [
+    ("# big\n2147483648 1\n1 2\n", 2),
+    ("5 4294967296\n1 2\n", 1),
+])
+def test_huge_header_is_an_error_at_the_header_line(text, line):
+    with pytest.raises(GraphFormatError) as err:
+        parse_graph(text)
+    assert err.value.line_no == line
+    assert "2147483647" in str(err.value)
+
+
+def test_parsed_rows_match_the_edge_list_constructor():
+    rng = random.Random(5)
+    for trial in range(20):
+        n = rng.randrange(1, 60)
+        g = random_gnp(n, 0.15, trial)
+        edges = list(g.edges())
+        rng.shuffle(edges)
+        text = f"{n} {len(edges)}\n" + "".join(
+            f"{v + 1} {u + 1}\n" if rng.random() < 0.5 else f"{u + 1} {v + 1}\n"
+            for u, v in edges)
+        parsed = parse_graph(text)
+        assert parsed.adj == g.adj == Graph(n, edges).adj
+        assert (parsed.n, parsed.m) == (g.n, g.m)
+
+
+def test_parsed_rows_share_one_int_object_per_vertex():
+    n = 600
+    edges = [(v, v + 1) for v in range(n - 1)] + [(0, n - 1)]
+    g = parse_graph(f"{n} {len(edges)}\n"
+                    + "".join(f"{u + 1} {v + 1}\n" for u, v in edges))
+    assert g.adj[n - 1][1] is g.adj[n - 3][1]     # both are vertex n - 2
+    assert g.adj[0][1] is g.adj[n - 2][1]         # both are vertex n - 1

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+import pathpack.graph
 from pathpack import (Graph, PackingInstance, SolverConfig, Workspace,
                       from_packing, random_gnp, validate_solution)
 from pathpack.oracle import oracle_decide
@@ -93,6 +94,106 @@ def test_reduce_long_pendant_path_is_linear():
     elapsed = time.perf_counter() - start
     assert set(report.to_original) == {0, 1, 2, 3}
     assert elapsed < 1.0
+
+
+def _reference_reduce(g, s, t, ell):
+    """The reduction as it ran on the whole graph: full distance arrays, the
+    filter over every vertex, naive peeling, and the reduced graph rebuilt
+    from the edge list.  Returns (to_original, adj, m)."""
+    kept = sorted(_naive_kept(g, s, t, ell))
+    new_id = {v: i for i, v in enumerate(kept)}
+    reduced = Graph(len(kept), [(new_id[u], new_id[v]) for u, v in g.edges()
+                                if u in new_id and v in new_id])
+    return tuple(kept), reduced.adj, reduced.m
+
+
+def _grid(rows, cols, dropout, rng):
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols and rng.random() >= dropout:
+                edges.append((v, v + 1))
+            if r + 1 < rows and rng.random() >= dropout:
+                edges.append((v, v + cols))
+    return Graph(rows * cols, edges)
+
+
+def _parity_case(seed):
+    rng = random.Random(seed + 7000)
+    kind = seed % 3
+    if kind == 0:                       # sparse G(n, p)
+        n = rng.randrange(10, 150)
+        g = random_gnp(n, rng.choice([1.5, 2.5, 4.0]) / (n - 1), seed + 7000)
+        s, t = rng.sample(range(n), 2)
+    elif kind == 1:                     # grid with dropout
+        rows, cols = rng.randrange(2, 25), rng.randrange(2, 25)
+        g = _grid(rows, cols, rng.choice([0.0, 0.2, 0.4]), rng)
+        s, t = rng.sample(range(g.n), 2)
+    else:                               # two components, one per terminal
+        a = _grid(rng.randrange(2, 8), rng.randrange(2, 8), 0.1, rng)
+        b = random_gnp(rng.randrange(3, 30), 0.2, seed + 7000)
+        g = Graph(a.n + b.n, list(a.edges())
+                  + [(u + a.n, v + a.n) for u, v in b.edges()])
+        s, t = rng.randrange(a.n), a.n + rng.randrange(b.n)
+    ell = rng.choice([1, 2, rng.randrange(3, 14)])
+    return g, s, t, ell
+
+
+@pytest.mark.parametrize("seed", range(90))
+def test_reduce_matches_the_full_graph_reference(seed):
+    g, s, t, ell = _parity_case(seed)
+    k = 1 + seed % 3
+    reduced, report = reduce_instance(
+        from_packing(PackingInstance(g, s, t, k, ell)))
+    to_original, adj, m = _reference_reduce(g, s, t, ell)
+    assert report.to_original == to_original
+    assert reduced.base.graph.adj == adj
+    assert (report.n_after, report.m_after) == (len(to_original), m)
+    assert (report.n_before, report.m_before) == (g.n, g.m)
+    assert reduced.base.s == to_original.index(s)
+    assert reduced.base.t == to_original.index(t)
+
+
+def test_parity_cases_cover_far_and_disconnected_terminals():
+    far = disconnected = 0
+    for seed in range(90):
+        g, s, t, ell = _parity_case(seed)
+        d = int(Workspace(g).distances_unmasked(s)[t])
+        disconnected += d < 0
+        far += d > ell
+    assert far >= 10 and disconnected >= 10
+
+
+def test_reduce_bfs_enqueues_only_the_ell_ball(monkeypatch):
+    # a 250 x 400 grid (10^5 vertices); every BFS of the reduction must stop
+    # at the Manhattan ball of radius ell around its source
+    rows, cols, ell = 250, 400, 4
+    g = _grid(rows, cols, 0.0, random.Random(0))
+    s = 125 * cols + 200
+    t = s + 2 * cols + 1
+    calls = []
+    kernel = pathpack.graph.bfs_tree
+
+    def spy(*args):
+        enqueued = kernel(*args)
+        calls.append((args[2], enqueued))
+        return enqueued
+
+    monkeypatch.setattr(pathpack.graph, "bfs_tree", spy)
+    reduced, report = reduce_instance(
+        from_packing(PackingInstance(g, s, t, 2, ell)))
+    monkeypatch.undo()
+
+    assert [src for src, _ in calls] == [s, t]
+    for src, enqueued in calls:
+        r0, c0 = divmod(src, cols)
+        ball = sum(1 for r in range(rows) for c in range(cols)
+                   if abs(r - r0) + abs(c - c0) <= ell)
+        assert enqueued == ball
+    to_original, adj, m = _reference_reduce(g, s, t, ell)
+    assert report.to_original == to_original
+    assert reduced.base.graph.adj == adj
 
 
 def test_reduce_kept_monotone_in_ell(gex):
