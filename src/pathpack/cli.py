@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import random
@@ -211,7 +212,7 @@ def _sample_pairs(g: Graph, count: int, rng: random.Random,
         key = (min(u, v), max(u, v))
         if key in seen:
             continue
-        d = ws.distances_unmasked(u)[v]
+        d = ws.distance_row(u)[v]
         if 0 < d <= max_dist:
             seen.add(key)
             pairs.append((u, v))
@@ -287,7 +288,10 @@ def _cmd_bench(args, out) -> int:
     return EXIT_YES
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argparse tree, built on first use and kept for the process:
+    parsing leaves it unchanged, and building it costs more than a parse."""
     parser = _Parser(prog="pathpack",
                      description="Exact solver for packing k internally "
                                  "vertex-disjoint s-t paths of length at "

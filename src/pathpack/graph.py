@@ -7,7 +7,7 @@ kernel walks directly.  The graph itself is immutable and shareable; all
 BFS scratch state lives in a per-run :class:`Workspace` so concurrent
 solves on one graph never interfere.  The solver runs the kernel in three
 places: :func:`shortest_path_blocked` (a shortest path avoiding a
-``bytearray`` of blocked vertices), :meth:`Workspace.distances_unmasked`
+``bytearray`` of blocked vertices), :meth:`Workspace.distance_row`
 (cached full-graph distances) and ``preprocess.reduce_instance`` (two
 searches stopped at distance ell, through ``graph.bfs_tree``).
 
@@ -129,11 +129,12 @@ class Workspace:
     """Per-run scratch buffers for BFS, mask composition and flows.
 
     Single-owner state: one Workspace must not be shared across concurrent
-    solves.  ``dist_cache`` memoizes unmasked full-graph distance arrays
-    (used by checkpoint-gap bounds and candidate ordering); they are int32
-    numpy arrays so that callers can compare them vectorized.  The split
-    digraph that trivial detection and the separator checks share is built
-    on first use.
+    solves.  ``dist`` reads -1 at every vertex between calls, as the kernel
+    requires; each search clears only the entries it set.  ``dist_cache``
+    memoizes unmasked full-graph distance rows as plain lists, which the
+    checkpoint-gap bounds and the candidate ordering index directly.  The
+    split digraph that trivial detection and the separator checks share is
+    built on first use.
     """
 
     def __init__(self, g: Graph):
@@ -144,7 +145,7 @@ class Workspace:
         self.queue = [0] * n
         self.blocked = bytearray(n)
         self.blocked_base = bytearray(n)
-        self.dist_cache: dict[int, np.ndarray] = {}
+        self.dist_cache: dict[int, list[int]] = {}
         self.root_flow: Optional[int] = None  # memo for the unmasked s-t flow
         self._split: Optional[SplitDigraph] = None
 
@@ -157,15 +158,20 @@ class Workspace:
             self._split.reset()
         return self._split
 
-    def distances_unmasked(self, src: int) -> np.ndarray:
-        """Cached full-graph BFS distances from ``src`` (-1 = unreachable)."""
-        hit = self.dist_cache.get(src)
-        if hit is None:
+    def distance_row(self, src: int) -> list[int]:
+        """Cached full-graph BFS distances from ``src`` (-1 = unreachable),
+        as a list that callers index and must not modify."""
+        row = self.dist_cache.get(src)
+        if row is None:
+            row = [-1] * self.g.n
             bfs_tree(self.g.adj, bytearray(self.g.n), src, -1, -1, -1,
-                     self.dist, self.parent, self.queue)
-            hit = np.array(self.dist, dtype=np.int32)
-            self.dist_cache[src] = hit
-        return hit
+                     row, self.parent, self.queue)
+            self.dist_cache[src] = row
+        return row
+
+    def distances_unmasked(self, src: int) -> np.ndarray:
+        """:meth:`distance_row` as a new int32 array, for vectorized use."""
+        return np.array(self.distance_row(src), dtype=np.int32)
 
 
 def _extract_path(parent: list[int], a: int, b: int) -> tuple[int, ...]:
@@ -193,10 +199,13 @@ def shortest_path_blocked(g: Graph, blocked: bytearray, a: int, b: int,
     if a == b:
         return (a,)
     bu, bv = ban_edge if ban_edge is not None else (-1, -1)
-    bfs_tree(g.adj, blocked, a, b, bu, bv, ws.dist, ws.parent, ws.queue)
-    if ws.dist[b] < 0:
-        return None
-    return _extract_path(ws.parent, a, b)
+    dist, queue = ws.dist, ws.queue
+    count = bfs_tree(g.adj, blocked, a, b, bu, bv, dist, ws.parent, queue)
+    found = dist[b] >= 0
+    # the next call needs dist at -1 again: clear only what this one set
+    for v in queue[:count]:
+        dist[v] = -1
+    return _extract_path(ws.parent, a, b) if found else None
 
 
 # ---------------------------------------------------------------------------

@@ -19,20 +19,22 @@ def bfs_tree(adj, blocked, src, target, ban_u, ban_v, dist, parent, queue,
              depth=-1):
     """Masked BFS from ``src`` over the sorted adjacency rows ``adj``.
 
-    Fills the ``dist`` (-1 = unreached) and ``parent`` (-1 = none) lists;
-    ``queue`` is scratch of the same length and holds the vertices in
-    discovery order.  Vertices with a nonzero ``blocked`` entry are never
-    entered.  Returns early once ``target`` (negative = none) has been
-    discovered, in which case only the target's ancestor chain is guaranteed
-    to be filled.
+    ``dist`` must read -1 at every vertex on entry; the kernel does not
+    reset it, so that a call costs what it enqueues rather than the size of
+    the graph.  It sets ``dist`` of each vertex it enqueues, and ``parent``
+    of each enqueued vertex but ``src``; other ``parent`` entries keep
+    whatever they held, which is safe because only ancestor chains from an
+    enqueued vertex back to ``src`` are ever read.  ``queue`` is scratch of
+    the same length and holds the enqueued vertices in discovery order, so
+    ``queue[:count]`` with the returned count lists every ``dist`` entry the
+    call set.  Vertices with a nonzero ``blocked`` entry are never entered.
+    Returns early once ``target`` (negative = none) has been discovered, in
+    which case only the target's ancestor chain is guaranteed to be filled.
     The undirected edge {ban_u, ban_v} is skipped when ban_u >= 0.
     A non-negative ``depth`` stops the search at the first dequeued vertex
     at that distance, so only vertices within ``depth`` of ``src`` are
     reached.  Returns the number of vertices enqueued.
     """
-    n = len(dist)
-    dist[:] = [-1] * n
-    parent[:] = [-1] * n
     dist[src] = 0
     queue[0] = src
     if src == target:

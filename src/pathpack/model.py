@@ -40,55 +40,54 @@ class PackingInstance:
             raise ValueError("ell must be at least 1")
 
 
-@dataclass(frozen=True)
-class ForbiddenInterval:
-    """Inserting ``x`` between entries ``a`` and ``b`` of list ``list_index``
-    was refuted: within the current scope, that list's path can never visit
-    a, x, b in this order.
+class IntervalStore:
+    """Scoped stack of forbidden intervals.
+
+    An interval (list_index, a, b, x) records that inserting ``x`` between
+    entries ``a`` and ``b`` of list ``list_index`` was refuted: within the
+    current scope, that list's path can never visit a, x, b in this order.
 
     Intervals are list-scoped.  For interior a, b this changes nothing (an
     interior checkpoint occurs in exactly one list), but a plain (s, t, x)
     triple would also match every other list, and banning x there is wrong
     when the lists are not interchangeable: the refuted child only proves
     that no solution routes x on THIS list's path.
-    """
-
-    list_index: int
-    a: int
-    b: int
-    x: int
-
-    def __post_init__(self):
-        if self.x == self.a or self.x == self.b:
-            raise ValueError("interval vertex must differ from its endpoints")
-
-
-class IntervalStore:
-    """Scoped stack of forbidden intervals.
 
     A search node takes a mark on entry, pushes one interval after each
     refuted child, and truncates back to its mark on exit, so an interval is
     visible exactly to the later siblings of the refuted child and to their
-    subtrees.
+    subtrees.  The intervals are plain tuples on a stack, indexed by
+    (list_index, x) so that a lookup reads only the intervals that can
+    match.
     """
 
     def __init__(self):
-        self._items: list[ForbiddenInterval] = []
+        self._items: list[tuple[int, int, int, int]] = []
+        # (list_index, x) -> [(a, b), ...] in push order
+        self._ends: dict[tuple[int, int], list[tuple[int, int]]] = {}
 
     def __len__(self) -> int:
         return len(self._items)
-
-    def __iter__(self):
-        return iter(self._items)
 
     def mark(self) -> int:
         return len(self._items)
 
     def push(self, list_index: int, a: int, b: int, x: int) -> None:
-        self._items.append(ForbiddenInterval(list_index, a, b, x))
+        if x == a or x == b:
+            raise ValueError("interval vertex must differ from its endpoints")
+        self._items.append((list_index, a, b, x))
+        self._ends.setdefault((list_index, x), []).append((a, b))
 
     def pop_to(self, mark: int) -> None:
-        del self._items[mark:]
+        items = self._items
+        while len(items) > mark:
+            list_index, _, _, x = items.pop()
+            # the stack is LIFO, so the popped interval is its key's last
+            key = (list_index, x)
+            ends = self._ends[key]
+            ends.pop()
+            if not ends:
+                del self._ends[key]
 
     def forbids(self, list_index: int, positions: dict[int, int], gap: int,
                 x: int) -> bool:
@@ -99,13 +98,13 @@ class IntervalStore:
         under consideration; ``gap`` is the 1-based index of the subpath slot
         between positions gap and gap + 1.
         """
-        for iv in self._items:
-            if iv.x != x or iv.list_index != list_index:
-                continue
-            pa = positions.get(iv.a)
-            pb = positions.get(iv.b)
-            if pa is not None and pb is not None and pa <= gap and pb >= gap + 1:
-                return True
+        ends = self._ends.get((list_index, x))
+        if ends is not None:
+            for a, b in ends:
+                pa = positions.get(a)
+                pb = positions.get(b)
+                if pa is not None and pb is not None and pa <= gap < pb:
+                    return True
         return False
 
 

@@ -1,21 +1,27 @@
 """Recursive branching solver.
 
-Each node: run the infeasibility tests, then the greedy builder; on greedy
-failure, generate the rule-specific candidate insertions, order them, and
-recurse.  A refuted child optionally records a forbidden interval visible to
-its later siblings.  Everything is deterministic for a fixed (instance,
-config) pair; tie-breaking is ascending vertex id throughout.
+Each node runs the greedy builder; on greedy failure it generates the
+rule-specific candidate insertions, orders them, and tries each in turn.
+A child differs from its parent in one list, so the parent runs the child's
+entry checks itself, on that list alone, from the per-list counts it carries
+down the tree (the entry count, the adjacent consecutive pairs and the sum
+of the unmasked gap distances): a refuted child is counted as entered and
+pruned without being built, and only a surviving child is built and
+recursed into.  The root's entry checks cover every list.  A refuted child
+optionally records a forbidden interval visible to its later siblings.
+Everything is deterministic for a fixed (instance, config) pair;
+tie-breaking is ascending vertex id throughout.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass
-from typing import Callable, Optional
+from operator import itemgetter
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .config import SolverConfig, SolveStats
-from .graph import Workspace
+from .graph import Graph, Workspace
 from .greedy import FailureCondition, GreedyFailure, GreedySuccess, run_greedy
 from .model import (CheckpointInstance, PackingInstance, Solution,
                     from_packing, validate_solution)
@@ -24,38 +30,47 @@ from .preprocess import detect_trivial, reduce_instance
 __all__ = ["solve", "node_infeasible"]
 
 _FAR = 1 << 30  # distance placeholder for unreachable pairs
+_RULES = ("len", "bcpl", "bsp")  # entry checks, in the order they apply
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     """One child insertion: splice ``vertex`` into list ``list_index`` at
-    0-based position ``pos``, splitting the consecutive pair (u, u2)."""
+    0-based position ``pos``, splitting the consecutive pair (u, u2).
+    ``gaps`` is gap(u, vertex) + gap(vertex, u2), the unmasked distances
+    with an unreachable side counted as far; None when the brancher was
+    given no distances."""
 
     list_index: int
     pos: int
     vertex: int
     u: int
     u2: int
+    gaps: Optional[int]
 
 
 class SolveTimeout(Exception):
     """Internal unwind signal; surfaces as the 'timeout' decision."""
 
 
-DistFn = Callable[[int], "object"]  # vertex -> distance array
+DistFn = Callable[[int], Sequence[int]]  # vertex -> unmasked distance row
 
 
-def _gap_distance(dist_fn: DistFn, u: int, u2: int, v: int) -> int:
-    du = int(dist_fn(u)[v])
-    du2 = int(dist_fn(u2)[v])
-    return (du if du >= 0 else _FAR) + (du2 if du2 >= 0 else _FAR)
-
-
-def _order_pool(pool: list[int], u: int, u2: int, cfg: SolverConfig,
-                dist_fn: Optional[DistFn]) -> list[int]:
-    if cfg.c_dist and dist_fn is not None:
-        return sorted(pool, key=lambda v: (_gap_distance(dist_fn, u, u2, v), v))
-    return sorted(pool)
+def _position_candidates(list_index: int, pos: int, u: int, u2: int,
+                         pool: list[int], cfg: SolverConfig,
+                         dist_fn: Optional[DistFn]) -> list[Candidate]:
+    """The candidates splicing each pool vertex between u and u2, in
+    branching order: with c-dist by ascending gap sum, ties by vertex id;
+    otherwise by vertex id."""
+    if dist_fn is None:
+        return [Candidate(list_index, pos, v, u, u2, None)
+                for v in sorted(pool)]
+    du, du2 = dist_fn(u), dist_fn(u2)
+    keyed = []
+    for v in pool:
+        a, b = du[v], du2[v]
+        keyed.append(((a if a >= 0 else _FAR) + (b if b >= 0 else _FAR), v))
+    keyed.sort(key=None if cfg.c_dist else itemgetter(1))
+    return [Candidate(list_index, pos, v, u, u2, gaps) for gaps, v in keyed]
 
 
 def _pool_base(fail: GreedyFailure, cp_union: set[int],
@@ -88,10 +103,9 @@ def branch_no_subpath(fail: GreedyFailure, inst: CheckpointInstance,
     cp_union = inst.checkpoint_union()
     entries = inst.lists[fail.i_beta - 1]
     j = fail.j_beta
-    u, u2 = entries[j - 1], entries[j]
-    pool = _pool_base(fail, cp_union)
-    return [Candidate(fail.i_beta - 1, j, v, u, u2)
-            for v in _order_pool(pool, u, u2, cfg, dist_fn)]
+    return _position_candidates(fail.i_beta - 1, j, entries[j - 1],
+                                entries[j], _pool_base(fail, cp_union), cfg,
+                                dist_fn)
 
 
 def branch_overlong(fail: GreedyFailure, inst: CheckpointInstance,
@@ -119,10 +133,9 @@ def branch_overlong(fail: GreedyFailure, inst: CheckpointInstance,
         positions.sort(key=lambda j: (-q_len(j), j))
     out: list[Candidate] = []
     for j in positions:
-        u, u2 = entries[j - 1], entries[j]
         pool = _pool_base(fail, cp_union, skip_subpath=j)
-        out.extend(Candidate(fail.i_beta - 1, j, v, u, u2)
-                   for v in _order_pool(pool, u, u2, cfg, dist_fn))
+        out.extend(_position_candidates(fail.i_beta - 1, j, entries[j - 1],
+                                        entries[j], pool, cfg, dist_fn))
     return out
 
 
@@ -142,9 +155,8 @@ def branch_cut(fail: GreedyFailure, inst: CheckpointInstance,
     for li in range(fail.i_beta - 1, inst.base.k):
         entries = inst.lists[li]
         for j in range(1, len(entries)):
-            u, u2 = entries[j - 1], entries[j]
-            out.extend(Candidate(li, j, v, u, u2)
-                       for v in _order_pool(pool, u, u2, cfg, dist_fn))
+            out.extend(_position_candidates(li, j, entries[j - 1], entries[j],
+                                            pool, cfg, dist_fn))
     return out
 
 
@@ -155,6 +167,34 @@ _BRANCHERS = {
 }
 
 
+def _list_counts(g: Graph, entries: tuple[int, ...], cfg: SolverConfig,
+                 dist_fn: Optional[DistFn]) -> tuple[int, int]:
+    """(adjacent consecutive pairs, sum of the unmasked gap distances) of
+    one list; each reads 0 when the check that uses it is off."""
+    pairs = list(zip(entries, entries[1:]))
+    adjacent = sum(g.has_edge(a, b) for a, b in pairs) if cfg.b_cpl else 0
+    gaps = 0
+    if cfg.b_sp and dist_fn is not None:
+        for a, b in pairs:
+            d = int(dist_fn(a)[b])
+            gaps += d if d >= 0 else _FAR
+    return adjacent, gaps
+
+
+def _list_verdict(size: int, adjacent: int, gaps: int, ell: int,
+                  cfg: SolverConfig) -> Optional[str]:
+    """The entry rules of :func:`node_infeasible` for one list with
+    ``size`` entries and the counts of :func:`_list_counts`."""
+    # a path of length <= ell visits at most ell + 1 entries
+    if size > ell + 1:
+        return "len"
+    if cfg.b_cpl and size > ell // 2 + 1 and adjacent < 2 * (size - 1) - ell:
+        return "bcpl"
+    if cfg.b_sp and gaps > ell:
+        return "bsp"
+    return None
+
+
 def node_infeasible(inst: CheckpointInstance, cfg: SolverConfig,
                     dist_fn: Optional[DistFn] = None) -> Optional[str]:
     """Cheap refutations checked at node entry, in order.
@@ -163,29 +203,18 @@ def node_infeasible(inst: CheckpointInstance, cfg: SolverConfig,
     enough that it needs at least 2(|L|-1) - ell adjacent consecutive pairs
     falls short of that count.  'bsp': the shortest-path lengths between
     consecutive entries (unmasked graph) already sum past ell.
+
+    Each rule reads one list at a time, so a child, which differs from its
+    parent in one list, needs the rules on that list only: the search
+    applies them there through :func:`_list_verdict`.
     """
     g = inst.base.graph
     ell = inst.base.ell
-    for entries in inst.lists:
-        # a path of length <= ell visits at most ell + 1 entries
-        if len(entries) > ell + 1:
-            return "len"
-    if cfg.b_cpl:
-        for entries in inst.lists:
-            if len(entries) > ell // 2 + 1:
-                adjacent = sum(1 for a, b in zip(entries, entries[1:])
-                               if g.has_edge(a, b))
-                if adjacent < 2 * (len(entries) - 1) - ell:
-                    return "bcpl"
-    if cfg.b_sp and dist_fn is not None:
-        for entries in inst.lists:
-            total = 0
-            for a, b in zip(entries, entries[1:]):
-                d = int(dist_fn(a)[b])
-                total += d if d >= 0 else _FAR
-                if total > ell:
-                    return "bsp"
-    return None
+    verdicts = [_list_verdict(len(entries),
+                              *_list_counts(g, entries, cfg, dist_fn), ell,
+                              cfg)
+                for entries in inst.lists]
+    return min(filter(None, verdicts), key=_RULES.index, default=None)
 
 
 class _TreeSearch:
@@ -200,47 +229,61 @@ class _TreeSearch:
         self.ell = root.base.ell
         self.ws = ws
         self.store = root.intervals
-        self.dist_fn = self.ws.distances_unmasked
+        self.row = ws.distance_row
 
     def _tick(self) -> None:
         if self.deadline is not None and time.perf_counter() > self.deadline:
             raise SolveTimeout
 
-    def run(self) -> Optional[tuple[tuple[int, ...], ...]]:
-        # tree depth is bounded by k*ell; a few helper frames per level
-        needed = max(10000, 50 * self.k * self.ell + 1000)
-        if sys.getrecursionlimit() < needed:
-            sys.setrecursionlimit(needed)
-        return self._node(self.root, 0)
-
-    def _node(self, inst: CheckpointInstance,
-              depth: int) -> Optional[tuple[tuple[int, ...], ...]]:
+    def _enter(self, depth: int) -> None:
+        """A node's bookkeeping on entry, before its checks."""
         self._tick()
         stats = self.stats
-        cfg = self.cfg
         stats.nodes += 1
         if depth > stats.max_depth:
             stats.max_depth = depth
         if depth > self.k * self.ell:
             raise AssertionError("search depth bound violated")
 
-        reason = node_infeasible(inst, cfg, self.dist_fn)
+    def _prune(self, reason: str) -> None:
+        stats = self.stats
         if reason == "len":
             stats.prunes_len += 1
-            return None
-        if reason == "bcpl":
+        elif reason == "bcpl":
             stats.prunes_bcpl += 1
-            return None
-        if reason == "bsp":
+        else:
             stats.prunes_bsp += 1
-            return None
 
+    def run(self) -> Optional[tuple[tuple[int, ...], ...]]:
+        # tree depth is bounded by k*ell; a few helper frames per level
+        needed = max(10000, 50 * self.k * self.ell + 1000)
+        if sys.getrecursionlimit() < needed:
+            sys.setrecursionlimit(needed)
+        root = self.root
+        self._enter(0)
+        reason = node_infeasible(root, self.cfg, self.row)
+        if reason is not None:
+            self._prune(reason)
+            return None
+        # each list's counts (see _list_counts) at the current node; a
+        # surviving child changes one entry of each and restores it on return
+        counts = [_list_counts(root.base.graph, entries, self.cfg, self.row)
+                  for entries in root.lists]
+        self.adjacent = [a for a, _ in counts]
+        self.gaps = [gaps for _, gaps in counts]
+        return self._node(root, 0)
+
+    def _node(self, inst: CheckpointInstance,
+              depth: int) -> Optional[tuple[tuple[int, ...], ...]]:
+        """Expand a node that passed its entry checks."""
+        stats = self.stats
+        cfg = self.cfg
         outcome = run_greedy(inst, cfg, self.ws, stats)
         if isinstance(outcome, GreedySuccess):
             return outcome.paths
 
         candidates = _BRANCHERS[outcome.condition](outcome, inst, cfg,
-                                                   self.dist_fn)
+                                                   self.row)
         rule = outcome.condition.rule
         if rule == 1:
             stats.br1 += 1
@@ -255,34 +298,63 @@ class _TreeSearch:
             raise AssertionError(f"rule {rule} branched {len(candidates)} "
                                  f"ways, above its bound {bound}")
 
+        has_edge = inst.base.graph.has_edge
+        adjacent, gaps = self.adjacent, self.gaps
+        ell = self.ell
+        positions: dict[int, dict[int, int]] = {}  # per list, for b-fi
         mark = self.store.mark()
         try:
             for cand in candidates:
                 self._tick()
-                if cfg.b_fi and self._skip(inst, cand):
+                li, pos, v, u, u2, new_gaps = cand
+                if cfg.b_fi and self._skip(inst, cand, positions):
                     stats.bfi_masked += 1
                     continue
-                child = inst.with_insertion(cand.list_index, cand.pos,
-                                            cand.vertex)
-                result = self._node(child, depth + 1)
-                if result is not None:
-                    return result
+                self._enter(depth + 1)
+                # the child's counts on the one list it changes
+                size = len(inst.lists[li]) + 1
+                old_adjacent = adjacent[li]
+                old_gaps = gaps[li]
+                child_adjacent = (old_adjacent - has_edge(u, u2)
+                                  + has_edge(u, v) + has_edge(v, u2)
+                                  if cfg.b_cpl else 0)
+                if cfg.b_sp:
+                    d = self.row(u)[u2]
+                    child_gaps = old_gaps - (d if d >= 0 else _FAR) + new_gaps
+                else:
+                    child_gaps = 0
+                reason = _list_verdict(size, child_adjacent, child_gaps, ell,
+                                       cfg)
+                if reason is not None:
+                    self._prune(reason)
+                else:
+                    child = inst.with_insertion(li, pos, v)
+                    adjacent[li] = child_adjacent
+                    gaps[li] = child_gaps
+                    result = self._node(child, depth + 1)
+                    adjacent[li] = old_adjacent
+                    gaps[li] = old_gaps
+                    if result is not None:
+                        return result
                 if cfg.b_fi:
-                    self.store.push(cand.list_index, cand.u, cand.u2,
-                                    cand.vertex)
+                    self.store.push(li, u, u2, v)
                     stats.bfi_recorded += 1
             return None
         finally:
             self.store.pop_to(mark)
 
-    def _skip(self, inst: CheckpointInstance, cand: Candidate) -> bool:
+    def _skip(self, inst: CheckpointInstance, cand: Candidate,
+              positions: dict[int, dict[int, int]]) -> bool:
         """Skip insertions refuted by an active forbidden interval: placing
         the vertex anywhere between the interval endpoints would force the
-        already-refuted visiting order."""
-        entries = inst.lists[cand.list_index]
-        positions = {v: idx + 1 for idx, v in enumerate(entries)}
-        return self.store.forbids(cand.list_index, positions, cand.pos,
-                                  cand.vertex)
+        already-refuted visiting order.  ``positions`` caches each list's
+        vertex -> 1-based position map for the node."""
+        at = positions.get(cand.list_index)
+        if at is None:
+            entries = inst.lists[cand.list_index]
+            at = positions[cand.list_index] = {
+                v: idx for idx, v in enumerate(entries, start=1)}
+        return self.store.forbids(cand.list_index, at, cand.pos, cand.vertex)
 
 
 def solve(inst: PackingInstance,

@@ -108,11 +108,12 @@ def test_neighborhood_zero_and_monotone(gex):
 
 def test_masked_view_excludes_removed_everywhere(gex):
     blocked = _blocked(gex.n, [vid(2)])
-    ws = Workspace(gex)
-    bfs_tree(gex.adj, blocked, vid(1), -1, -1, -1,
-             ws.dist, ws.parent, ws.queue)
-    assert ws.dist[vid(2)] == -1
-    path = shortest_path_blocked(gex, blocked, vid(1), vid(5), ws)
+    # the kernel needs a dist list that reads -1 on entry
+    dist, parent, queue = [-1] * gex.n, [-1] * gex.n, [0] * gex.n
+    bfs_tree(gex.adj, blocked, vid(1), -1, -1, -1, dist, parent, queue)
+    assert dist[vid(2)] == -1
+    path = shortest_path_blocked(gex, blocked, vid(1), vid(5),
+                                 Workspace(gex))
     assert vid(2) not in path
 
 
@@ -140,6 +141,45 @@ def test_shortest_path_matches_exhaustive_enumeration(seed):
     elif a != b:
         assert got is not None and len(got) - 1 == best
         assert not (set(got) & removed)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_reused_workspace_matches_fresh_workspaces(seed):
+    """Consecutive searches on one Workspace, with different masks, bans and
+    endpoints, return what a fresh Workspace returns for each, and leave
+    its dist list reading -1 everywhere, as the kernel requires."""
+    rng = random.Random(seed + 500)
+    n = rng.randrange(6, 40)
+    g = random_gnp(n, rng.choice([0.08, 0.15, 0.3]), seed + 500)
+    edges = list(g.edges())
+    ws = Workspace(g)
+    found = 0
+    for _ in range(60):
+        blocked = _blocked(n, rng.sample(range(n), rng.randrange(0, n // 3)))
+        a, b = rng.randrange(n), rng.randrange(n)
+        blocked[a] = blocked[b] = 0
+        ban = rng.choice(edges) if edges and rng.random() < 0.3 else None
+        if rng.random() < 0.2:
+            ws.distance_row(rng.randrange(n))  # the cached rows share buffers
+        got = shortest_path_blocked(g, blocked, a, b, ws, ban_edge=ban)
+        assert got == shortest_path_blocked(g, blocked, a, b, Workspace(g),
+                                            ban_edge=ban)
+        assert ws.dist == [-1] * n
+        found += got is not None
+    assert found > 0
+
+
+def test_distance_row_and_array_agree(gex):
+    ws = Workspace(gex)
+    row = ws.distance_row(vid(1))
+    assert row == [0, 1, 2, 3, 4, 1, 2, 3, 2, 3, 4]
+    assert ws.distance_row(vid(1)) is row  # cached
+    arr = ws.distances_unmasked(vid(1))
+    assert str(arr.dtype) == "int32" and arr.tolist() == row
+    arr[0] = 99  # a fresh array each call: the cached row is untouched
+    assert ws.distance_row(vid(1))[0] == 0
+    assert ws.distances_unmasked(vid(1))[0] == 0
+    assert ws.dist == [-1] * gex.n
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,14 @@ from pathpack.kernels import bfs_tree
 from pathpack.oracle import enumerate_bounded_paths
 
 
+def _buffers(n):
+    """Fresh kernel buffers: ``dist`` must read -1 on entry, and ``parent``
+    starts at -1 so that the tests can see which entries the kernel set."""
+    return [-1] * n, [-1] * n, [0] * n
+
+
 def _run(g, blocked, src, target=-1, ban=(-1, -1)):
-    dist, parent, queue = [0] * g.n, [0] * g.n, [0] * g.n
+    dist, parent, queue = _buffers(g.n)
     count = bfs_tree(g.adj, blocked, src, target, ban[0], ban[1],
                      dist, parent, queue)
     return count, dist, parent, queue
@@ -116,7 +122,7 @@ def test_depth_bound_reaches_exactly_the_ball(seed):
     blocked[src] = 0
     full_count, full_dist, full_parent, full_queue = _run(g, blocked, src)
     for depth in range(0, 6):
-        dist, parent, queue = [0] * n, [0] * n, [0] * n
+        dist, parent, queue = _buffers(n)
         count = bfs_tree(g.adj, blocked, src, -1, -1, -1,
                          dist, parent, queue, depth)
         ball = [v for v in full_queue[:full_count] if full_dist[v] <= depth]

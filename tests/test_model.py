@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from pathpack import PackingInstance, Solution, from_packing, validate_solution
@@ -109,6 +111,65 @@ def test_interval_matching_spans_positions():
     # b before the gap: not spanned
     positions2 = {10: 2, 20: 1}
     assert not store.forbids(0, positions2, 1, 7)
+
+
+def _forbids_by_scan(items, list_index, positions, gap, x):
+    """The definition of IntervalStore.forbids, read over every interval."""
+    for li, a, b, y in items:
+        pa, pb = positions.get(a), positions.get(b)
+        if (li == list_index and y == x and pa is not None and pb is not None
+                and pa <= gap < pb):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_interval_store_index_matches_scan(seed):
+    """Random push / mark / pop_to / forbids sequences: the indexed store
+    answers every query as a scan over the live intervals does."""
+    rng = random.Random(seed)
+    nv, lists = rng.randrange(4, 12), rng.randrange(1, 4)
+    store = IntervalStore()
+    live = []   # the intervals a plain stack would hold
+    marks = []
+    queries = hits = 0
+    for _ in range(400):
+        op = rng.random()
+        if op < 0.35:
+            li = rng.randrange(lists)
+            a, b, x = rng.sample(range(nv), 3)
+            store.push(li, a, b, x)
+            live.append((li, a, b, x))
+        elif op < 0.45:
+            marks.append(store.mark())
+            assert marks[-1] == len(live)
+        elif op < 0.55 and marks:
+            mark = marks.pop()
+            store.pop_to(mark)
+            del live[mark:]
+        else:
+            entries = rng.sample(range(nv), rng.randrange(2, nv + 1))
+            positions = {v: i for i, v in enumerate(entries, start=1)}
+            li = rng.randrange(lists)
+            gap = rng.randrange(1, len(entries))
+            x = rng.randrange(nv)
+            want = _forbids_by_scan(live, li, positions, gap, x)
+            assert store.forbids(li, positions, gap, x) == want
+            queries += 1
+            hits += want
+        assert len(store) == len(live)
+    store.pop_to(0)
+    assert len(store) == 0
+    assert queries > 0 and hits > 0
+
+
+def test_interval_endpoints_checked():
+    store = IntervalStore()
+    with pytest.raises(ValueError):
+        store.push(0, 1, 5, 1)
+    with pytest.raises(ValueError):
+        store.push(0, 1, 5, 5)
+    assert len(store) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,7 @@ PLAIN = SolverConfig(trivial_detection=False, d_ms=False,
 
 
 def _dist_fn(g):
-    from pathpack import Workspace
-    return Workspace(g).distances_unmasked
+    return Workspace(g).distance_row
 
 
 # ---------------------------------------------------------------------------
