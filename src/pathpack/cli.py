@@ -47,15 +47,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _bool_flag(value: str) -> bool:
-    v = value.strip().lower()
-    if v in ("1", "true", "yes", "on"):
-        return True
-    if v in ("0", "false", "no", "off"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected a boolean, got {value!r}")
-
-
 def _add_instance_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph", help="graph file (1-based edge list)")
     p.add_argument("--s", type=int, required=True, help="source terminal (1-based)")
@@ -64,20 +55,14 @@ def _add_instance_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ell", type=int, required=True, help="per-path length bound")
 
 
-def _add_solver_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--heur", default=None, metavar="LIST",
-                   help="comma list of heuristics to enable "
-                        f"({','.join(HEURISTIC_CODES)}); default: "
-                        "b-sp,b-fi,d-ms,c-dist,c-pl")
+def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
+    """The pipeline switches of solve and bench; see :func:`_base_config`."""
     p.add_argument("--no-preprocess", action="store_true",
                    help="skip the neighborhood/degree-1 graph reduction")
     p.add_argument("--no-trivial", action="store_true",
                    help="skip root trivial-instance detection")
-    p.add_argument("--dms-bare-lists-only", type=_bool_flag, default=True,
-                   metavar="BOOL",
-                   help="restrict the separator check to nodes whose pending "
-                        "lists are all bare (default: true)")
-    p.add_argument("--timeout-ms", type=int, default=None)
+    p.add_argument("--timeout-ms", type=int, default=None,
+                   help="bound each solve call (milliseconds)")
 
 
 def _base_config(args) -> SolverConfig:
@@ -87,7 +72,6 @@ def _base_config(args) -> SolverConfig:
     return SolverConfig(
         preprocess=not args.no_preprocess,
         trivial_detection=not args.no_trivial,
-        dms_bare_lists_only=args.dms_bare_lists_only,
         timeout_ms=args.timeout_ms,
     )
 
@@ -118,13 +102,12 @@ def _load_instance(args) -> PackingInstance:
 
 
 def _config_json(cfg: SolverConfig) -> dict:
-    return {
-        "heuristics": cfg.heuristic_codes(),
-        "preprocess": cfg.preprocess,
-        "trivial_detection": cfg.trivial_detection,
-        "dms_bare_lists_only": cfg.dms_bare_lists_only,
-        "timeout_ms": cfg.timeout_ms,
-    }
+    """The enabled heuristic codes, then every other SolverConfig field."""
+    out: dict = {"heuristics": cfg.heuristic_codes()}
+    for f in dataclasses.fields(cfg):
+        if f.name.replace("_", "-") not in HEURISTIC_CODES:
+            out[f.name] = getattr(cfg, f.name)
+    return out
 
 
 def _cmd_solve(args, out) -> int:
@@ -300,7 +283,11 @@ def _build_parser() -> _Parser:
 
     p_solve = sub.add_parser("solve", help="decide one instance")
     _add_instance_args(p_solve)
-    _add_solver_args(p_solve)
+    p_solve.add_argument("--heur", default=None, metavar="LIST",
+                         help="comma list of heuristics to enable "
+                              f"({','.join(HEURISTIC_CODES)}); default: "
+                              + ",".join(SolverConfig().heuristic_codes()))
+    _add_pipeline_args(p_solve)
     p_solve.add_argument("--json", action="store_true")
     p_solve.set_defaults(func=_cmd_solve)
 
@@ -331,12 +318,8 @@ def _build_parser() -> _Parser:
     p_bench.add_argument("--configs", default="all",
                          help="comma list of configuration names: "
                               + ",".join(CONFIG_NAMES))
-    p_bench.add_argument("--timeout-ms", type=int, default=None)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--no-preprocess", action="store_true")
-    p_bench.add_argument("--no-trivial", action="store_true")
-    p_bench.add_argument("--dms-bare-lists-only", type=_bool_flag,
-                         default=True, metavar="BOOL")
+    _add_pipeline_args(p_bench)
     p_bench.add_argument("-o", "--output", default=None,
                          help="CSV file to append to (default: stdout)")
     p_bench.set_defaults(func=_cmd_bench)

@@ -23,7 +23,6 @@ class SolverConfig:
     b_sp: bool = True
     b_fi: bool = True
     d_ms: bool = True
-    dms_bare_lists_only: bool = True
     c_dist: bool = True
     c_pl: bool = True
     timeout_ms: Optional[int] = None
@@ -40,8 +39,8 @@ def _field(code: str) -> str:
 
 def with_heuristics(base: SolverConfig, codes: Iterable[str]) -> SolverConfig:
     """``base`` with exactly the heuristics named by ``codes`` switched on;
-    the pipeline switches (preprocess, trivial detection, separator scope,
-    timeout) are kept."""
+    the pipeline switches (preprocess, trivial detection, timeout) are
+    kept."""
     chosen = set(codes)
     unknown = chosen.difference(HEURISTIC_CODES)
     if unknown:
@@ -70,8 +69,8 @@ CONFIG_NAMES = tuple(_NAMED_HEURISTICS)
 def config_from_name(name: str, base: Optional[SolverConfig] = None) -> SolverConfig:
     """Build a SolverConfig whose heuristic toggles match a named set.
 
-    Pipeline switches (preprocess, trivial detection, separator scope,
-    timeout) are taken from ``base`` when given, defaults otherwise.
+    Pipeline switches (preprocess, trivial detection, timeout) are taken
+    from ``base`` when given, defaults otherwise.
     """
     if name not in _NAMED_HEURISTICS:
         raise ValueError(f"unknown configuration name: {name!r}")

@@ -146,7 +146,6 @@ class Workspace:
         self.blocked = bytearray(n)
         self.blocked_base = bytearray(n)
         self.dist_cache: dict[int, list[int]] = {}
-        self.root_flow: Optional[int] = None  # memo for the unmasked s-t flow
         self._split: Optional[SplitDigraph] = None
 
     def split_digraph(self) -> SplitDigraph:

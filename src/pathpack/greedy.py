@@ -105,28 +105,20 @@ def run_greedy(inst: CheckpointInstance, cfg: SolverConfig,
     blocked_base[:] = bytes(g.n)
     completed: list[tuple[int, ...]] = []
 
-    def remaining_bare(first_pending: int) -> bool:
-        return all(len(lists[x]) == 2 for x in range(first_pending, k))
-
-    def cut_check_enabled(first_pending: int) -> bool:
-        if not cfg.d_ms:
-            return False
-        if cfg.dms_bare_lists_only and not remaining_bare(first_pending):
-            return False
-        return True
-
-    # the root separator test normally lives in trivial detection; when that
-    # is disabled, the cut check also runs once before any path is attempted
-    # (the unmasked flow value is fixed per solve, so it is memoized)
-    if not cfg.trivial_detection and cut_check_enabled(0):
-        if ws.root_flow is None:
-            ws.root_flow = _max_flow(ws.split_digraph(), s, t, None)
-        if ws.root_flow < k:
-            stats.dms_fired += 1
-            return GreedyFailure(FailureCondition.CUT_TOO_SMALL, 1, None,
-                                 (), ())
-
     for i0 in range(k):
+        # separator check, while every pending list is still bare: fewer
+        # than k - i0 disjoint routes past the consumed vertices refute the
+        # node.  At the root it repeats trivial detection's flow, so it runs
+        # there only when that is off.  The flow stops at the paths needed.
+        if (cfg.d_ms and (i0 > 0 or not cfg.trivial_detection)
+                and all(len(lists[x]) == 2 for x in range(i0, k))):
+            need = k - i0
+            net = ws.split_digraph()
+            net.close([v for v, b in enumerate(blocked_base) if b])
+            if _max_flow(net, s, t, need) < need:
+                stats.dms_fired += 1
+                return GreedyFailure(FailureCondition.CUT_TOO_SMALL,
+                                     i0 + 1, None, tuple(completed), ())
         entries = lists[i0]
         used_direct = (s, t) in completed
         ell_i = 0
@@ -161,14 +153,4 @@ def run_greedy(inst: CheckpointInstance, cfg: SolverConfig,
         completed.append(path)
         for v in path[1:-1]:
             blocked_base[v] = 1
-        if i0 + 1 < k and cut_check_enabled(i0 + 1):
-            # shut the consumed vertices out of the shared split digraph; the
-            # flow stops once it reaches the k - (i0 + 1) paths still needed
-            need = k - (i0 + 1)
-            net = ws.split_digraph()
-            net.close([v for v, b in enumerate(blocked_base) if b])
-            if _max_flow(net, s, t, need) < need:
-                stats.dms_fired += 1
-                return GreedyFailure(FailureCondition.CUT_TOO_SMALL,
-                                     i0 + 2, None, tuple(completed), ())
     return GreedySuccess(tuple(completed))

@@ -1,4 +1,4 @@
-"""Recursive branching solver.
+"""Depth-first branching solver.
 
 Each node runs the greedy builder; on greedy failure it generates the
 rule-specific candidate insertions, orders them, and tries each in turn.
@@ -7,7 +7,7 @@ entry checks itself, on that list alone, from the per-list counts it carries
 down the tree (the entry count, the adjacent consecutive pairs and the sum
 of the unmasked gap distances): a refuted child is counted as entered and
 pruned without being built, and only a surviving child is built and
-recursed into.  The root's entry checks cover every list.  A refuted child
+expanded.  The root's entry checks cover every list.  A refuted child
 optionally records a forbidden interval visible to its later siblings.
 Everything is deterministic for a fixed (instance, config) pair;
 tie-breaking is ascending vertex id throughout.
@@ -15,10 +15,9 @@ tie-breaking is ascending vertex id throughout.
 
 from __future__ import annotations
 
-import sys
 import time
 from operator import itemgetter
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Generator, NamedTuple, Optional, Sequence
 
 from .config import SolverConfig, SolveStats
 from .graph import Graph, Workspace
@@ -37,33 +36,33 @@ class Candidate(NamedTuple):
     """One child insertion: splice ``vertex`` into list ``list_index`` at
     0-based position ``pos``, splitting the consecutive pair (u, u2).
     ``gaps`` is gap(u, vertex) + gap(vertex, u2), the unmasked distances
-    with an unreachable side counted as far; None when the brancher was
-    given no distances."""
+    with an unreachable side counted as far."""
 
     list_index: int
     pos: int
     vertex: int
     u: int
     u2: int
-    gaps: Optional[int]
+    gaps: int
 
 
 class SolveTimeout(Exception):
     """Internal unwind signal; surfaces as the 'timeout' decision."""
 
 
-DistFn = Callable[[int], Sequence[int]]  # vertex -> unmasked distance row
+# vertex -> its unmasked distance row (-1 = unreachable), such as
+# Workspace.distance_row; the branchers rank candidates by it (c-dist) and
+# node_infeasible bounds lists by it (b-sp)
+DistFn = Callable[[int], Sequence[int]]
+Paths = tuple[tuple[int, ...], ...]
 
 
 def _position_candidates(list_index: int, pos: int, u: int, u2: int,
                          pool: list[int], cfg: SolverConfig,
-                         dist_fn: Optional[DistFn]) -> list[Candidate]:
+                         dist_fn: DistFn) -> list[Candidate]:
     """The candidates splicing each pool vertex between u and u2, in
     branching order: with c-dist by ascending gap sum, ties by vertex id;
     otherwise by vertex id."""
-    if dist_fn is None:
-        return [Candidate(list_index, pos, v, u, u2, None)
-                for v in sorted(pool)]
     du, du2 = dist_fn(u), dist_fn(u2)
     keyed = []
     for v in pool:
@@ -96,7 +95,7 @@ def _expect(fail: GreedyFailure, condition: FailureCondition) -> None:
 
 def branch_no_subpath(fail: GreedyFailure, inst: CheckpointInstance,
                       cfg: SolverConfig,
-                      dist_fn: Optional[DistFn] = None) -> list[Candidate]:
+                      dist_fn: DistFn) -> list[Candidate]:
     """Rule 1: the missing subpath must use a previously consumed vertex;
     try each at the break position."""
     _expect(fail, FailureCondition.NO_SUBPATH)
@@ -110,7 +109,7 @@ def branch_no_subpath(fail: GreedyFailure, inst: CheckpointInstance,
 
 def branch_overlong(fail: GreedyFailure, inst: CheckpointInstance,
                     cfg: SolverConfig,
-                    dist_fn: Optional[DistFn] = None) -> list[Candidate]:
+                    dist_fn: DistFn) -> list[Candidate]:
     """Rule 2: some subpath up to the break position went wrong; try every
     position up to it, each with the pool that excludes its own subpath.
 
@@ -141,7 +140,7 @@ def branch_overlong(fail: GreedyFailure, inst: CheckpointInstance,
 
 def branch_cut(fail: GreedyFailure, inst: CheckpointInstance,
                cfg: SolverConfig,
-               dist_fn: Optional[DistFn] = None) -> list[Candidate]:
+               dist_fn: DistFn) -> list[Candidate]:
     """Rule 3: after a failed separator check, some still-pending subpath of
     some still-pending list must use a consumed vertex; try every (list,
     position) combination over the completed paths' internal vertices."""
@@ -168,15 +167,15 @@ _BRANCHERS = {
 
 
 def _list_counts(g: Graph, entries: tuple[int, ...], cfg: SolverConfig,
-                 dist_fn: Optional[DistFn]) -> tuple[int, int]:
+                 dist_fn: DistFn) -> tuple[int, int]:
     """(adjacent consecutive pairs, sum of the unmasked gap distances) of
     one list; each reads 0 when the check that uses it is off."""
     pairs = list(zip(entries, entries[1:]))
     adjacent = sum(g.has_edge(a, b) for a, b in pairs) if cfg.b_cpl else 0
     gaps = 0
-    if cfg.b_sp and dist_fn is not None:
+    if cfg.b_sp:
         for a, b in pairs:
-            d = int(dist_fn(a)[b])
+            d = dist_fn(a)[b]
             gaps += d if d >= 0 else _FAR
     return adjacent, gaps
 
@@ -196,7 +195,7 @@ def _list_verdict(size: int, adjacent: int, gaps: int, ell: int,
 
 
 def node_infeasible(inst: CheckpointInstance, cfg: SolverConfig,
-                    dist_fn: Optional[DistFn] = None) -> Optional[str]:
+                    dist_fn: DistFn) -> Optional[str]:
     """Cheap refutations checked at node entry, in order.
 
     'len': some list has more than ell + 1 entries.  'bcpl': a list long
@@ -254,11 +253,7 @@ class _TreeSearch:
         else:
             stats.prunes_bsp += 1
 
-    def run(self) -> Optional[tuple[tuple[int, ...], ...]]:
-        # tree depth is bounded by k*ell; a few helper frames per level
-        needed = max(10000, 50 * self.k * self.ell + 1000)
-        if sys.getrecursionlimit() < needed:
-            sys.setrecursionlimit(needed)
+    def run(self) -> Optional[Paths]:
         root = self.root
         self._enter(0)
         reason = node_infeasible(root, self.cfg, self.row)
@@ -271,10 +266,23 @@ class _TreeSearch:
                   for entries in root.lists]
         self.adjacent = [a for a, _ in counts]
         self.gaps = [gaps for _, gaps in counts]
-        return self._node(root, 0)
+        # depth first from an explicit stack, so the tree's depth (up to
+        # k*ell) never meets the interpreter's recursion limit: each node
+        # yields a surviving child's expansion and is sent back its result
+        stack = [self._node(root, 0)]
+        result = None
+        while stack:
+            try:
+                stack.append(stack[-1].send(result))
+            except StopIteration as done:
+                stack.pop()
+                result = done.value
+            else:
+                result = None
+        return result
 
-    def _node(self, inst: CheckpointInstance,
-              depth: int) -> Optional[tuple[tuple[int, ...], ...]]:
+    def _node(self, inst: CheckpointInstance, depth: int,
+              ) -> Generator[Any, Optional[Paths], Optional[Paths]]:
         """Expand a node that passed its entry checks."""
         stats = self.stats
         cfg = self.cfg
@@ -331,7 +339,7 @@ class _TreeSearch:
                     child = inst.with_insertion(li, pos, v)
                     adjacent[li] = child_adjacent
                     gaps[li] = child_gaps
-                    result = self._node(child, depth + 1)
+                    result = yield self._node(child, depth + 1)
                     adjacent[li] = old_adjacent
                     gaps[li] = old_gaps
                     if result is not None:
@@ -375,6 +383,13 @@ def solve(inst: PackingInstance,
     stats.m_before = stats.m_after = inst.graph.m
     deadline = (t0 + cfg.timeout_ms / 1000.0
                 if cfg.timeout_ms is not None else None)
+    if inst.k >= inst.graph.n:
+        # k internally disjoint paths need k - 1 distinct internal vertices
+        # besides at most one direct s-t edge, and there are only n - 2;
+        # answered before anything of size k is built
+        stats.solved_by = "trivial-no"
+        stats.wall_ms = (time.perf_counter() - t0) * 1000.0
+        return "no", None, stats
 
     root = from_packing(inst)
     report = None

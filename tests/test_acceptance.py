@@ -13,8 +13,9 @@ import math
 import statistics
 
 
-from pathpack import (PackingInstance, SolverConfig, config_from_name,
-                      from_packing, random_gnp, validate_solution)
+from pathpack import (PackingInstance, SolverConfig, Workspace,
+                      config_from_name, from_packing, random_gnp,
+                      validate_solution)
 from pathpack.flows import min_total_length_disjoint_paths, st_flow_value
 from pathpack.greedy import FailureCondition, run_greedy
 from pathpack.oracle import oracle_decide
@@ -103,7 +104,7 @@ def test_criterion_2_worked_example_replay(gex):
     step_greedy = (fail.condition is FailureCondition.NO_SUBPATH
                    and fail.i_beta == 2
                    and fail.complete_paths == (vids(1, 2, 3, 4, 5),))
-    cands = branch_no_subpath(fail, ci, cfg)
+    cands = branch_no_subpath(fail, ci, cfg, Workspace(gex).distance_row)
     step_branch = [c.vertex for c in cands] == list(vids(2, 3, 4))
     decision, witness, stats = solve(inst, cfg)
     want = {vids(1, 6, 7, 8, 4, 5), vids(1, 2, 9, 10, 11, 5)}

@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from pathpack import format_graph, parse_graph
+from pathpack import SolverConfig, config_from_name, format_graph, parse_graph
 from pathpack.cli import main
 
 # the bench CSV header as documented in the README; the first seven columns
@@ -174,6 +175,54 @@ def test_solve_heuristic_flags_respected(gex_file):
     payload = json.loads(out)
     assert payload["config"]["heuristics"] == ["b-sp"]
     assert payload["stats"]["solved_by"] == "search"
+
+
+def test_solve_json_config_keys(gex_file):
+    code, out = _run(["solve", gex_file, "--s", "1", "--t", "5",
+                      "--k", "2", "--ell", "5", "--json"])
+    assert code == 0
+    assert list(json.loads(out)["config"]) == [
+        "heuristics", "preprocess", "trivial_detection", "timeout_ms"]
+
+
+def test_bench_all_is_the_solve_default():
+    assert config_from_name("all") == SolverConfig()
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_removed_separator_scope_flag_usage_error(gex_file, command):
+    instance = (["--s", "1", "--t", "5", "--k", "2", "--ell", "5"]
+                if command == "solve" else ["--pairs", "1"])
+    code, out = _run([command, gex_file, *instance,
+                      "--dms-bare-lists-only", "false"])
+    assert code == 64
+    assert out == ""
+
+
+@pytest.fixture()
+def square_file(tmp_path):
+    path = tmp_path / "sq.txt"
+    path.write_text("4 4\n1 2\n2 4\n1 3\n3 4\n")
+    return str(path)
+
+
+def test_solve_huge_ell_without_trivial_detection(square_file):
+    limit = sys.getrecursionlimit()
+    code, out = _run(["solve", square_file, "--s", "1", "--t", "4",
+                      "--k", "2", "--ell", "1000000000", "--no-trivial"])
+    assert code == 0 and "decision: yes" in out
+    assert sys.getrecursionlimit() == limit
+
+
+@pytest.mark.parametrize("extra", [[], ["--no-trivial"]])
+def test_solve_huge_k_is_no_at_once(square_file, extra):
+    start = time.perf_counter()
+    code, out = _run(["solve", square_file, "--s", "1", "--t", "4",
+                      "--k", "1000000000", "--ell", "3", "--json", *extra])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    stats = json.loads(out)["stats"]
+    assert stats["solved_by"] == "trivial-no" and stats["nodes"] == 0
 
 
 # ---------------------------------------------------------------------------

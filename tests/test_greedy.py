@@ -121,8 +121,6 @@ def test_bare_lists_gate_for_separator_check(gex):
     ci = CheckpointInstance(base, lists)
     gated = run_greedy(ci, SolverConfig())
     assert gated.condition is not FailureCondition.CUT_TOO_SMALL
-    ungated = run_greedy(ci, SolverConfig(dms_bare_lists_only=False))
-    assert ungated.condition is FailureCondition.CUT_TOO_SMALL
 
 
 def test_direct_edge_not_reused():

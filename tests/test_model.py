@@ -3,7 +3,7 @@ import random
 import pytest
 
 from pathpack import PackingInstance, Solution, from_packing, validate_solution
-from pathpack import SolverConfig
+from pathpack import SolverConfig, Workspace
 from pathpack.model import CheckpointInstance, IntervalStore
 from pathpack.search import node_infeasible
 
@@ -73,13 +73,14 @@ def test_too_long_lists(gex):
     # a path of length <= ell visits at most ell + 1 list entries; the
     # check lives in search.node_infeasible, with every other bound off
     bare = SolverConfig(b_cpl=False, b_sp=False)
+    dist = Workspace(gex).distance_row
     base = _inst(gex, k=1, ell=5)
     ci = CheckpointInstance(base, (vids(1, 2, 9, 10, 11, 3, 5),))
-    assert node_infeasible(ci, bare) == "len"
+    assert node_infeasible(ci, bare, dist) == "len"
     ci = CheckpointInstance(base, (vids(1, 2, 9, 10, 11, 5),))
-    assert node_infeasible(ci, bare) is None
+    assert node_infeasible(ci, bare, dist) is None
     ci = from_packing(PackingInstance(gex, vid(1), vid(2), 1, 1))
-    assert node_infeasible(ci, bare) is None
+    assert node_infeasible(ci, bare, dist) is None
 
 
 # ---------------------------------------------------------------------------

@@ -34,13 +34,14 @@ def test_infeasible_overfull_list(gex):
     base = PackingInstance(gex, vid(1), vid(5), 1, 5)
     entries = vids(1, 2, 9, 10, 11, 3, 5)  # 7 entries > ell + 1
     ci = CheckpointInstance(base, (entries,))
-    assert node_infeasible(ci, SolverConfig()) == "len"
+    dist = _dist_fn(gex)
+    assert node_infeasible(ci, SolverConfig(), dist) == "len"
     # ell + 1 entries still fit a path of length ell
     bare = SolverConfig(b_cpl=False, b_sp=False)
     ci = CheckpointInstance(base, (vids(1, 2, 9, 10, 11, 5),))
-    assert node_infeasible(ci, bare) is None
+    assert node_infeasible(ci, bare, dist) is None
     ci = from_packing(PackingInstance(gex, vid(1), vid(2), 1, 1))
-    assert node_infeasible(ci, bare) is None
+    assert node_infeasible(ci, bare, dist) is None
 
 
 def test_infeasible_consecutive_adjacency_bound(gex):
@@ -49,7 +50,8 @@ def test_infeasible_consecutive_adjacency_bound(gex):
     cfg = SolverConfig(b_cpl=True, b_sp=False)
     assert node_infeasible(ci, cfg, _dist_fn(gex)) == "bcpl"
     # without the toggle no verdict
-    assert node_infeasible(ci, SolverConfig(b_cpl=False, b_sp=False)) is None
+    assert node_infeasible(ci, SolverConfig(b_cpl=False, b_sp=False),
+                           _dist_fn(gex)) is None
 
 
 def test_infeasible_gap_distance_bound(gex):
@@ -79,7 +81,7 @@ def test_infeasible_check_order(gex):
 def test_branch_after_missing_subpath_fixture(gex):
     ci = from_packing(PackingInstance(gex, vid(1), vid(5), 2, 5))
     fail = run_greedy(ci, PLAIN)
-    cands = branch_no_subpath(fail, ci, PLAIN)
+    cands = branch_no_subpath(fail, ci, PLAIN, _dist_fn(gex))
     assert [c.vertex for c in cands] == list(vids(2, 3, 4))
     assert all(c.list_index == 1 and c.pos == 1 for c in cands)
     assert all((c.u, c.u2) == (vid(1), vid(5)) for c in cands)
@@ -98,7 +100,7 @@ def test_branch_empty_pool_refutes():
     inner = run_greedy(child, PLAIN)
     assert inner.condition is FailureCondition.NO_SUBPATH
     assert inner.i_beta == 1
-    assert branch_no_subpath(inner, child, PLAIN) == []
+    assert branch_no_subpath(inner, child, PLAIN, _dist_fn(g)) == []
 
 
 def test_branch_overlong_empty_pool_at_first_subpath():
@@ -108,7 +110,7 @@ def test_branch_overlong_empty_pool_at_first_subpath():
     fail = run_greedy(ci, PLAIN)
     assert fail.condition is FailureCondition.OVERLONG
     assert (fail.i_beta, fail.j_beta) == (1, 1)
-    assert branch_overlong(fail, ci, PLAIN) == []
+    assert branch_overlong(fail, ci, PLAIN, _dist_fn(g)) == []
     assert solve(PackingInstance(g, 0, 3, 1, 2), PLAIN)[0] == "no"
 
 
@@ -134,7 +136,7 @@ def overlong_state():
 
 def test_branch_overlong_pools_per_position(overlong_state):
     g, ci, fail = overlong_state
-    cands = branch_overlong(fail, ci, PLAIN)
+    cands = branch_overlong(fail, ci, PLAIN, _dist_fn(g))
     by_pos = {}
     for c in cands:
         by_pos.setdefault(c.pos, []).append(c.vertex)
@@ -147,7 +149,7 @@ def test_branch_overlong_pools_per_position(overlong_state):
 def test_branch_overlong_position_order_by_length(overlong_state):
     g, ci, fail = overlong_state
     cfg = SolverConfig(trivial_detection=False, d_ms=False, c_pl=True)
-    cands = branch_overlong(fail, ci, cfg)
+    cands = branch_overlong(fail, ci, cfg, _dist_fn(g))
     # greedy subpath lengths: pos1 -> 2, pos2 -> 3, pos3 (rejected) -> 1
     assert [c.pos for c in cands] == [2, 1, 1, 3, 3, 3]
 
@@ -165,7 +167,7 @@ def test_branch_after_cut_failure_counts(gex):
     ci = from_packing(PackingInstance(gex, vid(1), vid(5), 3, 9))
     fail = run_greedy(ci, SolverConfig())
     assert fail.condition is FailureCondition.CUT_TOO_SMALL
-    cands = branch_cut(fail, ci, SolverConfig())
+    cands = branch_cut(fail, ci, SolverConfig(), _dist_fn(gex))
     # pool {v2,v3,v4} x pending lists {2,3} x one gap each
     assert len(cands) == 6
     assert {(c.list_index, c.pos) for c in cands} == {(1, 1), (2, 1)}
@@ -178,7 +180,7 @@ def test_branch_candidates_never_listed_vertices(gex):
     fail = run_greedy(child, PLAIN)
     if isinstance(fail, GreedyFailure) \
             and fail.condition is FailureCondition.NO_SUBPATH:
-        cands = branch_no_subpath(fail, child, PLAIN)
+        cands = branch_no_subpath(fail, child, PLAIN, _dist_fn(gex))
         listed = child.checkpoint_union()
         assert all(c.vertex not in listed for c in cands)
 
@@ -290,6 +292,29 @@ def test_depth_and_branch_bounds_hold():
             assert st.max_depth <= k * ell
 
 
+def test_search_leaves_recursion_limit_unchanged(gex):
+    # the search runs from an explicit stack, whatever its depth bound k*ell
+    limit = sys.getrecursionlimit()
+    decision, _, stats = solve(PackingInstance(gex, vid(1), vid(5), 2, 2000),
+                               PLAIN)
+    assert decision == "yes" and stats.nodes > 1
+    assert sys.getrecursionlimit() == limit
+
+
+@pytest.mark.parametrize("name", ["all", "bare"])
+@pytest.mark.parametrize("trivial", [True, False])
+def test_k_at_least_n_is_no_before_any_search(name, trivial):
+    # k internally disjoint paths need k - 1 internal vertices, so k < n
+    triangle = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    cfg = config_from_name(name, SolverConfig(trivial_detection=trivial))
+    decision, witness, stats = solve(PackingInstance(triangle, 0, 2, 3, 2),
+                                     cfg)
+    assert (decision, witness) == ("no", None)
+    assert stats.solved_by == "trivial-no" and stats.nodes == 0
+    decision, witness, _ = solve(PackingInstance(triangle, 0, 2, 2, 2), cfg)
+    assert decision == "yes" and set(witness.paths) == {(0, 2), (0, 1, 2)}
+
+
 _STUBBED_CHECK = """
 import sys
 import pathpack.search as search
@@ -324,16 +349,18 @@ def test_witness_check_survives_python_O():
 
 _WRONG_FAILURE = """
 import sys
-from pathpack import PackingInstance, SolverConfig, from_packing, random_gnp
+from pathpack import (PackingInstance, SolverConfig, Workspace, from_packing,
+                      random_gnp)
 from pathpack.greedy import FailureCondition, GreedyFailure
 from pathpack.search import branch_cut, branch_no_subpath, branch_overlong
 
 print("optimize", sys.flags.optimize)
 inst = from_packing(PackingInstance(random_gnp(6, 0.5, 1), 0, 5, 2, 4))
+dist = Workspace(inst.base.graph).distance_row
 fail = GreedyFailure(FailureCondition.NO_SUBPATH, 1, 1, (), ())
 for brancher in (branch_overlong, branch_cut):
     try:
-        brancher(fail, inst, SolverConfig())
+        brancher(fail, inst, SolverConfig(), dist)
     except AssertionError as exc:
         print("raised:", exc)
     else:
@@ -357,7 +384,8 @@ def test_branch_condition_checks_survive_python_O():
     fail = GreedyFailure(FailureCondition.OVERLONG, 1, 1, (), ())
     inst = from_packing(PackingInstance(random_gnp(6, 0.5, 1), 0, 5, 2, 4))
     with pytest.raises(AssertionError, match="NO_SUBPATH"):
-        branch_no_subpath(fail, inst, SolverConfig())
+        branch_no_subpath(fail, inst, SolverConfig(),
+                          _dist_fn(inst.base.graph))
 
 
 # ---------------------------------------------------------------------------
