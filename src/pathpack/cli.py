@@ -1,19 +1,23 @@
 """Command-line entry points: solve, oracle, gen, bench.
 
 Exit codes: 0 = yes, 1 = no, 2 = timeout, 64 = usage error, 65 = malformed
-graph file.
+graph file, 70 = internal error (an exception that none of the others
+covers).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import random
 import sys
+import traceback
 from typing import Optional, Sequence
 
 
@@ -21,7 +25,7 @@ from .config import (CONFIG_NAMES, HEURISTIC_CODES, SolverConfig, SolveStats,
                      config_from_name, with_heuristics)
 from .graph import (Graph, GraphFormatError, Workspace, format_graph,
                     load_graph, random_gnp)
-from .model import PackingInstance
+from .model import PackingInstance, Solution
 from .oracle import oracle_decide
 from .search import solve
 
@@ -32,6 +36,8 @@ EXIT_NO = 1
 EXIT_TIMEOUT = 2
 EXIT_USAGE = 64
 EXIT_BAD_FILE = 65
+EXIT_CRASH = 70
+_DECISION_EXITS = {"yes": EXIT_YES, "no": EXIT_NO, "timeout": EXIT_TIMEOUT}
 
 # the run (instance, config, decision), then every SolveStats field in order
 CSV_COLUMNS = (["graph", "s", "t", "k", "ell", "config", "decision"]
@@ -110,57 +116,46 @@ def _config_json(cfg: SolverConfig) -> dict:
     return out
 
 
+def _print_answer(args, out, decision: str, witness: Optional[Solution],
+                  fields: dict, lines: Sequence[str]) -> int:
+    """Print a decision and its 1-based witness, then the command's own
+    ``fields`` with --json or its text ``lines`` without; returns the
+    decision's exit code."""
+    paths = ([[v + 1 for v in p] for p in witness.paths]
+             if witness is not None else None)
+    if args.json:
+        payload = {"decision": decision, "witness": paths, **fields}
+        print(json.dumps(payload, indent=2), file=out)
+    else:
+        print(f"decision: {decision}", file=out)
+        for i, p in enumerate(paths or (), start=1):
+            print(f"path {i}: " + " ".join(map(str, p)), file=out)
+        for line in lines:
+            print(line, file=out)
+    return _DECISION_EXITS[decision]
+
+
 def _cmd_solve(args, out) -> int:
     inst = _load_instance(args)
     cfg = _config_from_args(args)
     decision, witness, stats = solve(inst, cfg)
-    paths_1based = ([[v + 1 for v in p] for p in witness.paths]
-                    if witness is not None else None)
-    if args.json:
-        payload = {
-            "decision": decision,
-            "witness": paths_1based,
-            "stats": stats.as_dict(),
-            "config": _config_json(cfg),
-        }
-        print(json.dumps(payload, indent=2), file=out)
-    else:
-        print(f"decision: {decision}", file=out)
-        if paths_1based is not None:
-            for i, p in enumerate(paths_1based, start=1):
-                print(f"path {i}: " + " ".join(map(str, p)), file=out)
-        print(f"solved by: {stats.solved_by}", file=out)
-        print(f"nodes: {stats.nodes}  max depth: {stats.max_depth}", file=out)
-        print(f"reduction: {stats.n_before}/{stats.m_before} -> "
-              f"{stats.n_after}/{stats.m_after} (vertices/edges)", file=out)
-        print(f"wall: {stats.wall_ms:.1f} ms", file=out)
-    if decision == "yes":
-        return EXIT_YES
-    if decision == "no":
-        return EXIT_NO
-    return EXIT_TIMEOUT
+    return _print_answer(
+        args, out, decision, witness,
+        {"stats": stats.as_dict(), "config": _config_json(cfg)},
+        [f"solved by: {stats.solved_by}",
+         f"nodes: {stats.nodes}  max depth: {stats.max_depth}",
+         f"reduction: {stats.n_before}/{stats.m_before} -> "
+         f"{stats.n_after}/{stats.m_after} (vertices/edges)",
+         f"wall: {stats.wall_ms:.1f} ms"])
 
 
 def _cmd_oracle(args, out) -> int:
     inst = _load_instance(args)
     answer = oracle_decide(inst, want_max_packing=args.max_packing)
-    paths_1based = ([[v + 1 for v in p] for p in answer.witness.paths]
-                    if answer.witness is not None else None)
-    if args.json:
-        payload = {
-            "decision": answer.decision,
-            "witness": paths_1based,
-            "max_packing": answer.max_packing,
-        }
-        print(json.dumps(payload, indent=2), file=out)
-    else:
-        print(f"decision: {answer.decision}", file=out)
-        if paths_1based is not None:
-            for i, p in enumerate(paths_1based, start=1):
-                print(f"path {i}: " + " ".join(map(str, p)), file=out)
-        if answer.max_packing is not None:
-            print(f"max packing: {answer.max_packing}", file=out)
-    return EXIT_YES if answer.decision == "yes" else EXIT_NO
+    best = answer.max_packing
+    return _print_answer(
+        args, out, answer.decision, answer.witness, {"max_packing": best},
+        [f"max packing: {best}"] if best is not None else [])
 
 
 def _cmd_gen(args, out) -> int:
@@ -202,13 +197,6 @@ def _sample_pairs(g: Graph, count: int, rng: random.Random,
     return pairs
 
 
-def _error_row(path: str) -> dict:
-    row = {c: 0 for c in CSV_COLUMNS}
-    row.update(graph=path, config="", decision="error",
-               solved_by="unreadable", wall_ms=0.0)
-    return row
-
-
 def _cmd_bench(args, out) -> int:
     if args.pairs < 1:
         raise UsageError("--pairs must be at least 1")
@@ -224,50 +212,39 @@ def _cmd_bench(args, out) -> int:
         raise UsageError(str(exc)) from None
 
     rng = random.Random(args.seed)
-    tasks = []  # (graph_path, g, s, t, k, ell, config_name)
-    for path in args.graphs:
-        try:
-            g = load_graph(path)
-        except (OSError, GraphFormatError) as exc:
-            print(f"warning: skipping {path}: {exc}", file=sys.stderr)
-            tasks.append((path, None, 0, 0, 0, 0, ""))
-            continue
-        pairs = _sample_pairs(g, args.pairs, rng)
-        if len(pairs) < args.pairs:
-            print(f"warning: {path}: only {len(pairs)} usable terminal "
-                  f"pairs of {args.pairs} requested", file=sys.stderr)
-        for (s, t) in pairs:
-            for k in range(args.k_min, args.k_max + 1):
-                for ell in range(args.ell_min, args.ell_max + 1):
-                    order = list(config_names)
-                    rng.shuffle(order)
-                    for name in order:
-                        tasks.append((path, g, s, t, k, ell, name))
-
-    def run_task(task):
-        path, g, s, t, k, ell, name = task
-        if g is None:
-            return _error_row(path)
-        inst = PackingInstance(g, s, t, k, ell)
-        decision, _, stats = solve(inst, configs[name])
-        row = {"graph": path, "s": s + 1, "t": t + 1, "k": k, "ell": ell,
-               "config": name, "decision": decision}
-        row.update(stats.as_dict())
-        return {c: row[c] for c in CSV_COLUMNS}
-
-    rows = [run_task(t) for t in tasks]
-
-    if args.output is None:
-        writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-    else:
-        with open(args.output, "a", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS,
-                                    lineterminator="\n")
-            if fh.tell() == 0:
-                writer.writeheader()
-            writer.writerows(rows)
+    with (open(args.output, "a", newline="", encoding="utf-8")
+          if args.output is not None else contextlib.nullcontext(out)) as fh:
+        # an unreadable file's row reads 0 in every column it does not set
+        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, restval=0,
+                                lineterminator="\n")
+        # a pipe cannot tell(): standard output and an unseekable -o target
+        # always get the header, and a file gets it only while it is empty
+        if args.output is None or not fh.seekable() or fh.tell() == 0:
+            writer.writeheader()
+        for path in args.graphs:
+            try:
+                g = load_graph(path)
+            except (OSError, GraphFormatError) as exc:
+                print(f"warning: skipping {path}: {exc}", file=sys.stderr)
+                writer.writerow({"graph": path, "config": "",
+                                 "decision": "error",
+                                 "solved_by": "unreadable", "wall_ms": 0.0})
+                continue
+            pairs = _sample_pairs(g, args.pairs, rng)
+            if len(pairs) < args.pairs:
+                print(f"warning: {path}: only {len(pairs)} usable terminal "
+                      f"pairs of {args.pairs} requested", file=sys.stderr)
+            for (s, t), k, ell in itertools.product(
+                    pairs, range(args.k_min, args.k_max + 1),
+                    range(args.ell_min, args.ell_max + 1)):
+                order = list(config_names)
+                rng.shuffle(order)
+                for name in order:
+                    inst = PackingInstance(g, s, t, k, ell)
+                    decision, _, stats = solve(inst, configs[name])
+                    writer.writerow({"graph": path, "s": s + 1, "t": t + 1,
+                                     "k": k, "ell": ell, "config": name,
+                                     "decision": decision, **stats.as_dict()})
     return EXIT_YES
 
 
@@ -344,5 +321,13 @@ def main(argv: Optional[Sequence[str]] = None,
         return EXIT_BAD_FILE
 
 
-def entry() -> None:  # console-script shim
-    sys.exit(main())
+def entry() -> None:
+    """Console-script shim.  An exception that :func:`main` does not map
+    would otherwise exit 1, the code of "no": it exits 70 instead, after
+    its traceback."""
+    try:
+        code = main()
+    except Exception:
+        traceback.print_exc()
+        code = EXIT_CRASH
+    sys.exit(code)

@@ -213,6 +213,10 @@ def shortest_path_blocked(g: Graph, blocked: bytearray, a: int, b: int,
 
 # Largest header value: n and m must fit in 32 bits.
 _MAX_HEADER = 2**31 - 1
+# At most 2m vertices touch an edge, and a header may declare at most this
+# many more, so that a short file cannot make the parser allocate rows for
+# billions of isolated vertices.
+_MAX_ISOLATED = 2**20
 # The ASCII characters that str.splitlines treats as line breaks become
 # b"\n", and the other ASCII whitespace of str.split becomes b" ".
 _WHITESPACE = bytes.maketrans(b"\r\x0b\x0c\x1c\x1d\x1e\t\x1f",
@@ -224,10 +228,11 @@ def parse_graph(text: Union[str, bytes]) -> Graph:
     """Parse the plain edge-list format.
 
     Lines starting with '#' are comments.  The first data line is
-    ``<n> <m>`` with 0 <= n, m <= 2**31 - 1; exactly m lines ``<u> <v>``
-    follow with 1-based endpoints, u != v, duplicates rejected.  Tokens are
-    signed ASCII decimal integers, lines end where ``str.splitlines`` ends
-    them, and non-ASCII characters may appear only on comment lines.
+    ``<n> <m>`` with 0 <= n, m <= 2**31 - 1 and n <= 2m + 2**20; exactly
+    m lines ``<u> <v>`` follow with 1-based endpoints, u != v, duplicates
+    rejected.  Tokens are signed ASCII decimal integers, lines end where
+    ``str.splitlines`` ends them, and non-ASCII characters may appear only
+    on comment lines.
     ``bytes`` are decoded as UTF-8; bytes that are not UTF-8 count as
     non-ASCII characters.
 
@@ -296,6 +301,8 @@ def _scan(text: str) -> Optional[tuple[int, np.ndarray, np.ndarray]]:
     n, m = int(values[0]), int(values[1])
     if not (0 <= n <= _MAX_HEADER and 0 <= m <= _MAX_HEADER):
         return None
+    if n > 2 * m + _MAX_ISOLATED:
+        return None
     if len(values) != 2 + 2 * m:
         return None
     if m == 0:
@@ -359,6 +366,9 @@ def _raise_first_error(text: str) -> NoReturn:
             if a > _MAX_HEADER or b > _MAX_HEADER:
                 raise GraphFormatError(
                     f"header values above {_MAX_HEADER}", line_no)
+            if a > 2 * b + _MAX_ISOLATED:
+                raise GraphFormatError(
+                    f"vertex count above 2m + {_MAX_ISOLATED}", line_no)
             header = (a, b)
             continue
         n, m = header

@@ -3,7 +3,7 @@ solver-independent solution validation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .graph import Graph
@@ -53,10 +53,11 @@ class IntervalStore:
     when the lists are not interchangeable: the refuted child only proves
     that no solution routes x on THIS list's path.
 
-    A search node takes a mark on entry, pushes one interval after each
-    refuted child, and truncates back to its mark on exit, so an interval is
-    visible exactly to the later siblings of the refuted child and to their
-    subtrees.  The intervals are plain tuples on a stack, indexed by
+    The search owns one store per solve, and is the only code that pushes,
+    pops and reads it.  A search node takes a mark on entry, pushes one
+    interval after each refuted child, and truncates back to its mark on
+    exit, so an interval is visible exactly to the later siblings of the
+    refuted child and to their subtrees.  The intervals are plain tuples on a stack, indexed by
     (list_index, x) so that a lookup reads only the intervals that can
     match.
     """
@@ -121,8 +122,9 @@ def check_checkpoint_list(entries: Sequence[int], s: int, t: int) -> None:
 
 @dataclass(frozen=True)
 class CheckpointInstance:
-    """A search-tree node's state: base instance, k checkpoint lists, and
-    the (shared, scoped) forbidden-interval store.
+    """A search-tree node's state: base instance and k checkpoint lists.
+    The forbidden intervals, scoped to a node's later siblings, live in the
+    search's own :class:`IntervalStore`.
 
     Interior checkpoints are globally distinct across lists: the branching
     rules exclude already-listed vertices, so no vertex is inserted twice.
@@ -130,7 +132,6 @@ class CheckpointInstance:
 
     base: PackingInstance
     lists: tuple[tuple[int, ...], ...]
-    intervals: IntervalStore = field(default_factory=IntervalStore)
 
     def __post_init__(self):
         if len(self.lists) != self.base.k:
@@ -155,7 +156,7 @@ class CheckpointInstance:
     def with_insertion(self, list_index: int, pos: int,
                        v: int) -> "CheckpointInstance":
         """New instance with ``v`` spliced into list ``list_index`` before
-        0-based position ``pos``; shares the interval store."""
+        0-based position ``pos``."""
         entries = self.lists[list_index]
         new_entries = entries[:pos] + (v,) + entries[pos:]
         new_lists = (self.lists[:list_index] + (new_entries,)
@@ -165,12 +166,11 @@ class CheckpointInstance:
         child = object.__new__(CheckpointInstance)
         object.__setattr__(child, "base", self.base)
         object.__setattr__(child, "lists", new_lists)
-        object.__setattr__(child, "intervals", self.intervals)
         return child
 
 
 def from_packing(inst: PackingInstance) -> CheckpointInstance:
-    """Wrap a plain instance: k bare lists (s, t), empty interval store."""
+    """Wrap a plain instance: k bare lists (s, t)."""
     bare = (inst.s, inst.t)
     return CheckpointInstance(inst, tuple(bare for _ in range(inst.k)))
 

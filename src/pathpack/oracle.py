@@ -31,31 +31,28 @@ def enumerate_bounded_paths(g: Graph, s: int, t: int,
         raise ValueError("ell must be at least 1")
     g.check_vertex(s)
     g.check_vertex(t)
+    if s == t:
+        return [(s,)]
     out: list[tuple[int, ...]] = []
     on_path = [False] * g.n
-    stack = [s]
     on_path[s] = True
-
-    def walk() -> None:
-        u = stack[-1]
-        if u == t:
-            out.append(tuple(stack))
-            return
-        if len(stack) - 1 == ell:
-            return
-        for v in g.neighbors(u):
-            if on_path[v]:
-                continue
-            stack.append(v)
+    path = [s]
+    # an explicit stack of neighbor iterators, one per path vertex, so that
+    # a path longer than the recursion limit is walked all the same
+    todo = [iter(g.neighbors(s))]
+    while todo:
+        v = next(todo[-1], None)
+        if v is None:
+            todo.pop()
+            on_path[path.pop()] = False
+        elif on_path[v]:
+            continue
+        elif v == t:
+            out.append((*path, t))
+        elif len(path) < ell:       # the path has room for one more edge
+            path.append(v)
             on_path[v] = True
-            walk()
-            stack.pop()
-            on_path[v] = False
-
-    if s != t:
-        walk()
-    else:
-        out.append((s,))
+            todo.append(iter(g.neighbors(v)))
     return out
 
 
@@ -88,49 +85,63 @@ def oracle_decide(inst: PackingInstance,
         for i in range(n_paths - 1, -1, -1):
             suffix_min[i] = min(inner[i], suffix_min[i + 1])
 
-    chosen: list[int] = []
-
-    def extend(start: int, used: int, spent: int, need: int) -> bool:
-        if need == 0:
-            return True
+    def fits(start: int, spent: int, need: int) -> bool:
+        """Whether ``need`` more paths, from index ``start`` on, can still
+        fit in the budget of internal vertices."""
         if n_paths - start < need:
             return False
-        if need * suffix_min[start] > full_budget - spent:
-            return False
-        for i in range(start, n_paths):
-            if masks[i] & used:
-                continue
-            chosen.append(i)
-            if extend(i + 1, used | masks[i], spent + inner[i], need - 1):
-                return True
-            chosen.pop()
-        return False
+        return need * suffix_min[start] <= full_budget - spent
 
-    found = extend(0, 0, 0, k)
+    # depth-first over explicit stacks, one entry per chosen path, so that
+    # k and the packing size may exceed the recursion limit
+    chosen: list[int] = []
+    found = k == 0
+    levels = [[0, 0, 0]] if fits(0, 0, k) else []  # [next index, used, spent]
+    while levels and not found:
+        level = levels[-1]
+        start, used, spent = level
+        i = start
+        while i < n_paths and masks[i] & used:
+            i += 1
+        if i == n_paths:
+            levels.pop()
+            if levels:
+                chosen.pop()
+            continue
+        level[0] = i + 1
+        chosen.append(i)
+        need = k - len(chosen)
+        if need == 0:
+            found = True
+        elif fits(i + 1, spent + inner[i], need):
+            levels.append([i + 1, used | masks[i], spent + inner[i]])
+        else:
+            chosen.pop()
     witness = (Solution(tuple(paths[i] for i in chosen)) if found else None)
 
     best: Optional[int] = None
     if want_max_packing:
         by_len = sorted(range(n_paths), key=lambda i: (inner[i], i))
-        best_so_far = 0
-
-        def grow(pos: int, used: int, spent: int, count: int) -> None:
-            nonlocal best_so_far
-            if count > best_so_far:
-                best_so_far = count
-            for ii in range(pos, n_paths):
+        best = 0
+        levels = [[0, 0, 0]]            # [next position, used, spent]
+        while levels:
+            level = levels[-1]
+            _, used, spent = level
+            count = len(levels)         # the packing size with one more path
+            for ii in range(level[0], n_paths):
                 i = by_len[ii]
                 # in ascending-length order every later path is at least
                 # this long, so an exceeded budget ends the whole level
-                if spent + inner[i] > full_budget:
-                    return
-                if count + 1 + (n_paths - ii - 1) <= best_so_far:
-                    return
-                if masks[i] & used:
-                    continue
-                grow(ii + 1, used | masks[i], spent + inner[i], count + 1)
-
-        grow(0, 0, 0, 0)
-        best = best_so_far
+                if (spent + inner[i] > full_budget
+                        or count + (n_paths - ii - 1) <= best):
+                    levels.pop()
+                    break
+                if not masks[i] & used:
+                    level[0] = ii + 1
+                    levels.append([ii + 1, used | masks[i], spent + inner[i]])
+                    best = max(best, count)
+                    break
+            else:
+                levels.pop()
 
     return OracleAnswer("yes" if found else "no", witness, best)

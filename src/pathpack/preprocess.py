@@ -5,10 +5,10 @@ within distance ell of both terminals and within distance floor(ell/2) of
 at least one, followed by iterated removal of degree <= 1 vertices (the
 terminals are protected).  The reduced instance is decision-equivalent.
 
-Trivial detection runs once at the root, on bare checkpoint lists: the
-ell = 1, ell = 2 and k = 1 cases are decided outright, then the minimum
-separator and the minimum-total-length disjoint paths give certificates for
-many remaining instances.
+Trivial detection runs next: the ell = 1, ell = 2 and k = 1 cases are
+decided outright, then the minimum separator and the minimum-total-length
+disjoint paths give certificates for many remaining instances.  Both steps
+run once, at the root, and take only bare checkpoint lists (s, t).
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from typing import Optional
 from . import graph
 from .flows import _max_flow, _min_cost_paths
 from .graph import Graph, Workspace, shortest_path_blocked
-from .model import CheckpointInstance, PackingInstance, Solution
+from .model import (CheckpointInstance, PackingInstance, Solution,
+                    from_packing)
 
 __all__ = ["reduce_instance", "detect_trivial"]
 
@@ -46,6 +47,12 @@ class ReductionReport:
         return Solution(tuple(self.path_to_original(p) for p in sol.paths))
 
 
+def _require_bare(inst: CheckpointInstance) -> None:
+    """The precondition of the root steps: every list is still (s, t)."""
+    if any(len(entries) != 2 for entries in inst.lists):
+        raise ValueError("root steps expect bare checkpoint lists")
+
+
 def reduce_instance(inst: CheckpointInstance,
                     ) -> tuple[CheckpointInstance, ReductionReport]:
     """Shrink the instance to the relevant neighborhood of the terminals.
@@ -54,13 +61,10 @@ def reduce_instance(inst: CheckpointInstance,
     relabelling visit only the vertices within ell of s, so the work
     follows the size of that ball rather than the size of the graph.
 
-    Every checkpoint must survive (checkpoints come from candidate solution
-    paths, which the kept set covers by construction); a missing one is an
-    internal error, not a silent drop.  Intended for the pipeline root, so
-    the interval store must still be empty.
+    Runs at the root, on bare lists: the terminals are never peeled, so
+    the reduced root is again bare.
     """
-    if len(inst.intervals) != 0:
-        raise ValueError("reduce expects an empty forbidden-interval store")
+    _require_bare(inst)
     g = inst.base.graph
     s, t, ell = inst.base.s, inst.base.t, inst.base.ell
     adj = g.adj
@@ -109,16 +113,8 @@ def reduce_instance(inst: CheckpointInstance,
     reduced_g = Graph.from_sorted_rows(
         tuple([to_reduced[w] for w in adj[v] if keep[w]])
         for v in kept_sorted)
-    for entries in inst.lists:
-        for v in entries:
-            if not keep[v]:
-                raise AssertionError(
-                    f"checkpoint {v} eliminated by reduction")
-    new_base = PackingInstance(reduced_g, to_reduced[s], to_reduced[t],
-                               inst.base.k, ell)
-    new_lists = tuple(tuple(to_reduced[v] for v in entries)
-                      for entries in inst.lists)
-    reduced = CheckpointInstance(new_base, new_lists, inst.intervals)
+    reduced = from_packing(PackingInstance(
+        reduced_g, to_reduced[s], to_reduced[t], inst.base.k, ell))
     report = ReductionReport(
         n_before=g.n, n_after=reduced_g.n,
         m_before=g.m, m_after=reduced_g.m,
@@ -153,9 +149,7 @@ def detect_trivial(inst: CheckpointInstance,
     paths of minimum total length either directly form a witness (longest
     path <= ell), refute (total > k * ell), or leave the instance open.
     """
-    for entries in inst.lists:
-        if len(entries) != 2:
-            raise ValueError("trivial detection expects bare lists")
+    _require_bare(inst)
     g = inst.base.graph
     s, t, k, ell = inst.base.s, inst.base.t, inst.base.k, inst.base.ell
     if ws is None:

@@ -8,7 +8,8 @@ down the tree (the entry count, the adjacent consecutive pairs and the sum
 of the unmasked gap distances): a refuted child is counted as entered and
 pruned without being built, and only a surviving child is built and
 expanded.  The root's entry checks cover every list.  A refuted child
-optionally records a forbidden interval visible to its later siblings.
+optionally records a forbidden interval visible to its later siblings, in
+the one interval store that the search owns.
 Everything is deterministic for a fixed (instance, config) pair;
 tie-breaking is ascending vertex id throughout.
 """
@@ -22,8 +23,8 @@ from typing import Any, Callable, Generator, NamedTuple, Optional, Sequence
 from .config import SolverConfig, SolveStats
 from .graph import Graph, Workspace
 from .greedy import FailureCondition, GreedyFailure, GreedySuccess, run_greedy
-from .model import (CheckpointInstance, PackingInstance, Solution,
-                    from_packing, validate_solution)
+from .model import (CheckpointInstance, IntervalStore, PackingInstance,
+                    Solution, from_packing, validate_solution)
 from .preprocess import detect_trivial, reduce_instance
 
 __all__ = ["solve", "node_infeasible"]
@@ -145,11 +146,9 @@ def branch_cut(fail: GreedyFailure, inst: CheckpointInstance,
     some still-pending list must use a consumed vertex; try every (list,
     position) combination over the completed paths' internal vertices."""
     _expect(fail, FailureCondition.CUT_TOO_SMALL)
-    cp_union = inst.checkpoint_union()
-    pool_set: set[int] = set()
-    for p in fail.complete_paths:
-        pool_set.update(p)
-    pool = [v for v in pool_set if v not in cp_union]
+    # a CUT failure has no partial subpaths, so the base pool is exactly
+    # the completed paths' vertices minus the checkpoints
+    pool = _pool_base(fail, inst.checkpoint_union())
     out: list[Candidate] = []
     for li in range(fail.i_beta - 1, inst.base.k):
         entries = inst.lists[li]
@@ -227,7 +226,7 @@ class _TreeSearch:
         self.k = root.base.k
         self.ell = root.base.ell
         self.ws = ws
-        self.store = root.intervals
+        self.store = IntervalStore()
         self.row = ws.distance_row
 
     def _tick(self) -> None:

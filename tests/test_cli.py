@@ -238,6 +238,84 @@ def test_oracle_command(gex_file):
     assert code == 1 and "max packing: 1" in out
 
 
+def _edge_file(tmp_path, name, n, edges):
+    path = tmp_path / name
+    path.write_text(f"{n} {len(edges)}\n"
+                    + "".join(f"{u} {v}\n" for u, v in edges))
+    return str(path)
+
+
+# each reaches past the default recursion limit in one walk of the oracle:
+# the 1500-vertex path in the path enumeration, and the 1200 disjoint paths
+# of K_{2,1200} in the decision and in the maximum packing
+@pytest.mark.parametrize("graph,extra,last_line", [
+    ("path", ["--t", "1500", "--k", "1", "--ell", "2000"],
+     "path 1: " + " ".join(map(str, range(1, 1501)))),
+    ("k2", ["--t", "2", "--k", "1200", "--ell", "2"], "path 1200: 1 1202 2"),
+    ("k2", ["--t", "2", "--k", "1", "--ell", "2", "--max-packing"],
+     "max packing: 1200"),
+], ids=["path-1500", "k2-1200-decision", "k2-1200-max-packing"])
+def test_oracle_deeper_than_the_recursion_limit(tmp_path, graph, extra,
+                                                last_line):
+    if graph == "path":
+        path = _edge_file(tmp_path, "path.txt", 1500,
+                          [(v, v + 1) for v in range(1, 1500)])
+    else:
+        path = _edge_file(tmp_path, "k2.txt", 1202,
+                          [(a, v) for v in range(3, 1203) for a in (1, 2)])
+    limit = sys.getrecursionlimit()
+    code, out = _run(["oracle", path, "--s", "1", *extra])
+    assert code == 0
+    assert out.startswith("decision: yes\n")
+    assert out.splitlines()[-1] == last_line
+    assert sys.getrecursionlimit() == limit
+
+
+# ---------------------------------------------------------------------------
+# exit codes of the entry point
+# ---------------------------------------------------------------------------
+
+def test_unmapped_exception_exits_70_with_traceback(gex_file, monkeypatch,
+                                                    capsys):
+    from pathpack import cli
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("solver crashed")
+
+    monkeypatch.setattr(cli, "solve", crash)
+    argv = ["solve", gex_file, "--s", "1", "--t", "5", "--k", "2",
+            "--ell", "5"]
+    with pytest.raises(RuntimeError):   # main itself still raises
+        _run(argv)
+    monkeypatch.setattr(sys, "argv", ["pathpack", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" in captured.err
+    assert "RuntimeError: solver crashed" in captured.err
+
+
+def test_huge_vertex_count_is_a_bad_file_under_a_memory_limit(tmp_path):
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "huge.txt"
+    path.write_text("2147483647 0")     # 13 bytes that name 2**31 - 1 vertices
+
+    def limit_memory():
+        cap = 2 * 2**30
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pathpack", "solve", str(path), "--s", "1",
+         "--t", "2", "--k", "1", "--ell", "1"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)), preexec_fn=limit_memory)
+    assert proc.returncode == 65, proc.stderr
+    assert "line 1: vertex count above 2m + 1048576" in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------
@@ -365,3 +443,21 @@ def test_bench_appends_to_csv(gex_file, tmp_path):
     assert lines[0] == CSV_HEADER
     assert len(lines) == 3  # one header, two appended runs
 
+
+
+@pytest.mark.parametrize("target", [[], ["-o", "/dev/stdout"]],
+                         ids=["stdout", "dash-o-dev-stdout"])
+def test_bench_to_a_pipe(gex_file, target):
+    # standard output as a real pipe, which cannot seek
+    if target and not os.path.exists(target[1]):
+        pytest.skip(f"no {target[1]} on this platform")
+    proc = _python_m("bench", gex_file, "--pairs", "1",
+                     "--k-min", "2", "--k-max", "2",
+                     "--ell-min", "5", "--ell-max", "5",
+                     "--configs", "all,bare", "--seed", "3", *target)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == CSV_HEADER
+    rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+    assert len(rows) == 2
+    assert {r["config"] for r in rows} == {"all", "bare"}

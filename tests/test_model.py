@@ -33,7 +33,6 @@ def test_instance_validation(gex):
 def test_from_packing_bare_lists(gex, k):
     ci = from_packing(PackingInstance(gex, vid(1), vid(5), k, 5))
     assert ci.lists == tuple((vid(1), vid(5)) for _ in range(k))
-    assert len(ci.intervals) == 0
 
 
 def test_checkpoint_list_invariants(gex):
@@ -54,7 +53,7 @@ def test_insertion_keeps_invariants(gex):
     assert child.lists[0] == vids(1, 5)
     grand = child.with_insertion(1, 2, vid(9))
     assert grand.lists[1] == vids(1, 2, 9, 5)
-    assert grand.intervals is ci.intervals
+    assert grand.base is ci.base
 
 
 
@@ -63,7 +62,7 @@ def test_insertion_child_equals_checked_instance(gex):
     # as the checked constructor would build them
     ci = from_packing(_inst(gex))
     child = ci.with_insertion(0, 1, vid(3)).with_insertion(1, 1, vid(9))
-    checked = CheckpointInstance(child.base, child.lists, child.intervals)
+    checked = CheckpointInstance(child.base, child.lists)
     assert child == checked
     assert hash(child) == hash(checked)
     assert type(child) is CheckpointInstance

@@ -13,6 +13,7 @@ import pytest
 from pathpack import Graph, GraphFormatError, parse_graph, random_gnp
 
 MAX_HEADER = 2**31 - 1
+MAX_ISOLATED = 2**20
 TOKEN = re.compile(r"[+-]?[0-9]+")
 
 
@@ -43,6 +44,9 @@ def reference_parse(text):
                 return error("negative header values", line_no)
             if a > MAX_HEADER or b > MAX_HEADER:
                 return error(f"header values above {MAX_HEADER}", line_no)
+            if a > 2 * b + MAX_ISOLATED:
+                return error(f"vertex count above 2m + {MAX_ISOLATED}",
+                             line_no)
             header = (a, b)
             continue
         n, m = header
@@ -231,6 +235,9 @@ def test_mutations_reach_both_outcomes_and_every_message():
     "3 1\n1 2\n\xa0\n",
     "3 2\n1 2\n1 2 3\n",
     "3 1\n1 2\n2 3\n3 1\n",
+    "1048577 0\n",
+    "# few edges\n1048579 1\n1 2\n",
+    "1048579 1\n1 2\n1 3\n",
 ])
 def test_fixed_cases_match_the_reference(text):
     assert outcome(text) == reference_parse(text)
@@ -257,6 +264,18 @@ def test_huge_header_is_an_error_at_the_header_line(text, line):
         parse_graph(text)
     assert err.value.line_no == line
     assert "2147483647" in str(err.value)
+
+
+def test_vertex_count_bound_is_inclusive(monkeypatch):
+    # the bound is 2m + 2**20; a smaller stand-in keeps the accepted side
+    # of the boundary cheap to build
+    monkeypatch.setattr("pathpack.graph._MAX_ISOLATED", 4)
+    assert parse_graph("10 3\n1 2\n3 4\n5 6\n").n == 10
+    for text in ("11 3\n1 2\n3 4\n5 6\n", "11 3\n1 2\n3 4\n5 5\n"):
+        with pytest.raises(GraphFormatError) as err:
+            parse_graph(text)
+        assert err.value.line_no == 1
+        assert "vertex count above 2m + 4" in str(err.value)
 
 
 def test_parsed_rows_match_the_edge_list_constructor():

@@ -303,6 +303,13 @@ def test_trivial_requires_bare_lists(gex):
         detect_trivial(child)
 
 
+def test_reduce_requires_bare_lists(gex):
+    ci = from_packing(PackingInstance(gex, vid(1), vid(5), 2, 5))
+    child = ci.with_insertion(0, 1, vid(3))
+    with pytest.raises(ValueError):
+        reduce_instance(child)
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_trivial_soundness_random(seed):
     rng = random.Random(seed)

@@ -238,7 +238,7 @@ def test_interval_scope_unwinds_to_empty(gex):
     cfg = config_from_name("b-sp+b-fi", SolverConfig(trivial_detection=False))
     search = _TreeSearch(ci, cfg, SolveStats(), None, Workspace(gex))
     assert search.run() is None
-    assert len(ci.intervals) == 0
+    assert len(search.store) == 0
 
 
 def test_solve_matches_oracle_on_seeded_grid():
