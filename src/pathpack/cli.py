@@ -1,8 +1,12 @@
 """Command-line entry points: solve, oracle, gen, bench.
 
 Exit codes: 0 = yes, 1 = no, 2 = timeout, 64 = usage error, 65 = malformed
-graph file, 70 = internal error (an exception that none of the others
-covers).
+or unreadable graph file, 70 = internal error (an exception that none of the
+others covers), 74 = output that cannot be written.
+
+A reader that closes standard output early (``pathpack solve ... | head``)
+is not an error: the command stops writing and exits with its usual code,
+the decision's code for solve and oracle and 0 for gen and bench.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import functools
 import io
 import itertools
 import json
+import os
 import random
 import sys
 import traceback
@@ -37,6 +42,7 @@ EXIT_TIMEOUT = 2
 EXIT_USAGE = 64
 EXIT_BAD_FILE = 65
 EXIT_CRASH = 70
+EXIT_CANNOT_WRITE = 74
 _DECISION_EXITS = {"yes": EXIT_YES, "no": EXIT_NO, "timeout": EXIT_TIMEOUT}
 
 # the run (instance, config, decision), then every SolveStats field in order
@@ -46,6 +52,10 @@ CSV_COLUMNS = (["graph", "s", "t", "k", "ell", "config", "decision"]
 
 class UsageError(Exception):
     pass
+
+
+class UnreadableInput(Exception):
+    """The graph file could not be read (an ``OSError`` while reading)."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,7 +104,10 @@ def _config_from_args(args) -> SolverConfig:
 
 
 def _load_instance(args) -> PackingInstance:
-    g = load_graph(args.graph)
+    try:
+        g = load_graph(args.graph)
+    except OSError as exc:
+        raise UnreadableInput(str(exc)) from None
     for name, val in (("--s", args.s), ("--t", args.t)):
         if not (1 <= val <= g.n):
             raise UsageError(f"{name} must be in 1..{g.n}")
@@ -120,19 +133,40 @@ def _print_answer(args, out, decision: str, witness: Optional[Solution],
                   fields: dict, lines: Sequence[str]) -> int:
     """Print a decision and its 1-based witness, then the command's own
     ``fields`` with --json or its text ``lines`` without; returns the
-    decision's exit code."""
+    decision's exit code, also when the reader has closed ``out``."""
     paths = ([[v + 1 for v in p] for p in witness.paths]
              if witness is not None else None)
-    if args.json:
-        payload = {"decision": decision, "witness": paths, **fields}
-        print(json.dumps(payload, indent=2), file=out)
-    else:
-        print(f"decision: {decision}", file=out)
-        for i, p in enumerate(paths or (), start=1):
-            print(f"path {i}: " + " ".join(map(str, p)), file=out)
-        for line in lines:
-            print(line, file=out)
+    try:
+        if args.json:
+            payload = {"decision": decision, "witness": paths, **fields}
+            print(json.dumps(payload, indent=2), file=out)
+        else:
+            print(f"decision: {decision}", file=out)
+            for i, p in enumerate(paths or (), start=1):
+                print(f"path {i}: " + " ".join(map(str, p)), file=out)
+            for line in lines:
+                print(line, file=out)
+        out.flush()
+    except BrokenPipeError:
+        _discard_output(out)
     return _DECISION_EXITS[decision]
+
+
+def _discard_output(out) -> None:
+    """After a broken pipe on ``out``: when it is standard output, point its
+    file descriptor at the null device, so that the flush at interpreter
+    exit neither fails nor reports the pipe on standard error."""
+    if out is not sys.stdout:
+        return
+    try:
+        fd = out.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
 
 
 def _cmd_solve(args, out) -> int:
@@ -167,6 +201,7 @@ def _cmd_gen(args, out) -> int:
     text = format_graph(g)
     if args.output is None:
         out.write(text)
+        out.flush()
     else:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -245,6 +280,7 @@ def _cmd_bench(args, out) -> int:
                     writer.writerow({"graph": path, "s": s + 1, "t": t + 1,
                                      "k": k, "ell": ell, "config": name,
                                      "decision": decision, **stats.as_dict()})
+        fh.flush()
     return EXIT_YES
 
 
@@ -316,9 +352,18 @@ def main(argv: Optional[Sequence[str]] = None,
     except GraphFormatError as exc:
         print(f"bad graph file: {exc}", file=sys.stderr)
         return EXIT_BAD_FILE
-    except OSError as exc:
+    except UnreadableInput as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return EXIT_BAD_FILE
+    except BrokenPipeError:
+        # solve and oracle keep their decision's code (_print_answer); gen
+        # and bench, which flush before they return, stop writing and exit
+        # 0, their usual code
+        _discard_output(out)
+        return EXIT_YES
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CANNOT_WRITE
 
 
 def entry() -> None:

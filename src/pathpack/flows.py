@@ -1,25 +1,38 @@
-"""Vertex-split transformation and the two flow subroutines built on it:
+"""The two flow subroutines of the solver, on the vertex-split digraph:
 minimum s-t vertex separator size (via unit-capacity max flow) and k
 internally vertex-disjoint s-t paths of minimum total length (via min-cost
 unit flow with successive shortest paths).
 
 Splitting each vertex v into v_in -> v_out (unit arc) turns vertex
 disjointness into arc disjointness; an original s-t path of length L becomes
-an s_out -> t_in path of length 2L - 1.
+an s_out -> t_in path of length 2L - 1.  Node 2v is v_in and 2v + 1 is
+v_out.
 
-A solve builds at most one split digraph and runs every flow on it:
-``reset`` restores the capacities between flows, and a vertex is shut out by
-closing its internal arc (capacity 0) instead of rebuilding the network.
-Each flow does only the work its caller needs: ``_max_flow`` stops after
-``limit`` augmentations (the separator tests only compare the value with a
-target), and each shortest-path round of the min-cost flow stops once the
-sink is settled.
+The split is implicit: both flows walk the graph's own sorted rows, and a
+unit flow is kept per vertex.  ``prv[v]`` is the vertex whose out-node sends
+v its unit of flow and ``nxt[v]`` the vertex it sends it on to (-1: none),
+so v carries flow exactly when ``prv[v] >= 0``; s sends to every w with
+``prv[w] == s``, and one flag marks a flowed direct s-t edge.  The residual
+arcs of a node are visited in a fixed order, the arc order of the explicit
+split digraph (internal arcs first, then cross arcs in ascending neighbour
+order):
+
+* v_in: the internal arc to v_out while v carries no flow and is not
+  closed, otherwise the reverse cross arc to ``prv[v]``'s out-node;
+* v_out: the reverse internal arc to v_in while v carries flow, then the
+  cross arc to w_in for every neighbour w in ascending order but the one v
+  already sends its flow to.
+
+A closed vertex is shut out of the flow, as if it were deleted.  Each flow
+does only the work its caller needs: ``_max_flow`` stops after ``limit``
+augmentations (the separator tests only compare the value with a target),
+and each shortest-path round of the min-cost flow stops once the sink is
+settled.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
@@ -27,94 +40,110 @@ if TYPE_CHECKING:
     from .graph import Graph
 
 __all__ = [
-    "SplitDigraph",
     "st_flow_value",
     "min_total_length_disjoint_paths",
 ]
 
 
-def _vin(v: int) -> int:
-    return 2 * v
+class _UnitFlow:
+    """A unit s-t flow on the implicit split digraph of ``g``: no flow at
+    first, and ``closed`` (a per-vertex byte mask, or None) shut out."""
+
+    __slots__ = ("adj", "s", "t", "closed", "prv", "nxt", "direct")
+
+    def __init__(self, g: Graph, s: int, t: int,
+                 closed: Optional[bytearray]):
+        self.adj = g.adj
+        self.s = s
+        self.t = t
+        self.closed = closed
+        self.prv = [-1] * g.n
+        self.nxt = [-1] * g.n
+        self.direct = False
+
+    def source_row(self) -> list[int]:
+        """The neighbours w of s whose cross arc s_out -> w_in is residual
+        (s carries no internal flow, so s_out has no other arc)."""
+        s, t, prv = self.s, self.t, self.prv
+        return [w for w in self.adj[s]
+                if (not self.direct if w == t else prv[w] != s)]
+
+    def augment(self, parent: list[int], source: int, sink: int) -> None:
+        """Push one unit along the residual path that ``parent`` records
+        from ``source`` to ``sink``.
+
+        A step x -> y is a cross arc u_out -> w_in (it gains flow), a
+        reverse cross arc w_in -> u_out (it cancels u -> w), or one of v's
+        two internal arcs (nothing to record: v carries flow exactly when
+        it has a predecessor).  The walk goes backward, so a vertex's new
+        successor is recorded before the cancellation of its old one.
+        """
+        s, t, prv, nxt = self.s, self.t, self.prv, self.nxt
+        y = sink
+        while y != source:
+            x = parent[y]
+            if x & 1:
+                if y != x - 1:
+                    u, w = x >> 1, y >> 1
+                    if w == t:
+                        if u == s:
+                            self.direct = True
+                        else:
+                            nxt[u] = t
+                    else:
+                        prv[w] = u
+                        if u != s:
+                            nxt[u] = w
+            elif y != x + 1:
+                u, w = y >> 1, x >> 1
+                prv[w] = -1
+                if nxt[u] == w:
+                    nxt[u] = -1
+            y = x
 
 
-def _vout(v: int) -> int:
-    return 2 * v + 1
-
-
-class SplitDigraph:
-    """Residual network over the split digraph.
-
-    Arcs are stored in pairs: even id = real arc (capacity 1, cost 1), odd
-    id = its residual reverse (capacity 0, cost -1), so a real arc carries
-    flow exactly when its reverse has capacity.  Real arc v < n is the
-    internal arc v_in -> v_out of vertex v; cross arcs follow in edge order,
-    two per original edge {u, v} with u < v: u_out -> v_in, then
-    v_out -> u_in.  Every node lists its arcs in id order, so v_out's cross
-    arcs come in ascending neighbour order.
-
-    One network serves a whole solve.  ``reset`` restores the capacities;
-    ``close`` then shuts vertices out by zeroing their internal arcs, which
-    leaves the same flows as deleting those vertices: a closed v_in is a
-    dead end and v_out cannot be entered.
-    """
-
-    def __init__(self, g: Graph):
-        n = g.n
-        self.graph_n = n
-        self.node_count = 2 * n
-        # internal arc v is ids (2v, 2v + 1) and node v_in is 2v, so the
-        # first arc of every node is the arc with the node's own id
-        adj = [[x] for x in range(2 * n)]
-        to = [x ^ 1 for x in range(2 * n)]
-        e = 2 * n
-        for u, row in enumerate(g.adj):
-            u_in = 2 * u
-            u_out = u_in + 1
-            adj_uin = adj[u_in]
-            adj_uout = adj[u_out]
-            for v in row[bisect_right(row, u):]:
-                v_in = 2 * v
-                to += (v_in, u_out, u_in, v_in + 1)
-                adj_uout.append(e)
-                adj[v_in].append(e + 1)
-                adj[v_in + 1].append(e + 2)
-                adj_uin.append(e + 3)
-                e += 4
-        self.adj = adj
-        self.to = to
-        self.arc_count = e // 2
-        self.cap = [1, 0] * self.arc_count
-
-    def reset(self) -> None:
-        """Restore every capacity: no flow, no closed vertex."""
-        self.cap[:] = [1, 0] * self.arc_count
-
-    def close(self, vertices: Iterable[int]) -> None:
-        """Shut the given vertices out of the next flow (after ``reset``)."""
-        cap = self.cap
-        for v in vertices:
-            cap[2 * v] = 0
-
-
-def _max_flow(net: SplitDigraph, s: int, t: int,
-              limit: Optional[int]) -> int:
-    """Edmonds-Karp from s_out to t_in on the unit-capacity residual
-    network; stops after ``limit`` augmentations (None: at the maximum)."""
-    adj, to, cap = net.adj, net.to, net.cap
-    nn = net.node_count
-    source, sink = _vout(s), _vin(t)
+def _max_flow(g: Graph, s: int, t: int, limit: Optional[int],
+              closed: Optional[bytearray] = None) -> int:
+    """Edmonds-Karp from s_out to t_in on the implicit split digraph, with
+    the vertices marked in ``closed`` shut out; stops after ``limit``
+    augmentations (None: at the maximum)."""
+    flow = _UnitFlow(g, s, t, closed)
+    adj, prv, nxt = flow.adj, flow.prv, flow.nxt
+    nn = 2 * g.n
+    source, sink = 2 * s + 1, 2 * t
     value = 0
     while limit is None or value < limit:
-        parent_arc = [-1] * nn
-        parent_arc[source] = -2
+        parent = [-1] * nn
+        parent[source] = -2
         queue = [source]
         reached = False
-        for u in queue:
-            for e in adj[u]:
-                if cap[e]:
-                    w = to[e]
-                    if parent_arc[w] == -1:
-                        parent_arc[w] = e
+        for x in queue:
+            v = x >> 1
+            p = prv[v]
+            if not x & 1:
+                # v_in has one residual arc at most, and not to the sink
+                if p >= 0:
+                    y = 2 * p + 1
+                elif closed is not None and closed[v]:
+                    continue
+                else:
+                    y = x + 1
+                if parent[y] == -1:
+                    parent[y] = x
+                    queue.append(y)
+                continue
+            if x == source:
+                row, q = flow.source_row(), -1
+            else:
+                row, q = adj[v], nxt[v]
+                if p >= 0 and parent[x - 1] == -1:
+                    parent[x - 1] = x
+                    queue.append(x - 1)
+            for w in row:
+                if w != q:
+                    w += w
+                    if parent[w] == -1:
+                        parent[w] = x
                         if w == sink:
                             reached = True
                             break
@@ -123,26 +152,27 @@ def _max_flow(net: SplitDigraph, s: int, t: int,
                 break
         if not reached:
             break
-        w = sink
-        while w != source:
-            e = parent_arc[w]
-            cap[e] -= 1
-            cap[e ^ 1] += 1
-            w = to[e ^ 1]
+        flow.augment(parent, source, sink)
         value += 1
     return value
 
 
-def _check_terminals(g: Graph, s: int, t: int,
-                     removed: Optional[Iterable[int]]) -> list[int]:
+def _closed_mask(g: Graph, s: int, t: int,
+                 removed: Optional[Iterable[int]]) -> Optional[bytearray]:
+    """Check the terminals and turn ``removed`` into a closed mask."""
     if s == t:
         raise ValueError("terminals s and t must differ")
     g.check_vertex(s)
     g.check_vertex(t)
-    removed_list = sorted(set(removed)) if removed is not None else []
-    if s in removed_list or t in removed_list:
+    if removed is None:
+        return None
+    closed = bytearray(g.n)
+    for v in removed:
+        g.check_vertex(v)
+        closed[v] = 1
+    if closed[s] or closed[t]:
         raise ValueError("terminals must not be removed")
-    return removed_list
+    return closed
 
 
 def st_flow_value(g: Graph, s: int, t: int,
@@ -154,10 +184,7 @@ def st_flow_value(g: Graph, s: int, t: int,
     direct s-t edge contributes one unit that no internal arc can cut), so
     this is the quantity the solver compares against k.
     """
-    removed_list = _check_terminals(g, s, t, removed)
-    net = SplitDigraph(g)
-    net.close(removed_list)
-    return _max_flow(net, s, t, None)
+    return _max_flow(g, s, t, None, _closed_mask(g, s, t, removed))
 
 
 @dataclass(frozen=True)
@@ -174,50 +201,87 @@ class DisjointPathsResult:
 _UNREACHED = 1 << 60
 
 
-def _dijkstra_reduced(net: SplitDigraph, source: int, sink: int,
+def _dijkstra_reduced(flow: _UnitFlow, source: int, sink: int,
                       potential: list[int], dist: list[int],
-                      parent_arc: list[int]) -> None:
+                      parent: list[int]) -> None:
     """Shortest paths under reduced costs, stopped when the sink is settled.
 
-    Every node still unsettled then has ``dist >= dist[sink]``, and the
-    caller caps potentials at ``dist[sink]``, so stopping early gives the
-    same potentials and the same sink path as settling every node.
+    Every arc costs 1 and every reverse arc -1.  Every node still unsettled
+    then has ``dist >= dist[sink]``, and the caller caps potentials at
+    ``dist[sink]``, so stopping early gives the same potentials and the
+    same sink path as settling every node.
     """
-    nn = net.node_count
-    adj, to, cap = net.adj, net.to, net.cap
+    adj, prv, nxt, closed = flow.adj, flow.prv, flow.nxt, flow.closed
+    heappush, heappop = heapq.heappush, heapq.heappop
+    nn = len(dist)
     dist[:] = [_UNREACHED] * nn
-    parent_arc[:] = [-1] * nn
+    parent[:] = [-1] * nn
     dist[source] = 0
     heap = [(0, source)]
     while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
+        d, x = heappop(heap)
+        if d > dist[x]:
             continue
-        if u == sink:
+        if x == sink:
             return
-        base = d + potential[u]
-        for e in adj[u]:
-            if cap[e]:
-                w = to[e]
-                nd = base - potential[w] + (-1 if e & 1 else 1)
+        base = d + potential[x]
+        v = x >> 1
+        p = prv[v]
+        if not x & 1:
+            # v_in: the reverse cross arc (cost -1) or the internal arc
+            if p >= 0:
+                y = 2 * p + 1
+                nd = base - 1 - potential[y]
+            elif closed is not None and closed[v]:
+                continue
+            else:
+                y = x + 1
+                nd = base + 1 - potential[y]
+            if nd < dist[y]:
+                dist[y] = nd
+                parent[y] = x
+                heappush(heap, (nd, y))
+            continue
+        if x == source:
+            row, q = flow.source_row(), -1
+        else:
+            row, q = adj[v], nxt[v]
+            if p >= 0:
+                # the reverse internal arc, cost -1
+                y = x - 1
+                nd = base - 1 - potential[y]
+                if nd < dist[y]:
+                    dist[y] = nd
+                    parent[y] = x
+                    heappush(heap, (nd, y))
+        base += 1
+        for w in row:
+            if w != q:
+                w += w
+                nd = base - potential[w]
                 if nd < dist[w]:
                     dist[w] = nd
-                    parent_arc[w] = e
-                    heapq.heappush(heap, (nd, w))
+                    parent[w] = x
+                    heappush(heap, (nd, w))
 
 
-def _min_cost_paths(net: SplitDigraph, s: int, t: int,
-                    k: int) -> Optional[DisjointPathsResult]:
-    """k disjoint s-t paths of minimum total length on ``net`` (reset, and
-    with any removed vertices closed), or None when fewer than k exist."""
-    source, sink = _vout(s), _vin(t)
-    to, cap = net.to, net.cap
-    nn = net.node_count
+def _min_cost_paths(g: Graph, s: int, t: int, k: int,
+                    closed: Optional[bytearray] = None,
+                    ) -> Optional[DisjointPathsResult]:
+    """k disjoint s-t paths of minimum total length avoiding the vertices
+    marked in ``closed``, or None when fewer than k exist.
+
+    Successive shortest paths finds k paths exactly when the max flow is at
+    least k, so None also refutes a separator bound of k.
+    """
+    flow = _UnitFlow(g, s, t, closed)
+    source, sink = 2 * s + 1, 2 * t
+    nn = 2 * g.n
     potential = [0] * nn
     dist = [_UNREACHED] * nn
-    parent_arc = [-1] * nn
+    parent = [-1] * nn
     for _ in range(k):
-        _dijkstra_reduced(net, source, sink, potential, dist, parent_arc)
+        _dijkstra_reduced(flow, source, sink, potential, dist, parent)
         cap_at = dist[sink]
         if cap_at >= _UNREACHED:
             return None
@@ -225,64 +289,42 @@ def _min_cost_paths(net: SplitDigraph, s: int, t: int,
         # nodes this round could not reach (or did not settle)
         potential = [p + (d if d < cap_at else cap_at)
                      for p, d in zip(potential, dist)]
-        w = sink
-        while w != source:
-            e = parent_arc[w]
-            cap[e] -= 1
-            cap[e ^ 1] += 1
-            w = to[e ^ 1]
-    return _decompose(net, s, t, k)
+        flow.augment(parent, source, sink)
+    return _decompose(flow, k)
 
 
-def _decompose(net: SplitDigraph, s: int, t: int,
-               k: int) -> DisjointPathsResult:
-    """Split the unit flow into k paths, walking only arcs that carry flow.
+def _decompose(flow: _UnitFlow, k: int) -> DisjointPathsResult:
+    """Split the unit flow into its k paths: one per flowed neighbour of s,
+    in ascending order, each following ``nxt`` to t.
 
-    At each v_out the flowed cross arc with the smallest head is taken; a
-    used arc gets its capacity back, so it is not taken twice.  Two opposite
-    cross arcs of one edge that both carry flow cancel (a cost-optimal flow
-    has none, but the decomposition must not rely on that).
+    A cost-optimal flow has no cycle, so every path reaches t; the walk
+    still checks that it does.
     """
-    source, sink = _vout(s), _vin(t)
-    adj, to, cap = net.adj, net.to, net.cap
-    n = net.graph_n
+    s, t, prv, nxt = flow.s, flow.t, flow.prv, flow.nxt
     paths: list[tuple[int, ...]] = []
     split_total = 0
-    for _ in range(k):
+    for w in flow.adj[s]:
+        if w == t:
+            if not flow.direct:
+                continue
+            paths.append((s, t))
+            split_total += 1
+            continue
+        if prv[w] != s:
+            continue
         path = [s]
-        cur = source
-        while True:
-            nxt = -1
-            for e in adj[cur]:
-                if e & 1 or not cap[e | 1]:
-                    continue
-                cap[e] = 1
-                cap[e | 1] = 0
-                # the opposite cross arc of the same edge is the other arc
-                # of its pair: real arcs n + 2j and n + 2j + 1
-                partner = 2 * (n + ((e // 2 - n) ^ 1))
-                if cap[partner | 1]:
-                    cap[partner] = 1
-                    cap[partner | 1] = 0
-                    continue
-                nxt = to[e]
-                break
-            if nxt < 0:
+        while w != t:
+            if w < 0 or len(path) > len(prv):
                 raise AssertionError("flow decomposition ran out of arcs")
-            if nxt == sink:
-                path.append(t)
-                split_total += 1
-                break
-            # nxt is x_in: its only real arc is the internal arc, id nxt
-            if not cap[nxt | 1]:
-                raise AssertionError("flow decomposition ran out of arcs")
-            cap[nxt] = 1
-            cap[nxt | 1] = 0
-            path.append(nxt // 2)
-            cur = nxt | 1
+            path.append(w)
             split_total += 2
+            w = nxt[w]
+        path.append(t)
+        split_total += 1
         paths.append(tuple(path))
 
+    if len(paths) != k:
+        raise AssertionError("flow decomposition found the wrong path count")
     total = sum(len(p) - 1 for p in paths)
     if 2 * total != split_total + k:
         raise AssertionError("length conversion identity violated")
@@ -300,7 +342,4 @@ def min_total_length_disjoint_paths(g: Graph, s: int, t: int, k: int,
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    removed_list = _check_terminals(g, s, t, removed)
-    net = SplitDigraph(g)
-    net.close(removed_list)
-    return _min_cost_paths(net, s, t, k)
+    return _min_cost_paths(g, s, t, k, _closed_mask(g, s, t, removed))

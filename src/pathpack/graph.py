@@ -5,7 +5,8 @@ Vertices are dense ``0..n-1`` internally; the text file format and the CLI
 are 1-based.  Adjacency is a tuple of sorted neighbor tuples, which the BFS
 kernel walks directly.  The graph itself is immutable and shareable; all
 BFS scratch state lives in a per-run :class:`Workspace` so concurrent
-solves on one graph never interfere.  The solver runs the kernel in three
+solves on one graph never interfere; the flows of ``flows`` walk the same
+rows and keep their flow state per call.  The solver runs the kernel in three
 places: :func:`shortest_path_blocked` (a shortest path avoiding a
 ``bytearray`` of blocked vertices), :meth:`Workspace.distance_row`
 (cached full-graph distances) and ``preprocess.reduce_instance`` (two
@@ -24,7 +25,6 @@ from typing import Iterable, Iterator, NoReturn, Optional, Union
 
 import numpy as np
 
-from .flows import SplitDigraph
 from .kernels import bfs_tree
 
 __all__ = [
@@ -126,15 +126,16 @@ def _edge_rows(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
 
 
 class Workspace:
-    """Per-run scratch buffers for BFS, mask composition and flows.
+    """Per-run scratch buffers for BFS and mask composition.
 
     Single-owner state: one Workspace must not be shared across concurrent
     solves.  ``dist`` reads -1 at every vertex between calls, as the kernel
     requires; each search clears only the entries it set.  ``dist_cache``
     memoizes unmasked full-graph distance rows as plain lists, which the
-    checkpoint-gap bounds and the candidate ordering index directly.  The
-    split digraph that trivial detection and the separator checks share is
-    built on first use.
+    checkpoint-gap bounds and the candidate ordering index directly.
+    ``blocked_base`` is also the closed mask of the greedy separator check.
+    The flows keep no state here: each call walks ``adj`` with its own
+    per-vertex flow lists.
     """
 
     def __init__(self, g: Graph):
@@ -146,16 +147,6 @@ class Workspace:
         self.blocked = bytearray(n)
         self.blocked_base = bytearray(n)
         self.dist_cache: dict[int, list[int]] = {}
-        self._split: Optional[SplitDigraph] = None
-
-    def split_digraph(self) -> SplitDigraph:
-        """The graph's split digraph with no flow and no closed vertex:
-        built on the first call, reset on each later one."""
-        if self._split is None:
-            self._split = SplitDigraph(self.g)
-        else:
-            self._split.reset()
-        return self._split
 
     def distance_row(self, src: int) -> list[int]:
         """Cached full-graph BFS distances from ``src`` (-1 = unreachable),

@@ -113,9 +113,7 @@ def run_greedy(inst: CheckpointInstance, cfg: SolverConfig,
         if (cfg.d_ms and (i0 > 0 or not cfg.trivial_detection)
                 and all(len(lists[x]) == 2 for x in range(i0, k))):
             need = k - i0
-            net = ws.split_digraph()
-            net.close([v for v, b in enumerate(blocked_base) if b])
-            if _max_flow(net, s, t, need) < need:
+            if _max_flow(g, s, t, need, blocked_base) < need:
                 stats.dms_fired += 1
                 return GreedyFailure(FailureCondition.CUT_TOO_SMALL,
                                      i0 + 1, None, tuple(completed), ())

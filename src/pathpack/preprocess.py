@@ -5,9 +5,11 @@ within distance ell of both terminals and within distance floor(ell/2) of
 at least one, followed by iterated removal of degree <= 1 vertices (the
 terminals are protected).  The reduced instance is decision-equivalent.
 
-Trivial detection runs next: the ell = 1, ell = 2 and k = 1 cases are
-decided outright, then the minimum separator and the minimum-total-length
-disjoint paths give certificates for many remaining instances.  Both steps
+Trivial detection runs next, in this order: the ell = 1, ell = 2 and k = 1
+cases are decided outright; k above the smaller terminal degree is refuted;
+then one min-cost flow for the k disjoint paths of minimum total length
+either refutes (fewer than k disjoint paths: a separator below k), gives a
+witness, refutes by total length, or leaves the instance open.  Both steps
 run once, at the root, and take only bare checkpoint lists (s, t).
 """
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import graph
-from .flows import _max_flow, _min_cost_paths
+from .flows import _min_cost_paths
 from .graph import Graph, Workspace, shortest_path_blocked
 from .model import (CheckpointInstance, PackingInstance, Solution,
                     from_packing)
@@ -144,10 +146,12 @@ def detect_trivial(inst: CheckpointInstance,
 
     ell = 1: yes iff k = 1 and the terminals are adjacent.  ell = 2: one
     path per common neighbor plus the direct edge, so yes iff that count
-    reaches k.  k = 1: shortest-path length against ell.  Then the minimum
-    separator refutes when its flow value is below k, and the k disjoint
-    paths of minimum total length either directly form a witness (longest
-    path <= ell), refute (total > k * ell), or leave the instance open.
+    reaches k.  k = 1: shortest-path length against ell.  Then the
+    separator refutes (``min-separator``) when k exceeds the degree of s
+    or of t, or when the min-cost flow finds fewer than k disjoint paths.
+    Otherwise the k disjoint paths of minimum total length either directly
+    form a witness (longest path <= ell), refute (total > k * ell), or
+    leave the instance open.  No max flow runs here.
     """
     _require_bare(inst)
     g = inst.base.graph
@@ -180,13 +184,15 @@ def detect_trivial(inst: CheckpointInstance,
             return _yes(Solution((path,)), "k1")
         return _no("k1")
 
-    # both flows run on the workspace's one split digraph, reset in between;
-    # the separator test stops as soon as it has found k paths
-    if _max_flow(ws.split_digraph(), s, t, k) < k:
+    # each path leaves s through its own neighbour and enters t through its
+    # own neighbour, so a terminal of degree below k is a separator
+    if k > min(g.degree(s), g.degree(t)):
         return _no("min-separator")
-    result = _min_cost_paths(ws.split_digraph(), s, t, k)
+    # successive shortest paths finds k paths exactly when the max flow
+    # reaches k, so its failure is the separator refutation
+    result = _min_cost_paths(g, s, t, k)
     if result is None:
-        return _no("min-total-length")
+        return _no("min-separator")
     longest = max(len(p) - 1 for p in result.paths)
     if longest <= ell:
         return _yes(Solution(result.paths), "min-total-length")

@@ -397,7 +397,7 @@ def solve(inst: PackingInstance,
         stats.n_after = report.n_after
         stats.m_after = report.m_after
 
-    # one workspace, and so at most one split digraph, for the whole solve
+    # one workspace for the whole solve
     ws = Workspace(root.base.graph)
     decision = "no"
     witness: Optional[Solution] = None

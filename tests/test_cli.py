@@ -316,6 +316,51 @@ def test_huge_vertex_count_is_a_bad_file_under_a_memory_limit(tmp_path):
     assert "line 1: vertex count above 2m + 1048576" in proc.stderr
 
 
+def _python_m_into_closed_pipe(*argv):
+    """Run ``python -m pathpack`` with a standard output whose read end is
+    closed before the child starts, so every write to it fails at once."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "pathpack", *argv], stdout=write_end,
+            stderr=subprocess.PIPE, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["solve", "k2", "--s", "1", "--t", "2", "--k", "1200", "--ell", "2"], 0),
+    (["solve", "k2", "--s", "1", "--t", "2", "--k", "1201", "--ell", "2",
+      "--json"], 1),
+    (["oracle", "k2", "--s", "1", "--t", "2", "--k", "2", "--ell", "2"], 0),
+    (["bench", "k2", "--pairs", "1", "--k-max", "2", "--ell-min", "2",
+      "--ell-max", "3"], 0),
+    (["bench", "k2", "--pairs", "1", "--k-max", "2", "--ell-min", "2",
+      "--ell-max", "3", "-o", "/dev/stdout"], 0),
+    (["gen", "--n", "300", "--p", "0.5"], 0),
+], ids=["solve-yes", "solve-no-json", "oracle", "bench", "bench-dash-o",
+        "gen"])
+def test_closed_standard_output_keeps_the_exit_code(tmp_path, argv, code):
+    if "/dev/stdout" in argv and not os.path.exists("/dev/stdout"):
+        pytest.skip("no /dev/stdout on this platform")
+    k2 = _edge_file(tmp_path, "k2.txt", 1202,
+                    [(a, v) for v in range(3, 1203) for a in (1, 2)])
+    proc = _python_m_into_closed_pipe(*[k2 if a == "k2" else a
+                                        for a in argv])
+    assert proc.returncode == code
+    assert proc.stderr == ""
+
+
+def test_unwritable_output_file_exit_74(tmp_path, capsys):
+    target = str(tmp_path / "no-such-dir" / "g.txt")
+    code, _ = _run(["gen", "--n", "5", "--p", "0.5", "-o", target])
+    assert code == 74
+    assert "cannot write output" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------

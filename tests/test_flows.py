@@ -1,10 +1,11 @@
+import heapq
 import random
 
 import networkx as nx
 import pytest
 
 from pathpack import Graph, PackingInstance, random_gnp
-from pathpack.flows import (SplitDigraph, _max_flow,
+from pathpack.flows import (_max_flow, _min_cost_paths,
                             min_total_length_disjoint_paths, st_flow_value)
 from pathpack.oracle import enumerate_bounded_paths, oracle_decide
 
@@ -14,18 +15,6 @@ from conftest import vid
 # ---------------------------------------------------------------------------
 # split transformation
 # ---------------------------------------------------------------------------
-
-def test_split_counts_single_edge():
-    g = Graph(2, [(0, 1)])
-    sd = SplitDigraph(g)
-    assert sd.node_count == 4 and sd.arc_count == 4
-
-
-def test_split_counts_fixture(gex):
-    sd = SplitDigraph(gex)
-    assert sd.node_count == 22
-    assert sd.arc_count == 11 + 24
-
 
 def test_split_length_conversion_identity():
     # s-a-t: original length 2 maps to split length 3 = 2*2 - 1
@@ -163,7 +152,8 @@ def test_matches_brute_force_minimum(seed):
 
 
 # ---------------------------------------------------------------------------
-# network layout, reset, closed vertices and the flow limit
+# the explicit split digraph as a reference: the implicit flows must visit
+# its arcs in the same order, so values and witnesses are identical
 # ---------------------------------------------------------------------------
 
 def _grid(w, h, dropout=0.0, seed=0):
@@ -201,6 +191,114 @@ def _reference_layout(g):
     return adj, to, cap
 
 
+def _reference_network(g, removed):
+    """The layout with the internal arcs of ``removed`` closed."""
+    adj, to, cap = _reference_layout(g)
+    for v in removed:
+        cap[2 * v] = 0
+    return adj, to, cap
+
+
+def _reference_max_flow(g, s, t, limit, removed=()):
+    """Edmonds-Karp from s_out to t_in on the arc arrays."""
+    adj, to, cap = _reference_network(g, removed)
+    source, sink = 2 * s + 1, 2 * t
+    value = 0
+    while limit is None or value < limit:
+        parent_arc = [-1] * (2 * g.n)
+        parent_arc[source] = -2
+        queue = [source]
+        reached = False
+        for u in queue:
+            for e in adj[u]:
+                if cap[e]:
+                    w = to[e]
+                    if parent_arc[w] == -1:
+                        parent_arc[w] = e
+                        if w == sink:
+                            reached = True
+                            break
+                        queue.append(w)
+            if reached:
+                break
+        if not reached:
+            break
+        w = sink
+        while w != source:
+            e = parent_arc[w]
+            cap[e] -= 1
+            cap[e ^ 1] += 1
+            w = to[e ^ 1]
+        value += 1
+    return value
+
+
+def _reference_min_cost_paths(g, s, t, k, removed=()):
+    """Successive shortest paths with potentials on the arc arrays (real
+    arcs cost 1, reverse arcs -1), then the arc walk that splits the flow
+    into paths; the paths, or None when fewer than k exist."""
+    adj, to, cap = _reference_network(g, removed)
+    n, nn = g.n, 2 * g.n
+    source, sink = 2 * s + 1, 2 * t
+    unreached = 1 << 60
+    potential = [0] * nn
+    for _ in range(k):
+        dist = [unreached] * nn
+        parent_arc = [-1] * nn
+        dist[source] = 0
+        heap = [(0, source)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            if u == sink:
+                break
+            for e in adj[u]:
+                if cap[e]:
+                    w = to[e]
+                    nd = d + potential[u] - potential[w] + (
+                        -1 if e & 1 else 1)
+                    if nd < dist[w]:
+                        dist[w] = nd
+                        parent_arc[w] = e
+                        heapq.heappush(heap, (nd, w))
+        cap_at = dist[sink]
+        if cap_at >= unreached:
+            return None
+        potential = [p + min(d, cap_at) for p, d in zip(potential, dist)]
+        w = sink
+        while w != source:
+            e = parent_arc[w]
+            cap[e] -= 1
+            cap[e ^ 1] += 1
+            w = to[e ^ 1]
+    paths = []
+    for _ in range(k):
+        path = [s]
+        cur = source
+        while cur != sink:
+            for e in adj[cur]:
+                if e & 1 or not cap[e | 1]:
+                    continue
+                cap[e], cap[e | 1] = 1, 0
+                # two flowed opposite cross arcs of one edge cancel
+                partner = 2 * (n + ((e // 2 - n) ^ 1))
+                if cap[partner | 1]:
+                    cap[partner], cap[partner | 1] = 1, 0
+                    continue
+                cur = to[e]
+                break
+            else:
+                raise AssertionError("flow decomposition ran out of arcs")
+            if cur != sink:
+                cap[cur], cap[cur | 1] = 1, 0
+                path.append(cur // 2)
+                cur |= 1
+        path.append(t)
+        paths.append(tuple(path))
+    return tuple(paths)
+
+
 def _layout_graphs():
     yield Graph(2, [(0, 1)])
     yield Graph(4, [(0, 3), (1, 2)])
@@ -209,23 +307,48 @@ def _layout_graphs():
         yield random_gnp(30, 0.15, 300 + seed)
 
 
-def test_flat_build_matches_reference_layout(gex):
-    for g in [gex, *_layout_graphs()]:
-        net = SplitDigraph(g)
-        adj, to, cap = _reference_layout(g)
-        assert net.adj == adj
-        assert net.to == to
-        assert net.cap == cap
-        assert net.arc_count == g.n + 2 * g.m
+def _closed(g, removed):
+    """The closed mask of ``removed``: one byte per vertex."""
+    closed = bytearray(g.n)
+    for v in removed:
+        closed[v] = 1
+    return closed
 
 
-def test_reset_restores_capacities(gex):
-    net = SplitDigraph(gex)
-    first = _max_flow(net, vid(1), vid(5), None)
-    assert net.cap != _reference_layout(gex)[2]
-    net.reset()
-    assert net.cap == _reference_layout(gex)[2]
-    assert _max_flow(net, vid(1), vid(5), None) == first == 2
+def _assert_matches_reference(g, s, t, removed=()):
+    """Every capped max flow from 0 to value + 2, and the witness of every
+    k from 1 to value + 1, as the reference network gives them."""
+    closed = _closed(g, removed) if removed else None
+    value = _reference_max_flow(g, s, t, None, removed)
+    assert _max_flow(g, s, t, None, closed) == value
+    for limit in range(value + 3):
+        assert (_max_flow(g, s, t, limit, closed)
+                == _reference_max_flow(g, s, t, limit, removed)
+                == min(limit, value))
+    for k in range(1, value + 2):
+        got = _min_cost_paths(g, s, t, k, closed)
+        want = _reference_min_cost_paths(g, s, t, k, removed)
+        assert (None if got is None else got.paths) == want
+        assert (got is None) == (k > value)
+
+
+def test_implicit_flows_match_reference_network(gex):
+    for i, g in enumerate([gex, *_layout_graphs()]):
+        pairs = [(s, t) for s in range(g.n) for t in range(g.n) if s != t]
+        if len(pairs) > 40:
+            pairs = random.Random(i).sample(pairs, 40)
+        for s, t in pairs:
+            _assert_matches_reference(g, s, t)
+
+
+def test_two_calls_on_one_graph_agree(gex):
+    # no flow state is carried from one call to the next
+    s, t = vid(1), vid(5)
+    first = (_max_flow(gex, s, t, None), _min_cost_paths(gex, s, t, 2))
+    assert _max_flow(gex, s, t, None, _closed(gex, [vid(3)])) == 2
+    assert (_max_flow(gex, s, t, None), _min_cost_paths(gex, s, t, 2)) \
+        == first
+    assert first[0] == 2 and first[1].total_length == 10
 
 
 def _delete(g, removed):
@@ -249,12 +372,9 @@ def test_closed_vertices_flow_like_deleted_ones(seed):
     h, new = _delete(g, removed)
     want = st_flow_value(h, new[s], new[t])
     assert st_flow_value(g, s, t, removed=removed) == want
-    net = SplitDigraph(g)
-    net.close(removed)
-    assert _max_flow(net, s, t, None) == want
-    # the reset network forgets the closed vertices
-    net.reset()
-    assert _max_flow(net, s, t, None) == st_flow_value(g, s, t)
+    assert _max_flow(g, s, t, None, _closed(g, removed)) == want
+    # a later call without the mask sees every vertex again
+    assert _max_flow(g, s, t, None) == st_flow_value(g, s, t)
     k = rng.randrange(1, 4)
     got = min_total_length_disjoint_paths(g, s, t, k, removed=removed)
     ref = min_total_length_disjoint_paths(h, new[s], new[t], k)
@@ -262,6 +382,7 @@ def test_closed_vertices_flow_like_deleted_ones(seed):
     if got is not None:
         assert got.total_length == ref.total_length
         assert not removed & {v for p in got.paths for v in p}
+    _assert_matches_reference(g, s, t, sorted(removed))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -271,10 +392,8 @@ def test_capped_max_flow_is_min_of_limit_and_value(seed):
     g = random_gnp(n, rng.choice([0.1, 0.25, 0.4]), seed + 700)
     s, t = rng.sample(range(n), 2)
     value = st_flow_value(g, s, t)
-    net = SplitDigraph(g)
     for limit in range(0, value + 3):
-        net.reset()
-        assert _max_flow(net, s, t, limit) == min(limit, value)
+        assert _max_flow(g, s, t, limit) == min(limit, value)
 
 
 # ---------------------------------------------------------------------------

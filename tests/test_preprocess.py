@@ -265,6 +265,35 @@ def test_trivial_fixture_cases(gex):
     assert out.kind == "no" and out.via == "min-total-length"
 
 
+def test_trivial_degree_bound_refutes_without_a_flow(gex, monkeypatch):
+    # vertices 1 and 5 have degree 2 each, so three paths cannot leave 1
+    import pathpack.preprocess
+
+    def no_flow(*args, **kwargs):
+        raise AssertionError("the degree bound must decide first")
+
+    monkeypatch.setattr(pathpack.preprocess, "_min_cost_paths", no_flow)
+    out = _detect(gex, vid(1), vid(5), 3, 9)
+    assert out.kind == "no" and out.via == "min-separator"
+    decision, witness, stats = solve(PackingInstance(gex, vid(1), vid(5),
+                                                     3, 9))
+    assert (decision, witness) == ("no", None)
+    assert stats.solved_by == "trivial-no" and stats.nodes == 0
+
+
+def test_trivial_cut_below_k_refutes_through_the_min_cost_flow():
+    # s = 0 and t = 1 have degree 3, but every route passes vertex 2
+    a, b = [3, 4, 5], [6, 7, 8]
+    edges = ([(0, v) for v in a] + [(v, 2) for v in a]
+             + [(2, v) for v in b] + [(v, 1) for v in b])
+    g = Graph(9, edges)
+    assert g.degree(0) == g.degree(1) == 3
+    out = _detect(g, 0, 1, 3, 8)
+    assert out.kind == "no" and out.via == "min-separator"
+    decision, _, stats = solve(PackingInstance(g, 0, 1, 3, 8))
+    assert decision == "no" and stats.nodes == 0
+
+
 def test_trivial_ell_one():
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
     assert _detect(g, 0, 2, 1, 1).kind == "yes"
