@@ -2,8 +2,13 @@
 and the seeded G(n, p) generator.
 
 Vertices are dense ``0..n-1`` internally; the text file format and the CLI
-are 1-based.  Adjacency is a tuple of sorted neighbor tuples, which the BFS
-kernel walks directly.  The graph itself is immutable and shareable; all
+are 1-based.  ``adj[v]`` is the sorted row of ``v``'s neighbors, which the
+BFS kernel walks directly, in one of two layouts: a graph built from edges
+or rows holds a tuple of tuples, and a parsed graph holds a
+:class:`_FlatRows` view of one flat neighbor buffer, so that a file the
+reduction mostly throws away never gets a Python row per vertex.  Every
+reader goes through ``adj[v]``, ``len(adj)`` and iteration, which both
+layouts serve alike.  The graph itself is immutable and shareable; all
 BFS scratch state lives in a per-run :class:`Workspace` so concurrent
 solves on one graph never interfere; the flows of ``flows`` walk the same
 rows and keep their flow state per call.  The solver runs the kernel in three
@@ -20,8 +25,9 @@ from __future__ import annotations
 
 import random
 import re
+from array import array
 from bisect import bisect_left
-from typing import Iterable, Iterator, NoReturn, Optional, Union
+from typing import Iterable, Iterator, NoReturn, Optional, Sequence, Union
 
 import numpy as np
 
@@ -49,8 +55,10 @@ class GraphFormatError(ValueError):
 class Graph:
     """Simple, undirected, loopless graph over vertices ``0..n-1``.
 
-    ``adj[v]`` is the tuple of ``v``'s neighbors, sorted ascending, which
-    the BFS kernel relies on for determinism.
+    ``adj[v]`` is the sequence of ``v``'s neighbors, sorted ascending, which
+    the BFS kernel relies on for determinism: a tuple for a graph built by
+    the constructor or :meth:`from_sorted_rows`, a slice of one flat
+    ``array("i")`` for a parsed one (see :class:`_FlatRows`).
     """
 
     __slots__ = ("n", "m", "adj")
@@ -64,7 +72,13 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-        rows = _edge_rows(n, edges)
+        # the rows share one int object per vertex id, which keeps large
+        # graphs small in memory
+        ids = list(range(n))
+        rows: list = [[] for _ in range(n)]
+        for u, v in edges:
+            rows[u].append(ids[v])
+            rows[v].append(ids[u])
         for u, row in enumerate(rows):
             row.sort()
             if len(set(row)) != len(row):
@@ -77,16 +91,16 @@ class Graph:
 
     @classmethod
     def from_sorted_rows(cls, rows: Iterable[tuple[int, ...]]) -> "Graph":
-        """The graph whose adjacency is ``rows``, taken as given: sorted,
-        symmetric, loopless and free of repeats, as the parser's rows and a
-        monotone relabelling of another graph's rows are."""
+        """The graph whose adjacency is the tuple of ``rows``, taken as
+        given: sorted, symmetric, loopless and free of repeats, as a
+        monotone relabelling of another graph's rows is."""
         g = cls.__new__(cls)
         g.adj = tuple(rows)
         g.n = len(g.adj)
         g.m = sum(map(len, g.adj)) // 2
         return g
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
+    def neighbors(self, v: int) -> Sequence[int]:
         """Sorted neighbor ids of ``v``."""
         return self.adj[v]
 
@@ -113,16 +127,27 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _edge_rows(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
-    """Neighbor lists of ``edges``, whose endpoints are in range, in edge
-    order.  The lists share one int object per vertex id, which keeps large
-    graphs small in memory."""
-    ids = list(range(n))
-    rows: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        rows[u].append(ids[v])
-        rows[v].append(ids[u])
-    return rows
+class _FlatRows:
+    """The adjacency of a parsed graph: row ``v`` is the sorted slice
+    ``nbr[off[v]:off[v + 1]]`` of one flat ``array("i")`` of neighbor ids,
+    with the ``n + 1`` offsets in an ``array("q")``.  A row is built only
+    when it is read, and holds plain ints."""
+
+    __slots__ = ("nbr", "off")
+
+    def __init__(self, nbr: array, off: array):
+        self.nbr = nbr
+        self.off = off
+
+    def __getitem__(self, v: int) -> array:
+        off = self.off
+        return self.nbr[off[v]:off[v + 1]]
+
+    def __len__(self) -> int:
+        return len(self.off) - 1
+
+    def __iter__(self) -> Iterator[array]:
+        return map(self.__getitem__, range(len(self)))
 
 
 class Workspace:
@@ -236,13 +261,21 @@ def parse_graph(text: Union[str, bytes]) -> Graph:
     if scanned is None:
         _raise_first_error(text)
     n, heads, tails = scanned
-    rows = _edge_rows(n, zip(memoryview(heads), memoryview(tails)))
-    # the edges come in ascending (head, tail) order with head < tail, so
-    # every row is already sorted: row v gets its smaller neighbors (edges
-    # (w, v)) before its larger ones (edges (v, w)), each in ascending order
-    for v, row in enumerate(rows):
-        rows[v] = tuple(row)
-    return Graph.from_sorted_rows(rows)
+    # both directions of every edge, grouped by source by a stable sort.
+    # The edges come in ascending (head, tail) order with head < tail, so
+    # every row comes out sorted: row v gets its smaller neighbors (edges
+    # (w, v), from the first half) before its larger ones (edges (v, w)),
+    # each in ascending order
+    src = np.concatenate((tails, heads))
+    dst = np.concatenate((heads, tails))
+    nbr = array("i", dst[np.argsort(src, kind="stable")].tobytes())
+    off = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=off[1:])
+    g = Graph.__new__(Graph)
+    g.n = n
+    g.m = len(heads)
+    g.adj = _FlatRows(nbr, array("q", off.tobytes()))
+    return g
 
 
 def _scan(text: str) -> Optional[tuple[int, np.ndarray, np.ndarray]]:

@@ -392,16 +392,19 @@ def solve(inst: PackingInstance,
 
     root = from_packing(inst)
     report = None
-    if cfg.preprocess:
-        root, report = reduce_instance(root)
-        stats.n_after = report.n_after
-        stats.m_after = report.m_after
-
-    # one workspace for the whole solve
-    ws = Workspace(root.base.graph)
     decision = "no"
     witness: Optional[Solution] = None
     try:
+        if cfg.preprocess:
+            root, report = reduce_instance(root)
+            stats.n_after = report.n_after
+            stats.m_after = report.m_after
+            # the reduction's work grows with the ell-ball, which may be the
+            # whole graph, so the deadline also bounds it
+            if deadline is not None and time.perf_counter() > deadline:
+                raise SolveTimeout
+        # one workspace for the whole solve
+        ws = Workspace(root.base.graph)
         outcome = None
         if cfg.trivial_detection:
             outcome = detect_trivial(root, ws)

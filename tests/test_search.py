@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from pathpack import (Graph, PackingInstance, SolverConfig, Workspace,
-                      config_from_name, from_packing, random_gnp,
+                      config_from_name, from_packing, parse_graph, random_gnp,
                       validate_solution)
 from pathpack.greedy import FailureCondition, GreedyFailure, run_greedy
 from pathpack.model import CheckpointInstance
@@ -276,6 +276,27 @@ def test_solve_timeout_reports():
     decision, witness, stats = solve(inst, cfg)
     assert decision == "timeout" and witness is None
     assert stats.solved_by == "timeout"
+
+
+def test_timeout_bounds_the_reduction():
+    # a 300 x 300 grid whose ell-ball around both corners is the whole grid:
+    # the reduction alone takes far longer than the 1 ms budget, and the
+    # search, which checks the deadline itself, is never reached
+    side = 300
+    lines = [f"{side * side} {2 * side * (side - 1)}"]
+    for v in range(1, side * side + 1):
+        if v % side:
+            lines.append(f"{v} {v + 1}")
+        if v + side <= side * side:
+            lines.append(f"{v} {v + side}")
+    g = parse_graph("\n".join(lines))
+    inst = PackingInstance(g, 0, side * side - 1, 2, 2 * side)
+    decision, witness, stats = solve(inst, SolverConfig(timeout_ms=1))
+    assert decision == "timeout" and witness is None
+    assert stats.solved_by == "timeout"
+    # the reduction ran to its end and kept every vertex
+    assert stats.n_after == side * side
+    assert stats.nodes == 0
 
 
 def test_depth_and_branch_bounds_hold():
