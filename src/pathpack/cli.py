@@ -210,7 +210,10 @@ def _cmd_gen(args, out) -> int:
 
 def _sample_pairs(g: Graph, count: int, rng: random.Random,
                   max_dist: int = 10) -> list[tuple[int, int]]:
-    """Distinct unordered terminal pairs at distance <= max_dist."""
+    """Distinct unordered terminal pairs at distance <= max_dist; none for
+    a graph with fewer than two vertices."""
+    if g.n < 2:
+        return []
     ws = Workspace(g)
     pairs: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()

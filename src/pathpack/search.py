@@ -1,7 +1,8 @@
 """Depth-first branching solver.
 
-Each node runs the greedy builder; on greedy failure it generates the
-rule-specific candidate insertions, orders them, and tries each in turn.
+Each node runs the greedy builder; a greedy failure names one of three
+branching rules, and :func:`branch` turns it into that rule's candidate
+insertions, in the order the node tries them.
 A child differs from its parent in one list, so the parent runs the child's
 entry checks itself, on that list alone, from the per-list counts it carries
 down the tree (the entry count, the adjacent consecutive pairs and the sum
@@ -22,7 +23,7 @@ from typing import Any, Callable, Generator, NamedTuple, Optional, Sequence
 
 from .config import SolverConfig, SolveStats
 from .graph import Graph, Workspace
-from .greedy import FailureCondition, GreedyFailure, GreedySuccess, run_greedy
+from .greedy import GreedyFailure, GreedySuccess, run_greedy
 from .model import (CheckpointInstance, IntervalStore, PackingInstance,
                     Solution, from_packing, validate_solution)
 from .preprocess import detect_trivial, reduce_instance
@@ -52,7 +53,7 @@ class SolveTimeout(Exception):
 
 
 # vertex -> its unmasked distance row (-1 = unreachable), such as
-# Workspace.distance_row; the branchers rank candidates by it (c-dist) and
+# Workspace.distance_row; branch ranks candidates by it (c-dist) and
 # node_infeasible bounds lists by it (b-sp)
 DistFn = Callable[[int], Sequence[int]]
 Paths = tuple[tuple[int, ...], ...]
@@ -81,88 +82,52 @@ def _pool_base(fail: GreedyFailure, cp_union: set[int],
     for p in fail.complete_paths:
         pool.update(p)
     for idx, q in enumerate(fail.partial_subpaths, start=1):
-        if idx == skip_subpath:
-            continue
-        pool.update(q)
+        if idx != skip_subpath:
+            pool.update(q)
     return [v for v in pool if v not in cp_union]
 
 
-def _expect(fail: GreedyFailure, condition: FailureCondition) -> None:
-    # an explicit raise, so the check survives python -O
-    if fail.condition is not condition:
-        raise AssertionError(f"expected a {condition.name} failure, "
-                             f"got {fail.condition.name}")
+def branch(fail: GreedyFailure, inst: CheckpointInstance, cfg: SolverConfig,
+           dist_fn: DistFn) -> list[Candidate]:
+    """The child insertions of a greedy failure, in branching order: the
+    failure's rule names (list, position, pool) slots, and each slot splices
+    its pool's vertices in through :func:`_position_candidates`.
 
-
-def branch_no_subpath(fail: GreedyFailure, inst: CheckpointInstance,
-                      cfg: SolverConfig,
-                      dist_fn: DistFn) -> list[Candidate]:
-    """Rule 1: the missing subpath must use a previously consumed vertex;
-    try each at the break position."""
-    _expect(fail, FailureCondition.NO_SUBPATH)
-    cp_union = inst.checkpoint_union()
-    entries = inst.lists[fail.i_beta - 1]
-    j = fail.j_beta
-    return _position_candidates(fail.i_beta - 1, j, entries[j - 1],
-                                entries[j], _pool_base(fail, cp_union), cfg,
-                                dist_fn)
-
-
-def branch_overlong(fail: GreedyFailure, inst: CheckpointInstance,
-                    cfg: SolverConfig,
-                    dist_fn: DistFn) -> list[Candidate]:
-    """Rule 2: some subpath up to the break position went wrong; try every
-    position up to it, each with the pool that excludes its own subpath.
-
-    Position order: with c-pl, descending greedy subpath length (the found
-    but rejected subpath participates with its actual length), ties by
-    ascending position; otherwise ascending position.
+    Rule 1, NO_SUBPATH (at most k * ell children): the missing subpath must
+    use a consumed vertex; one slot, the break position (i_beta, j_beta).
+    Rule 2, OVERLONG (at most k * ell^2): some subpath up to the break went
+    wrong; positions 1..j_beta of list i_beta, each pool skipping the
+    position's own subpath, with c-pl by descending greedy subpath length
+    (the rejected one at its actual length), else by ascending position.
+    Rule 3, CUT_TOO_SMALL (at most k^2 * ell^2): after a failed separator
+    check some pending subpath of some pending list must use a consumed
+    vertex; every position of lists i_beta..k, all with the one pool of the
+    completed paths' vertices.
     """
-    _expect(fail, FailureCondition.OVERLONG)
     cp_union = inst.checkpoint_union()
-    entries = inst.lists[fail.i_beta - 1]
-    j_b = fail.j_beta
-
-    def q_len(j: int) -> int:
-        if j == j_b:
-            return fail.overlong_len if fail.overlong_len is not None else 0
-        return len(fail.partial_subpaths[j - 1]) - 1
-
-    positions = list(range(1, j_b + 1))
-    if cfg.c_pl:
-        positions.sort(key=lambda j: (-q_len(j), j))
+    li, j_b = fail.i_beta - 1, fail.j_beta
+    rule = fail.condition.rule
+    if rule == 1:
+        slots = [(li, j_b, _pool_base(fail, cp_union))]
+    elif rule == 2:
+        lengths = [len(q) - 1 for q in fail.partial_subpaths]
+        lengths.append(fail.overlong_len or 0)
+        positions = range(1, j_b + 1)
+        if cfg.c_pl:  # a stable sort keeps equal lengths by position
+            positions = sorted(positions, key=lambda j: -lengths[j - 1])
+        slots = [(li, j, _pool_base(fail, cp_union, skip_subpath=j))
+                 for j in positions]
+    else:
+        # a CUT failure has no partial subpaths
+        pool = _pool_base(fail, cp_union)
+        slots = [(i, j, pool) for i in range(li, inst.base.k)
+                 for j in range(1, len(inst.lists[i]))]
     out: list[Candidate] = []
-    for j in positions:
-        pool = _pool_base(fail, cp_union, skip_subpath=j)
-        out.extend(_position_candidates(fail.i_beta - 1, j, entries[j - 1],
-                                        entries[j], pool, cfg, dist_fn))
+    for i, j, pool in slots:
+        entries = inst.lists[i]
+        out.extend(_position_candidates(i, j, entries[j - 1], entries[j],
+                                        pool, cfg, dist_fn))
     return out
-
-
-def branch_cut(fail: GreedyFailure, inst: CheckpointInstance,
-               cfg: SolverConfig,
-               dist_fn: DistFn) -> list[Candidate]:
-    """Rule 3: after a failed separator check, some still-pending subpath of
-    some still-pending list must use a consumed vertex; try every (list,
-    position) combination over the completed paths' internal vertices."""
-    _expect(fail, FailureCondition.CUT_TOO_SMALL)
-    # a CUT failure has no partial subpaths, so the base pool is exactly
-    # the completed paths' vertices minus the checkpoints
-    pool = _pool_base(fail, inst.checkpoint_union())
-    out: list[Candidate] = []
-    for li in range(fail.i_beta - 1, inst.base.k):
-        entries = inst.lists[li]
-        for j in range(1, len(entries)):
-            out.extend(_position_candidates(li, j, entries[j - 1], entries[j],
-                                            pool, cfg, dist_fn))
-    return out
-
-
-_BRANCHERS = {
-    FailureCondition.NO_SUBPATH: branch_no_subpath,
-    FailureCondition.OVERLONG: branch_overlong,
-    FailureCondition.CUT_TOO_SMALL: branch_cut,
-}
 
 
 def _list_counts(g: Graph, entries: tuple[int, ...], cfg: SolverConfig,
@@ -289,8 +254,7 @@ class _TreeSearch:
         if isinstance(outcome, GreedySuccess):
             return outcome.paths
 
-        candidates = _BRANCHERS[outcome.condition](outcome, inst, cfg,
-                                                   self.row)
+        candidates = branch(outcome, inst, cfg, self.row)
         rule = outcome.condition.rule
         if rule == 1:
             stats.br1 += 1
@@ -390,19 +354,23 @@ def solve(inst: PackingInstance,
         stats.wall_ms = (time.perf_counter() - t0) * 1000.0
         return "no", None, stats
 
-    root = from_packing(inst)
     report = None
     decision = "no"
     witness: Optional[Solution] = None
     try:
         if cfg.preprocess:
-            root, report = reduce_instance(root)
+            root, report = reduce_instance(from_packing(inst))
             stats.n_after = report.n_after
             stats.m_after = report.m_after
-            # the reduction's work grows with the ell-ball, which may be the
-            # whole graph, so the deadline also bounds it
-            if deadline is not None and time.perf_counter() > deadline:
-                raise SolveTimeout
+        else:
+            # the layers below read a row per dequeue: tuple rows of the
+            # whole graph, built once (a tuple row is its own tuple())
+            g = Graph.from_sorted_rows(map(tuple, inst.graph.adj))
+            root = from_packing(
+                PackingInstance(g, inst.s, inst.t, inst.k, inst.ell))
+        # either step may walk the whole graph, so the deadline bounds it
+        if deadline is not None and time.perf_counter() > deadline:
+            raise SolveTimeout
         # one workspace for the whole solve
         ws = Workspace(root.base.graph)
         outcome = None

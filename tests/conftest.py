@@ -24,6 +24,20 @@ def vids(*labels: int) -> tuple[int, ...]:
     return tuple(label - 1 for label in labels)
 
 
+def grid_graph(rows: int, cols: int, dropout: float, rng) -> Graph:
+    """A rows x cols grid, vertex (r, c) = r * cols + c, each edge dropped
+    with probability ``dropout``."""
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols and rng.random() >= dropout:
+                edges.append((v, v + 1))
+            if r + 1 < rows and rng.random() >= dropout:
+                edges.append((v, v + cols))
+    return Graph(rows * cols, edges)
+
+
 @pytest.fixture(scope="session")
 def gex() -> Graph:
     return Graph(11, [(u - 1, v - 1) for u, v in GEX_EDGES_1BASED])

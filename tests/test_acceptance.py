@@ -20,7 +20,7 @@ from pathpack.flows import min_total_length_disjoint_paths, st_flow_value
 from pathpack.greedy import FailureCondition, run_greedy
 from pathpack.oracle import oracle_decide
 from pathpack.preprocess import detect_trivial
-from pathpack.search import branch_no_subpath, solve
+from pathpack.search import branch, solve
 
 from conftest import vid, vids
 from suite import build_suite
@@ -104,7 +104,7 @@ def test_criterion_2_worked_example_replay(gex):
     step_greedy = (fail.condition is FailureCondition.NO_SUBPATH
                    and fail.i_beta == 2
                    and fail.complete_paths == (vids(1, 2, 3, 4, 5),))
-    cands = branch_no_subpath(fail, ci, cfg, Workspace(gex).distance_row)
+    cands = branch(fail, ci, cfg, Workspace(gex).distance_row)
     step_branch = [c.vertex for c in cands] == list(vids(2, 3, 4))
     decision, witness, stats = solve(inst, cfg)
     want = {vids(1, 6, 7, 8, 4, 5), vids(1, 2, 9, 10, 11, 5)}

@@ -462,6 +462,24 @@ def test_bench_skips_undecodable_file(binary_file, gex_file, capsys):
         capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("text", ["0 0\n", "1 0\n"])
+def test_bench_goes_on_past_a_graph_without_a_pair(text, gex_file, tmp_path,
+                                                    capsys):
+    # a graph with fewer than two vertices has no terminal pair to sample
+    tiny = str(tmp_path / "tiny.txt")
+    Path(tiny).write_text(text)
+    code, out = _run(["bench", tiny, gex_file, "--pairs", "1",
+                      "--k-min", "2", "--k-max", "2", "--ell-min", "5",
+                      "--ell-max", "5", "--configs", "all", "--seed", "1"])
+    assert code == 0
+    assert out.splitlines()[0] == CSV_HEADER
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["graph"] for r in rows] == [gex_file]
+    assert rows[0]["decision"] in ("yes", "no")
+    assert (f"warning: {tiny}: only 0 usable terminal pairs of 1 requested"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("extra", [
     ["--pairs", "-2"],
     ["--pairs", "0"],

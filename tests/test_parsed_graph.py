@@ -13,6 +13,7 @@ import pytest
 
 from pathpack import (Graph, PackingInstance, SolverConfig, Workspace,
                       format_graph, from_packing, parse_graph, random_gnp)
+from pathpack.greedy import run_greedy
 from pathpack.preprocess import reduce_instance
 from pathpack.search import solve
 
@@ -194,3 +195,32 @@ def test_searched_solve_on_a_parsed_graph_matches(spec, query, name):
     stats = _assert_same_solve(g, _parsed(g, 3), query, CONFIGS[name])
     if name != "no-trivial":
         assert stats.solved_by == "search" and stats.nodes > 1
+
+
+@pytest.mark.parametrize("spec,query", SEARCH_CASES,
+                         ids=range(len(SEARCH_CASES)))
+def test_a_solve_without_the_reduction_walks_tuple_rows(spec, query,
+                                                        monkeypatch):
+    # the whole parsed graph gets tuple rows once, so the layers after the
+    # root never read the row view
+    import pathpack.search as search
+    layouts = []
+
+    class Spy(Workspace):
+        def __init__(self, g):
+            layouts.append(type(g.adj))
+            super().__init__(g)
+
+    def spied_greedy(inst, *args):
+        layouts.append(type(inst.base.graph.adj))
+        return run_greedy(inst, *args)
+
+    monkeypatch.setattr(search, "Workspace", Spy)
+    monkeypatch.setattr(search, "run_greedy", spied_greedy)
+    g = _search_case(spec)
+    parsed = _parsed(g, 4)
+    assert type(parsed.adj) is not tuple
+    stats = _assert_same_solve(g, parsed, query,
+                               SolverConfig(preprocess=False))
+    assert stats.nodes >= 1
+    assert layouts and set(layouts) == {tuple}

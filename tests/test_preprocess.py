@@ -10,7 +10,7 @@ from pathpack.oracle import oracle_decide
 from pathpack.preprocess import detect_trivial, reduce_instance
 from pathpack.search import solve
 
-from conftest import GEX_EDGES_1BASED, vid
+from conftest import GEX_EDGES_1BASED, grid_graph, vid
 
 
 # ---------------------------------------------------------------------------
@@ -107,18 +107,6 @@ def _reference_reduce(g, s, t, ell):
     return tuple(kept), reduced.adj, reduced.m
 
 
-def _grid(rows, cols, dropout, rng):
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols and rng.random() >= dropout:
-                edges.append((v, v + 1))
-            if r + 1 < rows and rng.random() >= dropout:
-                edges.append((v, v + cols))
-    return Graph(rows * cols, edges)
-
-
 def _parity_case(seed):
     rng = random.Random(seed + 7000)
     kind = seed % 3
@@ -128,10 +116,10 @@ def _parity_case(seed):
         s, t = rng.sample(range(n), 2)
     elif kind == 1:                     # grid with dropout
         rows, cols = rng.randrange(2, 25), rng.randrange(2, 25)
-        g = _grid(rows, cols, rng.choice([0.0, 0.2, 0.4]), rng)
+        g = grid_graph(rows, cols, rng.choice([0.0, 0.2, 0.4]), rng)
         s, t = rng.sample(range(g.n), 2)
     else:                               # two components, one per terminal
-        a = _grid(rng.randrange(2, 8), rng.randrange(2, 8), 0.1, rng)
+        a = grid_graph(rng.randrange(2, 8), rng.randrange(2, 8), 0.1, rng)
         b = random_gnp(rng.randrange(3, 30), 0.2, seed + 7000)
         g = Graph(a.n + b.n, list(a.edges())
                   + [(u + a.n, v + a.n) for u, v in b.edges()])
@@ -169,7 +157,7 @@ def test_reduce_bfs_enqueues_only_the_ell_ball(monkeypatch):
     # a 250 x 400 grid (10^5 vertices); every BFS of the reduction must stop
     # at the Manhattan ball of radius ell around its source
     rows, cols, ell = 250, 400, 4
-    g = _grid(rows, cols, 0.0, random.Random(0))
+    g = grid_graph(rows, cols, 0.0, random.Random(0))
     s = 125 * cols + 200
     t = s + 2 * cols + 1
     calls = []

@@ -13,10 +13,10 @@ from pathpack import (Graph, PackingInstance, SolverConfig, Workspace,
 from pathpack.greedy import FailureCondition, GreedyFailure, run_greedy
 from pathpack.model import CheckpointInstance
 from pathpack.oracle import oracle_decide
-from pathpack.search import (branch_cut, branch_no_subpath, branch_overlong,
+from pathpack.search import (_position_candidates, branch,
                              node_infeasible, solve)
 
-from conftest import vid, vids
+from conftest import grid_graph, vid, vids
 
 PLAIN = SolverConfig(trivial_detection=False, d_ms=False,
                      b_fi=False, c_dist=False, c_pl=False)
@@ -81,13 +81,13 @@ def test_infeasible_check_order(gex):
 def test_branch_after_missing_subpath_fixture(gex):
     ci = from_packing(PackingInstance(gex, vid(1), vid(5), 2, 5))
     fail = run_greedy(ci, PLAIN)
-    cands = branch_no_subpath(fail, ci, PLAIN, _dist_fn(gex))
+    cands = branch(fail, ci, PLAIN, _dist_fn(gex))
     assert [c.vertex for c in cands] == list(vids(2, 3, 4))
     assert all(c.list_index == 1 and c.pos == 1 for c in cands)
     assert all((c.u, c.u2) == (vid(1), vid(5)) for c in cands)
     # c-dist ties on this instance: order unchanged
     cfg = SolverConfig(trivial_detection=False, d_ms=False, c_dist=True)
-    cands2 = branch_no_subpath(fail, ci, cfg, _dist_fn(gex))
+    cands2 = branch(fail, ci, cfg, _dist_fn(gex))
     assert [c.vertex for c in cands2] == list(vids(2, 3, 4))
 
 
@@ -100,7 +100,7 @@ def test_branch_empty_pool_refutes():
     inner = run_greedy(child, PLAIN)
     assert inner.condition is FailureCondition.NO_SUBPATH
     assert inner.i_beta == 1
-    assert branch_no_subpath(inner, child, PLAIN, _dist_fn(g)) == []
+    assert branch(inner, child, PLAIN, _dist_fn(g)) == []
 
 
 def test_branch_overlong_empty_pool_at_first_subpath():
@@ -110,7 +110,7 @@ def test_branch_overlong_empty_pool_at_first_subpath():
     fail = run_greedy(ci, PLAIN)
     assert fail.condition is FailureCondition.OVERLONG
     assert (fail.i_beta, fail.j_beta) == (1, 1)
-    assert branch_overlong(fail, ci, PLAIN, _dist_fn(g)) == []
+    assert branch(fail, ci, PLAIN, _dist_fn(g)) == []
     assert solve(PackingInstance(g, 0, 3, 1, 2), PLAIN)[0] == "no"
 
 
@@ -136,7 +136,7 @@ def overlong_state():
 
 def test_branch_overlong_pools_per_position(overlong_state):
     g, ci, fail = overlong_state
-    cands = branch_overlong(fail, ci, PLAIN, _dist_fn(g))
+    cands = branch(fail, ci, PLAIN, _dist_fn(g))
     by_pos = {}
     for c in cands:
         by_pos.setdefault(c.pos, []).append(c.vertex)
@@ -149,7 +149,7 @@ def test_branch_overlong_pools_per_position(overlong_state):
 def test_branch_overlong_position_order_by_length(overlong_state):
     g, ci, fail = overlong_state
     cfg = SolverConfig(trivial_detection=False, d_ms=False, c_pl=True)
-    cands = branch_overlong(fail, ci, cfg, _dist_fn(g))
+    cands = branch(fail, ci, cfg, _dist_fn(g))
     # greedy subpath lengths: pos1 -> 2, pos2 -> 3, pos3 (rejected) -> 1
     assert [c.pos for c in cands] == [2, 1, 1, 3, 3, 3]
 
@@ -157,7 +157,7 @@ def test_branch_overlong_position_order_by_length(overlong_state):
 def test_branch_overlong_cdist_orders_within_position(overlong_state):
     g, ci, fail = overlong_state
     cfg = SolverConfig(trivial_detection=False, d_ms=False, c_dist=True)
-    cands = [c for c in branch_overlong(fail, ci, cfg, _dist_fn(g))
+    cands = [c for c in branch(fail, ci, cfg, _dist_fn(g))
              if c.pos == 3]
     # gap (v2=5, t=6): distance sums m: 1+2, x: 2+3, y: 1+2 -> m, y, x
     assert [c.vertex for c in cands] == [1, 4, 3]
@@ -167,7 +167,7 @@ def test_branch_after_cut_failure_counts(gex):
     ci = from_packing(PackingInstance(gex, vid(1), vid(5), 3, 9))
     fail = run_greedy(ci, SolverConfig())
     assert fail.condition is FailureCondition.CUT_TOO_SMALL
-    cands = branch_cut(fail, ci, SolverConfig(), _dist_fn(gex))
+    cands = branch(fail, ci, SolverConfig(), _dist_fn(gex))
     # pool {v2,v3,v4} x pending lists {2,3} x one gap each
     assert len(cands) == 6
     assert {(c.list_index, c.pos) for c in cands} == {(1, 1), (2, 1)}
@@ -180,9 +180,132 @@ def test_branch_candidates_never_listed_vertices(gex):
     fail = run_greedy(child, PLAIN)
     if isinstance(fail, GreedyFailure) \
             and fail.condition is FailureCondition.NO_SUBPATH:
-        cands = branch_no_subpath(fail, child, PLAIN, _dist_fn(gex))
+        cands = branch(fail, child, PLAIN, _dist_fn(gex))
         listed = child.checkpoint_union()
         assert all(c.vertex not in listed for c in cands)
+
+
+# ---------------------------------------------------------------------------
+# the three per-rule branchers that branch() replaced, as a reference: on
+# every greedy failure the search meets, branch() must return their list
+# ---------------------------------------------------------------------------
+
+def _reference_pool(fail, cp_union, skip_subpath=None):
+    pool = set()
+    for p in fail.complete_paths:
+        pool.update(p)
+    for idx, q in enumerate(fail.partial_subpaths, start=1):
+        if idx == skip_subpath:
+            continue
+        pool.update(q)
+    return [v for v in pool if v not in cp_union]
+
+
+def _reference_no_subpath(fail, inst, cfg, dist_fn):
+    cp_union = inst.checkpoint_union()
+    entries = inst.lists[fail.i_beta - 1]
+    j = fail.j_beta
+    return _position_candidates(fail.i_beta - 1, j, entries[j - 1],
+                                entries[j], _reference_pool(fail, cp_union),
+                                cfg, dist_fn)
+
+
+def _reference_overlong(fail, inst, cfg, dist_fn):
+    cp_union = inst.checkpoint_union()
+    entries = inst.lists[fail.i_beta - 1]
+    j_b = fail.j_beta
+
+    def q_len(j):
+        if j == j_b:
+            return fail.overlong_len if fail.overlong_len is not None else 0
+        return len(fail.partial_subpaths[j - 1]) - 1
+
+    positions = list(range(1, j_b + 1))
+    if cfg.c_pl:
+        positions.sort(key=lambda j: (-q_len(j), j))
+    out = []
+    for j in positions:
+        pool = _reference_pool(fail, cp_union, skip_subpath=j)
+        out.extend(_position_candidates(fail.i_beta - 1, j, entries[j - 1],
+                                        entries[j], pool, cfg, dist_fn))
+    return out
+
+
+def _reference_cut(fail, inst, cfg, dist_fn):
+    pool = _reference_pool(fail, inst.checkpoint_union())
+    out = []
+    for li in range(fail.i_beta - 1, inst.base.k):
+        entries = inst.lists[li]
+        for j in range(1, len(entries)):
+            out.extend(_position_candidates(li, j, entries[j - 1], entries[j],
+                                            pool, cfg, dist_fn))
+    return out
+
+
+_REFERENCE = {
+    FailureCondition.NO_SUBPATH: _reference_no_subpath,
+    FailureCondition.OVERLONG: _reference_overlong,
+    FailureCondition.CUT_TOO_SMALL: _reference_cut,
+}
+
+
+def _branching_candidate(cid):
+    """Candidate ``cid``: a small grid with 10-30% edge dropout (odd ids) or
+    a sparse G(n, p) graph (even ids), terminals 2..8 apart, k in 2..4 and
+    ell at most 3 above their distance."""
+    rng = random.Random(cid)
+    if cid % 2:
+        cols, rows = rng.randint(4, 7), rng.randint(4, 7)
+        g = grid_graph(rows, cols, rng.uniform(0.1, 0.3), rng)
+    else:
+        n = rng.randint(14, 30)
+        g = random_gnp(n, rng.uniform(2.5, 4.0) / (n - 1), cid)
+    s, t = rng.sample(range(g.n), 2)
+    d = Workspace(g).distance_row(s)[t]
+    assert 2 <= d <= 8
+    return PackingInstance(g, s, t, rng.randint(2, 4), d + rng.randint(0, 3))
+
+
+# candidates whose default-config solve reaches the search, found by a
+# seeded scan of ids 0..7999; in the first four a separator failure past
+# the first path branches over two or more lists
+BRANCHING_IDS = [1149, 2213, 2738, 3239, 4073, 5523, 5961, 6395, 6477, 6748]
+
+
+_PARITY_CONFIGS = {
+    "plain": PLAIN,
+    "default": SolverConfig(),
+    "no-c-pl-c-dist": SolverConfig(c_pl=False, c_dist=False),
+    "no-trivial": SolverConfig(trivial_detection=False),
+}
+
+
+@pytest.mark.parametrize("name", list(_PARITY_CONFIGS))
+def test_branch_matches_the_per_rule_reference(name, monkeypatch):
+    import pathpack.search as search
+    from suite import build_suite
+    met = set()
+
+    def checked(fail, inst, cfg, dist_fn):
+        got = branch(fail, inst, cfg, dist_fn)
+        assert got == _REFERENCE[fail.condition](fail, inst, cfg, dist_fn)
+        if len({c.list_index for c in got}) > 1:
+            met.add("lists")
+        if got:
+            met.add(fail.condition)
+        return got
+
+    monkeypatch.setattr(search, "branch", checked)
+    cfg = _PARITY_CONFIGS[name]
+    for inst in ([case.instance for case in build_suite()]
+                 + [_branching_candidate(cid) for cid in BRANCHING_IDS]):
+        solve(inst, cfg)
+    # every rule the configuration can meet branched somewhere, and only
+    # rule 3 spreads over more than one list
+    want = {FailureCondition.NO_SUBPATH, FailureCondition.OVERLONG}
+    if cfg.d_ms:
+        want |= {FailureCondition.CUT_TOO_SMALL, "lists"}
+    assert met == want
 
 
 # ---------------------------------------------------------------------------
@@ -365,48 +488,6 @@ def test_witness_check_survives_python_O():
     lines = proc.stdout.splitlines()
     assert lines[0] == "optimize 1"
     assert lines[1] == "raised: internal error: witness rejected (stub)"
-
-
-
-_WRONG_FAILURE = """
-import sys
-from pathpack import (PackingInstance, SolverConfig, Workspace, from_packing,
-                      random_gnp)
-from pathpack.greedy import FailureCondition, GreedyFailure
-from pathpack.search import branch_cut, branch_no_subpath, branch_overlong
-
-print("optimize", sys.flags.optimize)
-inst = from_packing(PackingInstance(random_gnp(6, 0.5, 1), 0, 5, 2, 4))
-dist = Workspace(inst.base.graph).distance_row
-fail = GreedyFailure(FailureCondition.NO_SUBPATH, 1, 1, (), ())
-for brancher in (branch_overlong, branch_cut):
-    try:
-        brancher(fail, inst, SolverConfig(), dist)
-    except AssertionError as exc:
-        print("raised:", exc)
-    else:
-        print("returned")
-"""
-
-
-def test_branch_condition_checks_survive_python_O():
-    # each brancher refuses a failure of another rule, also under -O
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-O", "-c", _WRONG_FAILURE],
-                          capture_output=True, text=True, env=env,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
-        "optimize 1",
-        "raised: expected a OVERLONG failure, got NO_SUBPATH",
-        "raised: expected a CUT_TOO_SMALL failure, got NO_SUBPATH",
-    ]
-    fail = GreedyFailure(FailureCondition.OVERLONG, 1, 1, (), ())
-    inst = from_packing(PackingInstance(random_gnp(6, 0.5, 1), 0, 5, 2, 4))
-    with pytest.raises(AssertionError, match="NO_SUBPATH"):
-        branch_no_subpath(fail, inst, SolverConfig(),
-                          _dist_fn(inst.base.graph))
 
 
 # ---------------------------------------------------------------------------
