@@ -30,6 +30,7 @@ from .config import (CONFIG_NAMES, HEURISTIC_CODES, SolverConfig, SolveStats,
                      config_from_name, with_heuristics)
 from .graph import (Graph, GraphFormatError, Workspace, format_graph,
                     load_graph, random_gnp)
+from .kernels import bfs_tree
 from .model import PackingInstance, Solution
 from .oracle import oracle_decide
 from .search import solve
@@ -210,8 +211,8 @@ def _cmd_gen(args, out) -> int:
 
 def _sample_pairs(g: Graph, count: int, rng: random.Random,
                   max_dist: int = 10) -> list[tuple[int, int]]:
-    """Distinct unordered terminal pairs at distance <= max_dist; none for
-    a graph with fewer than two vertices."""
+    """Distinct unordered terminal pairs at distance <= max_dist, each tried
+    by a BFS from u within max_dist; none for fewer than two vertices."""
     if g.n < 2:
         return []
     ws = Workspace(g)
@@ -228,8 +229,12 @@ def _sample_pairs(g: Graph, count: int, rng: random.Random,
         key = (min(u, v), max(u, v))
         if key in seen:
             continue
-        d = ws.distance_row(u)[v]
-        if 0 < d <= max_dist:
+        reached = bfs_tree(g.adj, ws.blocked, u, v, -1, -1, ws.dist,
+                           ws.parent, ws.queue, max_dist)
+        d = ws.dist[v]
+        for x in ws.queue[:reached]:
+            ws.dist[x] = -1
+        if d > 0:
             seen.add(key)
             pairs.append((u, v))
     return pairs

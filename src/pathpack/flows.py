@@ -1,7 +1,9 @@
-"""The two flow subroutines of the solver, on the vertex-split digraph:
-minimum s-t vertex separator size (via unit-capacity max flow) and k
-internally vertex-disjoint s-t paths of minimum total length (via min-cost
-unit flow with successive shortest paths).
+"""The two flows of the solver, on the vertex-split digraph: the minimum
+s-t vertex separator size by unit-capacity max flow (``st_flow_value``,
+which the greedy's ``d-ms`` check runs with the consumed vertices closed)
+and k internally vertex-disjoint s-t paths of minimum total length by
+min-cost unit flow with successive shortest paths
+(``min_total_length_disjoint_paths``, which trivial detection runs once).
 
 Splitting each vertex v into v_in -> v_out (unit arc) turns vertex
 disjointness into arc disjointness; an original s-t path of length L becomes
@@ -17,46 +19,41 @@ arcs of a node are visited in a fixed order, the arc order of the explicit
 split digraph (internal arcs first, then cross arcs in ascending neighbour
 order):
 
-* v_in: the internal arc to v_out while v carries no flow and is not
-  closed, otherwise the reverse cross arc to ``prv[v]``'s out-node;
+* v_in: the internal arc to v_out while v carries no flow (and, in the max
+  flow, is not closed), otherwise the reverse cross arc to ``prv[v]``'s
+  out-node;
 * v_out: the reverse internal arc to v_in while v carries flow, then the
   cross arc to w_in for every neighbour w in ascending order but the one v
   already sends its flow to.
 
-A closed vertex is shut out of the flow, as if it were deleted.  Each flow
-does only the work its caller needs: ``_max_flow`` stops after ``limit``
-augmentations (the separator tests only compare the value with a target),
-and each shortest-path round of the min-cost flow stops once the sink is
-settled.
+A closed vertex is shut out of the max flow, as if it were deleted.  Each
+flow does only the work its caller needs: the max flow stops after
+``limit`` augmentations (the separator test only compares the value with a
+target), and each shortest-path round of the min-cost flow stops once the
+sink is settled.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
     from .graph import Graph
 
-__all__ = [
-    "st_flow_value",
-    "min_total_length_disjoint_paths",
-]
+__all__ = ["st_flow_value", "min_total_length_disjoint_paths"]
 
 
 class _UnitFlow:
-    """A unit s-t flow on the implicit split digraph of ``g``: no flow at
-    first, and ``closed`` (a per-vertex byte mask, or None) shut out."""
+    """A unit s-t flow on ``g``'s implicit split digraph, empty at first."""
 
-    __slots__ = ("adj", "s", "t", "closed", "prv", "nxt", "direct")
+    __slots__ = ("adj", "s", "t", "prv", "nxt", "direct")
 
-    def __init__(self, g: Graph, s: int, t: int,
-                 closed: Optional[bytearray]):
+    def __init__(self, g: Graph, s: int, t: int):
         self.adj = g.adj
         self.s = s
         self.t = t
-        self.closed = closed
         self.prv = [-1] * g.n
         self.nxt = [-1] * g.n
         self.direct = False
@@ -102,17 +99,22 @@ class _UnitFlow:
             y = x
 
 
-def _max_flow(g: Graph, s: int, t: int, limit: Optional[int],
-              closed: Optional[bytearray] = None) -> int:
-    """Edmonds-Karp from s_out to t_in on the implicit split digraph, with
-    the vertices marked in ``closed`` shut out; stops after ``limit``
-    augmentations (None: at the maximum)."""
-    flow = _UnitFlow(g, s, t, closed)
+def st_flow_value(g: Graph, s: int, t: int, limit: int,
+                  closed: Optional[bytearray] = None) -> int:
+    """Edmonds-Karp from s_out to t_in, with the vertices marked in
+    ``closed`` (a byte per vertex, or None) shut out; the flow value, or
+    ``limit`` if it reaches that.
+
+    The value is the maximum number of internally vertex-disjoint s-t paths
+    (a direct s-t edge is one unit that no internal arc can cut), so a
+    ``limit`` of ``g.n`` never caps it.
+    """
+    flow = _UnitFlow(g, s, t)
     adj, prv, nxt = flow.adj, flow.prv, flow.nxt
     nn = 2 * g.n
     source, sink = 2 * s + 1, 2 * t
     value = 0
-    while limit is None or value < limit:
+    while value < limit:
         parent = [-1] * nn
         parent[source] = -2
         queue = [source]
@@ -157,36 +159,6 @@ def _max_flow(g: Graph, s: int, t: int, limit: Optional[int],
     return value
 
 
-def _closed_mask(g: Graph, s: int, t: int,
-                 removed: Optional[Iterable[int]]) -> Optional[bytearray]:
-    """Check the terminals and turn ``removed`` into a closed mask."""
-    if s == t:
-        raise ValueError("terminals s and t must differ")
-    g.check_vertex(s)
-    g.check_vertex(t)
-    if removed is None:
-        return None
-    closed = bytearray(g.n)
-    for v in removed:
-        g.check_vertex(v)
-        closed[v] = 1
-    if closed[s] or closed[t]:
-        raise ValueError("terminals must not be removed")
-    return closed
-
-
-def st_flow_value(g: Graph, s: int, t: int,
-                  removed: Optional[Iterable[int]] = None) -> int:
-    """Max s_out -> t_in flow value in the split digraph, with the
-    ``removed`` vertices shut out.
-
-    Equals the maximum number of internally vertex-disjoint s-t paths (a
-    direct s-t edge contributes one unit that no internal arc can cut), so
-    this is the quantity the solver compares against k.
-    """
-    return _max_flow(g, s, t, None, _closed_mask(g, s, t, removed))
-
-
 @dataclass(frozen=True)
 class DisjointPathsResult:
     """k pairwise internally vertex-disjoint s-t paths of minimum total
@@ -202,20 +174,19 @@ _UNREACHED = 1 << 60
 
 
 def _dijkstra_reduced(flow: _UnitFlow, source: int, sink: int,
-                      potential: list[int], dist: list[int],
-                      parent: list[int]) -> None:
-    """Shortest paths under reduced costs, stopped when the sink is settled.
+                      potential: list[int]) -> tuple[list[int], list[int]]:
+    """Shortest paths under reduced costs, stopped when the sink is settled:
+    the distances and parents.
 
     Every arc costs 1 and every reverse arc -1.  Every node still unsettled
     then has ``dist >= dist[sink]``, and the caller caps potentials at
     ``dist[sink]``, so stopping early gives the same potentials and the
     same sink path as settling every node.
     """
-    adj, prv, nxt, closed = flow.adj, flow.prv, flow.nxt, flow.closed
+    adj, prv, nxt = flow.adj, flow.prv, flow.nxt
     heappush, heappop = heapq.heappush, heapq.heappop
-    nn = len(dist)
-    dist[:] = [_UNREACHED] * nn
-    parent[:] = [-1] * nn
+    dist = [_UNREACHED] * len(potential)
+    parent = [-1] * len(potential)
     dist[source] = 0
     heap = [(0, source)]
     while heap:
@@ -223,7 +194,7 @@ def _dijkstra_reduced(flow: _UnitFlow, source: int, sink: int,
         if d > dist[x]:
             continue
         if x == sink:
-            return
+            break
         base = d + potential[x]
         v = x >> 1
         p = prv[v]
@@ -232,8 +203,6 @@ def _dijkstra_reduced(flow: _UnitFlow, source: int, sink: int,
             if p >= 0:
                 y = 2 * p + 1
                 nd = base - 1 - potential[y]
-            elif closed is not None and closed[v]:
-                continue
             else:
                 y = x + 1
                 nd = base + 1 - potential[y]
@@ -263,25 +232,24 @@ def _dijkstra_reduced(flow: _UnitFlow, source: int, sink: int,
                     dist[w] = nd
                     parent[w] = x
                     heappush(heap, (nd, w))
+    return dist, parent
 
 
-def _min_cost_paths(g: Graph, s: int, t: int, k: int,
-                    closed: Optional[bytearray] = None,
-                    ) -> Optional[DisjointPathsResult]:
-    """k disjoint s-t paths of minimum total length avoiding the vertices
-    marked in ``closed``, or None when fewer than k exist.
+def min_total_length_disjoint_paths(g: Graph, s: int, t: int, k: int,
+                                    ) -> Optional[DisjointPathsResult]:
+    """k internally vertex-disjoint s-t paths minimizing total length, or
+    None when fewer than k disjoint paths exist.
 
-    Successive shortest paths finds k paths exactly when the max flow is at
-    least k, so None also refutes a separator bound of k.
+    Successive shortest-path augmentations with potentials keep every
+    intermediate flow cost-optimal; unit costs keep everything integral.
+    They find k paths exactly when the max flow is at least k, so None also
+    refutes a separator bound of k.
     """
-    flow = _UnitFlow(g, s, t, closed)
+    flow = _UnitFlow(g, s, t)
     source, sink = 2 * s + 1, 2 * t
-    nn = 2 * g.n
-    potential = [0] * nn
-    dist = [_UNREACHED] * nn
-    parent = [-1] * nn
+    potential = [0] * (2 * g.n)
     for _ in range(k):
-        _dijkstra_reduced(flow, source, sink, potential, dist, parent)
+        dist, parent = _dijkstra_reduced(flow, source, sink, potential)
         cap_at = dist[sink]
         if cap_at >= _UNREACHED:
             return None
@@ -329,17 +297,3 @@ def _decompose(flow: _UnitFlow, k: int) -> DisjointPathsResult:
     if 2 * total != split_total + k:
         raise AssertionError("length conversion identity violated")
     return DisjointPathsResult(tuple(paths), total, split_total)
-
-
-def min_total_length_disjoint_paths(g: Graph, s: int, t: int, k: int,
-                                    removed: Optional[Iterable[int]] = None,
-                                    ) -> Optional[DisjointPathsResult]:
-    """k internally vertex-disjoint s-t paths minimizing total length, or
-    None when fewer than k disjoint paths exist.
-
-    Successive shortest-path augmentations with potentials keep every
-    intermediate flow cost-optimal; unit costs keep everything integral.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return _min_cost_paths(g, s, t, k, _closed_mask(g, s, t, removed))

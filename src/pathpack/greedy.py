@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .config import SolverConfig, SolveStats
-from .flows import _max_flow
+from .flows import st_flow_value
 from .graph import Workspace, shortest_path_blocked
 from .model import CheckpointInstance
 
@@ -113,7 +113,7 @@ def run_greedy(inst: CheckpointInstance, cfg: SolverConfig,
         if (cfg.d_ms and (i0 > 0 or not cfg.trivial_detection)
                 and all(len(lists[x]) == 2 for x in range(i0, k))):
             need = k - i0
-            if _max_flow(g, s, t, need, blocked_base) < need:
+            if st_flow_value(g, s, t, need, blocked_base) < need:
                 stats.dms_fired += 1
                 return GreedyFailure(FailureCondition.CUT_TOO_SMALL,
                                      i0 + 1, None, tuple(completed), ())

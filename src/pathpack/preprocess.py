@@ -5,8 +5,8 @@ within distance ell of both terminals and within distance floor(ell/2) of
 at least one, followed by iterated removal of degree <= 1 vertices (the
 terminals are protected).  The reduced instance is decision-equivalent.
 
-Trivial detection runs next, in this order: the ell = 1, ell = 2 and k = 1
-cases are decided outright; k above the smaller terminal degree is refuted;
+Trivial detection runs next, in this order: the ell = 2 and k = 1 cases
+are decided outright; k above the smaller terminal degree is refuted;
 then one min-cost flow for the k disjoint paths of minimum total length
 either refutes (fewer than k disjoint paths: a separator below k), gives a
 witness, refutes by total length, or leaves the instance open.  Both steps
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import graph
-from .flows import _min_cost_paths
+from .flows import min_total_length_disjoint_paths
 from .graph import Graph, Workspace, shortest_path_blocked
 from .model import (CheckpointInstance, PackingInstance, Solution,
                     from_packing)
@@ -144,25 +144,20 @@ def detect_trivial(inst: CheckpointInstance,
                    ws: Optional[Workspace] = None) -> TrivialOutcome:
     """Root-only detectors, applied in order.
 
-    ell = 1: yes iff k = 1 and the terminals are adjacent.  ell = 2: one
-    path per common neighbor plus the direct edge, so yes iff that count
-    reaches k.  k = 1: shortest-path length against ell.  Then the
-    separator refutes (``min-separator``) when k exceeds the degree of s
-    or of t, or when the min-cost flow finds fewer than k disjoint paths.
+    ell = 2: one path per common neighbor plus the direct edge, so yes iff
+    that count reaches k.  k = 1: shortest-path length against ell.  Then
+    the separator refutes (``min-separator``) when k exceeds the degree of
+    s or of t, or when the min-cost flow finds fewer than k disjoint paths.
     Otherwise the k disjoint paths of minimum total length either directly
-    form a witness (longest path <= ell), refute (total > k * ell), or
-    leave the instance open.  No max flow runs here.
+    form a witness (longest path <= ell), refute (total > k * ell, always
+    so at ell = 1 since 1 + 2(k - 1) > k), or leave the instance open.  No
+    max flow runs here.
     """
     _require_bare(inst)
     g = inst.base.graph
     s, t, k, ell = inst.base.s, inst.base.t, inst.base.k, inst.base.ell
     if ws is None:
         ws = Workspace(g)
-
-    if ell == 1:
-        if k == 1 and g.has_edge(s, t):
-            return _yes(Solution(((s, t),)), "ell1")
-        return _no("ell1")
 
     if ell == 2:
         common = sorted(set(g.neighbors(s)) & set(g.neighbors(t)))
@@ -190,7 +185,7 @@ def detect_trivial(inst: CheckpointInstance,
         return _no("min-separator")
     # successive shortest paths finds k paths exactly when the max flow
     # reaches k, so its failure is the separator refutation
-    result = _min_cost_paths(g, s, t, k)
+    result = min_total_length_disjoint_paths(g, s, t, k)
     if result is None:
         return _no("min-separator")
     longest = max(len(p) - 1 for p in result.paths)

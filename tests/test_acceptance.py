@@ -183,8 +183,8 @@ def test_criterion_5_menger_transform():
             t = (t + 1) % n
         ans = oracle_decide(PackingInstance(g, s, t, 1, max(1, n - 1)),
                             want_max_packing=True)
-        if st_flow_value(g, s, t) != ans.max_packing:
-            bad.append((seed, st_flow_value(g, s, t), ans.max_packing))
+        if st_flow_value(g, s, t, g.n) != ans.max_packing:
+            bad.append((seed, st_flow_value(g, s, t, g.n), ans.max_packing))
     assert _report(5, "flow value equals max unbounded packing", not bad,
                    "100 graphs"), bad[:5]
 

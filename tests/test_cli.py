@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,8 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from pathpack import SolverConfig, config_from_name, format_graph, parse_graph
+from pathpack import (SolverConfig, Workspace, config_from_name,
+                      format_graph, parse_graph, random_gnp)
+from pathpack import cli
 from pathpack.cli import main
+
+from conftest import grid_graph
 
 # the bench CSV header as documented in the README; the first seven columns
 # describe the run, the rest are the solve statistics
@@ -478,6 +483,63 @@ def test_bench_goes_on_past_a_graph_without_a_pair(text, gex_file, tmp_path,
     assert rows[0]["decision"] in ("yes", "no")
     assert (f"warning: {tiny}: only 0 usable terminal pairs of 1 requested"
             in capsys.readouterr().err)
+
+
+def _reference_sample_pairs(g, count, rng, max_dist=10):
+    """The sampler as it was before it bounded each attempt's BFS: a cached
+    full-graph distance row per u."""
+    if g.n < 2:
+        return []
+    ws = Workspace(g)
+    pairs, seen = [], set()
+    attempts = 0
+    limit = max(1000, 200 * count)
+    while len(pairs) < count and attempts < limit:
+        attempts += 1
+        u = rng.randrange(g.n)
+        v = rng.randrange(g.n)
+        if u == v:
+            continue
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            continue
+        d = ws.distance_row(u)[v]
+        if 0 < d <= max_dist:
+            seen.add(key)
+            pairs.append((u, v))
+    return pairs
+
+
+def _sampling_graphs():
+    for seed in range(20):
+        rng = random.Random(seed)
+        n = rng.randrange(2, 400)
+        yield random_gnp(n, rng.choice([0.5, 1.5, 3.0]) / n, 1100 + seed)
+    # as bench reads it: a parsed file, whose rows are a flat view
+    yield parse_graph(format_graph(grid_graph(30, 40, 0.0,
+                                              random.Random(0))))
+
+
+_SAMPLING = list(_sampling_graphs())
+
+
+@pytest.mark.parametrize("index", range(len(_SAMPLING)))
+def test_bench_samples_the_reference_pairs_without_full_rows(index,
+                                                             monkeypatch):
+    g = _SAMPLING[index]
+    for count, max_dist in ((10, 10), (3, 4), (40, 2)):
+        want_rng, got_rng = random.Random(index), random.Random(index)
+        want = _reference_sample_pairs(g, count, want_rng, max_dist)
+        with monkeypatch.context() as m:
+            m.setattr(Workspace, "distance_row", _no_distance_row)
+            got = cli._sample_pairs(g, count, got_rng, max_dist)
+        assert got == want
+        # bench draws its config orders from the same generator next
+        assert got_rng.getstate() == want_rng.getstate()
+
+
+def _no_distance_row(self, src):
+    raise AssertionError("sampling must not build a full-graph row")
 
 
 @pytest.mark.parametrize("extra", [

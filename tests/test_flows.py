@@ -5,8 +5,7 @@ import networkx as nx
 import pytest
 
 from pathpack import Graph, PackingInstance, random_gnp
-from pathpack.flows import (_max_flow, _min_cost_paths,
-                            min_total_length_disjoint_paths, st_flow_value)
+from pathpack.flows import min_total_length_disjoint_paths, st_flow_value
 from pathpack.oracle import enumerate_bounded_paths, oracle_decide
 
 from conftest import vid
@@ -29,31 +28,24 @@ def test_split_length_conversion_identity():
 
 def test_separator_path_graph():
     g = Graph(3, [(0, 1), (1, 2)])
-    assert st_flow_value(g, 0, 2) == 1
+    assert st_flow_value(g, 0, 2, g.n) == 1
 
 
 def test_separator_fixture(gex):
-    assert st_flow_value(gex, vid(1), vid(5)) == 2
+    assert st_flow_value(gex, vid(1), vid(5), gex.n) == 2
 
 
 def test_separator_complete_bipartite():
     # s and t are the two degree-3 vertices of K_{2,3}
     g = Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
-    assert st_flow_value(g, 0, 1) == 3
+    assert st_flow_value(g, 0, 1, g.n) == 3
 
 
 def test_separator_adjacent_terminals_marker():
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
     # no vertex separates adjacent terminals: the flow value counts the
     # direct edge as one route
-    assert st_flow_value(g, 0, 2) == 2
-
-
-def test_flow_usage_errors(gex):
-    with pytest.raises(ValueError):
-        st_flow_value(gex, 3, 3)
-    with pytest.raises(ValueError):
-        st_flow_value(gex, 0, 4, removed=[0])
+    assert st_flow_value(g, 0, 2, g.n) == 2
 
 
 @pytest.mark.parametrize("seed", range(100))
@@ -64,7 +56,7 @@ def test_menger_flow_equals_max_unbounded_packing(seed):
     s, t = rng.sample(range(n), 2)
     ans = oracle_decide(PackingInstance(g, s, t, 1, max(1, n - 1)),
                         want_max_packing=True)
-    assert st_flow_value(g, s, t) == ans.max_packing
+    assert st_flow_value(g, s, t, g.n) == ans.max_packing
 
 
 # ---------------------------------------------------------------------------
@@ -317,18 +309,24 @@ def _closed(g, removed):
 
 def _assert_matches_reference(g, s, t, removed=()):
     """Every capped max flow from 0 to value + 2, and the witness of every
-    k from 1 to value + 1, as the reference network gives them."""
+    k from 1 to value + 1, as the reference network gives them.  The max
+    flow closes ``removed``; the min-cost flow, which takes no mask, runs
+    on the subgraph without them, whose order-keeping relabelling leaves
+    the reference's arc order unchanged."""
     closed = _closed(g, removed) if removed else None
     value = _reference_max_flow(g, s, t, None, removed)
-    assert _max_flow(g, s, t, None, closed) == value
+    assert st_flow_value(g, s, t, g.n, closed) == value
     for limit in range(value + 3):
-        assert (_max_flow(g, s, t, limit, closed)
+        assert (st_flow_value(g, s, t, limit, closed)
                 == _reference_max_flow(g, s, t, limit, removed)
                 == min(limit, value))
+    h, new = _delete(g, set(removed))
+    old = {i: v for v, i in new.items()}
     for k in range(1, value + 2):
-        got = _min_cost_paths(g, s, t, k, closed)
+        got = min_total_length_disjoint_paths(h, new[s], new[t], k)
         want = _reference_min_cost_paths(g, s, t, k, removed)
-        assert (None if got is None else got.paths) == want
+        assert (None if got is None else
+                tuple(tuple(old[v] for v in p) for p in got.paths)) == want
         assert (got is None) == (k > value)
 
 
@@ -344,10 +342,11 @@ def test_implicit_flows_match_reference_network(gex):
 def test_two_calls_on_one_graph_agree(gex):
     # no flow state is carried from one call to the next
     s, t = vid(1), vid(5)
-    first = (_max_flow(gex, s, t, None), _min_cost_paths(gex, s, t, 2))
-    assert _max_flow(gex, s, t, None, _closed(gex, [vid(3)])) == 2
-    assert (_max_flow(gex, s, t, None), _min_cost_paths(gex, s, t, 2)) \
-        == first
+    first = (st_flow_value(gex, s, t, gex.n),
+             min_total_length_disjoint_paths(gex, s, t, 2))
+    assert st_flow_value(gex, s, t, gex.n, _closed(gex, [vid(3)])) == 2
+    assert (st_flow_value(gex, s, t, gex.n),
+            min_total_length_disjoint_paths(gex, s, t, 2)) == first
     assert first[0] == 2 and first[1].total_length == 10
 
 
@@ -370,18 +369,10 @@ def test_closed_vertices_flow_like_deleted_ones(seed):
     others = [v for v in range(n) if v not in (s, t)]
     removed = set(rng.sample(others, rng.randrange(0, len(others) // 2 + 1)))
     h, new = _delete(g, removed)
-    want = st_flow_value(h, new[s], new[t])
-    assert st_flow_value(g, s, t, removed=removed) == want
-    assert _max_flow(g, s, t, None, _closed(g, removed)) == want
+    want = st_flow_value(h, new[s], new[t], h.n)
+    assert st_flow_value(g, s, t, g.n, _closed(g, removed)) == want
     # a later call without the mask sees every vertex again
-    assert _max_flow(g, s, t, None) == st_flow_value(g, s, t)
-    k = rng.randrange(1, 4)
-    got = min_total_length_disjoint_paths(g, s, t, k, removed=removed)
-    ref = min_total_length_disjoint_paths(h, new[s], new[t], k)
-    assert (got is None) == (ref is None)
-    if got is not None:
-        assert got.total_length == ref.total_length
-        assert not removed & {v for p in got.paths for v in p}
+    assert st_flow_value(g, s, t, g.n) == _reference_max_flow(g, s, t, None)
     _assert_matches_reference(g, s, t, sorted(removed))
 
 
@@ -391,9 +382,9 @@ def test_capped_max_flow_is_min_of_limit_and_value(seed):
     n = rng.randrange(6, 40)
     g = random_gnp(n, rng.choice([0.1, 0.25, 0.4]), seed + 700)
     s, t = rng.sample(range(n), 2)
-    value = st_flow_value(g, s, t)
+    value = st_flow_value(g, s, t, g.n)
     for limit in range(0, value + 3):
-        assert _max_flow(g, s, t, limit) == min(limit, value)
+        assert st_flow_value(g, s, t, limit) == min(limit, value)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +431,7 @@ def test_flow_value_matches_networkx_connectivity(name, g, seed):
         else:
             want = nx.algorithms.connectivity.local_node_connectivity(
                 h, s, t)
-        assert st_flow_value(g, s, t) == want
+        assert st_flow_value(g, s, t, g.n) == want
 
 
 def _nx_min_total_length(g, s, t, k):

@@ -70,7 +70,7 @@ def test_unbounded_max_packing_equals_flow_value(seed):
     s, t = rng.sample(range(n), 2)
     ans = oracle_decide(PackingInstance(g, s, t, 1, max(1, n - 1)),
                         want_max_packing=True)
-    assert ans.max_packing == st_flow_value(g, s, t)
+    assert ans.max_packing == st_flow_value(g, s, t, g.n)
 
 
 def test_direct_edge_used_at_most_once():

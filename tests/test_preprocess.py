@@ -5,7 +5,8 @@ import pytest
 
 import pathpack.graph
 from pathpack import (Graph, PackingInstance, SolverConfig, Workspace,
-                      from_packing, random_gnp, validate_solution)
+                      config_from_name, from_packing, random_gnp,
+                      validate_solution)
 from pathpack.oracle import oracle_decide
 from pathpack.preprocess import detect_trivial, reduce_instance
 from pathpack.search import solve
@@ -260,7 +261,8 @@ def test_trivial_degree_bound_refutes_without_a_flow(gex, monkeypatch):
     def no_flow(*args, **kwargs):
         raise AssertionError("the degree bound must decide first")
 
-    monkeypatch.setattr(pathpack.preprocess, "_min_cost_paths", no_flow)
+    monkeypatch.setattr(pathpack.preprocess, "min_total_length_disjoint_paths",
+                        no_flow)
     out = _detect(gex, vid(1), vid(5), 3, 9)
     assert out.kind == "no" and out.via == "min-separator"
     decision, witness, stats = solve(PackingInstance(gex, vid(1), vid(5),
@@ -327,13 +329,19 @@ def test_reduce_requires_bare_lists(gex):
         reduce_instance(child)
 
 
-@pytest.mark.parametrize("seed", range(60))
+@pytest.mark.parametrize("seed", range(100))
 def test_trivial_soundness_random(seed):
+    # seeds from 60 on are ell = 1 cases, which the k = 1 shortest path, the
+    # separator and the total length decide without a detector of their own
     rng = random.Random(seed)
-    n = rng.randrange(4, 13)
+    ell_one = seed >= 60
+    n = rng.randrange(2, 13) if ell_one else rng.randrange(4, 13)
     g = random_gnp(n, rng.choice([0.15, 0.3, 0.5]), seed + 500)
     s, t = rng.sample(range(n), 2)
-    k, ell = rng.choice([1, 2, 3]), rng.choice([1, 2, 3, 5, 6])
+    if ell_one:
+        k, ell = rng.randrange(1, 5), 1
+    else:
+        k, ell = rng.choice([1, 2, 3]), rng.choice([1, 2, 3, 5, 6])
     inst = PackingInstance(g, s, t, k, ell)
     out = detect_trivial(from_packing(inst))
     truth = oracle_decide(inst).decision
@@ -342,3 +350,9 @@ def test_trivial_soundness_random(seed):
         assert validate_solution(from_packing(inst), out.witness)
     elif out.kind == "no":
         assert truth == "no"
+    if ell == 1:
+        assert out.kind == truth
+        for cfg in (SolverConfig(), SolverConfig(preprocess=False),
+                    config_from_name("bare")):
+            decision, _, stats = solve(inst, cfg)
+            assert decision == truth and stats.nodes == 0
