@@ -3,7 +3,10 @@
 Reduction keeps only vertices that can appear on a solution path: those
 within distance ell of both terminals and within distance floor(ell/2) of
 at least one, followed by iterated removal of degree <= 1 vertices (the
-terminals are protected).  The reduced instance is decision-equivalent.
+terminals are protected).  When dist(s, t) + floor(ell/2) <= ell, that set
+is the union of the two balls of radius floor(ell/2) around the terminals,
+and both searches stop there; otherwise they run to distance ell.  The
+reduced instance is decision-equivalent.
 
 Trivial detection runs next, in this order: the ell = 2 and k = 1 cases
 are decided outright; k above the smaller terminal degree is refuted;
@@ -59,9 +62,15 @@ def reduce_instance(inst: CheckpointInstance,
                     ) -> tuple[CheckpointInstance, ReductionReport]:
     """Shrink the instance to the relevant neighborhood of the terminals.
 
-    Both BFS stop at distance ell, and the filter, the peeling and the
-    relabelling visit only the vertices within ell of s, so the work
-    follows the size of that ball rather than the size of the graph.
+    A vertex is kept when it lies within floor(ell/2) of one terminal and
+    within ell of the other.  The BFS from s first stops at floor(ell/2),
+    which shows whether dist(s, t) + floor(ell/2) <= ell.  If so, the
+    second condition follows from the first, the BFS from t stops at
+    floor(ell/2) too, and the kept set is the union of the two half-balls;
+    otherwise both BFS run to distance ell.  The filter, the peeling and
+    the relabelling visit only the vertices the searches reached, so the
+    work follows the size of those balls rather than the size of the
+    graph.
 
     Runs at the root, on bare lists: the terminals are never peeled, so
     the reduced root is again bare.
@@ -71,25 +80,43 @@ def reduce_instance(inst: CheckpointInstance,
     s, t, ell = inst.base.s, inst.base.t, inst.base.ell
     adj = g.adj
     n = g.n
+    half = ell // 2
     unblocked = bytearray(n)
     ds, dt, parent, queue = [-1] * n, [-1] * n, [-1] * n, [0] * n
-    # the kernel is looked up as graph.bfs_tree at call time, so wrapping
-    # that one name (as perfbench's tracer does) sees these calls too
-    ball = queue[:graph.bfs_tree(adj, unblocked, s, -1, -1, -1, ds, parent,
-                                 queue, ell)]
-    graph.bfs_tree(adj, unblocked, t, -1, -1, -1, dt, parent, queue, ell)
-    half = ell // 2
+
+    def ball(src: int, depth: int, dist: list[int]) -> list[int]:
+        # the kernel is looked up as graph.bfs_tree at call time, so wrapping
+        # that one name (as perfbench's tracer does) sees these calls too
+        return queue[:graph.bfs_tree(adj, unblocked, src, -1, -1, -1, dist,
+                                     parent, queue, depth)]
+
+    near_s = ball(s, half, ds)
     keep = bytearray(n)
-    for v in ball:
-        if dt[v] >= 0 and (ds[v] <= half or dt[v] <= half):
+    # dist(s, t) + half <= ell holds when t lies within half of s or, for
+    # an odd ell, next to a vertex that does
+    if ds[t] >= 0 or (ell % 2 and any(ds[w] >= 0 for w in adj[t])):
+        # a vertex within half of one terminal is then within ell of the
+        # other, so the kept set is the union of the half-balls; it holds
+        # both terminals
+        near_t = ball(t, half, dt)
+        candidates = near_s + [v for v in near_t if ds[v] < 0]
+        for v in candidates:
             keep[v] = 1
-    # terminals always stay so the reduced instance remains well formed,
-    # even when they cannot reach each other within ell
-    keep[s] = 1
-    keep[t] = 1
-    candidates = [v for v in ball if keep[v]]
-    if ds[t] < 0:
-        candidates.append(t)
+    else:
+        for v in near_s:
+            ds[v] = -1
+        far_s = ball(s, ell, ds)
+        ball(t, ell, dt)
+        for v in far_s:
+            if dt[v] >= 0 and (ds[v] <= half or dt[v] <= half):
+                keep[v] = 1
+        # terminals always stay so the reduced instance remains well
+        # formed, even when they cannot reach each other within ell
+        keep[s] = 1
+        keep[t] = 1
+        candidates = [v for v in far_s if keep[v]]
+        if ds[t] < 0:
+            candidates.append(t)
 
     # degree <= 1 peeling with a work queue over live degrees (Batagelj &
     # Zaversnik 2003): a vertex is queued once, when its live degree first

@@ -212,7 +212,22 @@ def test_mutations_reach_both_outcomes_and_every_message():
 # fixed cases
 # ---------------------------------------------------------------------------
 
+def _wide_line(tokens):
+    """A header and one line of ``tokens`` tokens which, read in pairs, are
+    distinct edges; for an even count they are the declared number of
+    edges, and only the two-per-line rule rejects them.  A per-line token
+    counter of 8 bits would read 256 tokens as 0 and 258 as 2, and accept
+    the line."""
+    ends = [str(e) for v in range(2, 2 + tokens // 2 + 1) for e in (1, v)]
+    return f"300 {tokens // 2}\n" + " ".join(ends[:tokens]) + "\n"
+
+
 @pytest.mark.parametrize("text", [
+    _wide_line(256),
+    _wide_line(257),
+    _wide_line(258),
+    "5 3\n1 2\n2 3\n3 4 5\n",
+    "5 3\n1 2\n2 3 4\n5 1\n1\n",
     "",
     "\n\n",
     "# only a comment\n",

@@ -108,8 +108,13 @@ def _reference_reduce(g, s, t, ell):
     return tuple(kept), reduced.adj, reduced.m
 
 
+PARITY_SEEDS = 180
+
+
 def _parity_case(seed):
     rng = random.Random(seed + 7000)
+    if seed >= 90:
+        return _boundary_case(seed, rng)
     kind = seed % 3
     if kind == 0:                       # sparse G(n, p)
         n = rng.randrange(10, 150)
@@ -129,12 +134,50 @@ def _parity_case(seed):
     return g, s, t, ell
 
 
-@pytest.mark.parametrize("seed", range(90))
-def test_reduce_matches_the_full_graph_reference(seed):
+def _boundary_case(seed, rng):
+    """Terminals at distance ell - floor(ell/2) (even seeds), where the
+    reduction keeps the union of the two half-balls, or one more (odd
+    seeds), where it searches to depth ell; ell cycles through 1, 2, 3 and
+    a draw from 4..13."""
+    ell = (1, 2, 3, rng.randrange(4, 14))[seed // 2 % 4]
+    d = ell - ell // 2 + seed % 2
+    if seed // 8 % 2:
+        n = rng.randrange(4 * d, 150)
+        g = random_gnp(n, rng.choice([1.5, 2.5]) / (n - 1), seed + 7000)
+    else:
+        g = grid_graph(rng.randrange(d + 2, 25), rng.randrange(d + 2, 25),
+                       rng.choice([0.0, 0.2, 0.4]), rng)
+    ws = Workspace(g)
+    while True:
+        s = rng.randrange(g.n)
+        band = [v for v, dv in enumerate(ws.distance_row(s)) if dv == d]
+        if band:
+            return g, s, rng.choice(band), ell
+
+
+def _half_ball_regime(d, ell):
+    """Whether the reduction keeps the union of the two half-balls without
+    a depth-ell search: dist(s, t) + floor(ell/2) <= ell."""
+    return 0 <= d and d + ell // 2 <= ell
+
+
+@pytest.mark.parametrize("seed", range(PARITY_SEEDS))
+def test_reduce_matches_the_full_graph_reference(seed, monkeypatch):
     g, s, t, ell = _parity_case(seed)
     k = 1 + seed % 3
+    kernel = pathpack.graph.bfs_tree
+    calls = []
+
+    def spy(*args):
+        calls.append(args[2])
+        return kernel(*args)
+
+    monkeypatch.setattr(pathpack.graph, "bfs_tree", spy)
     reduced, report = reduce_instance(
         from_packing(PackingInstance(g, s, t, k, ell)))
+    monkeypatch.undo()
+    d = int(Workspace(g).distances_unmasked(s)[t])
+    assert calls == ([s, t] if _half_ball_regime(d, ell) else [s, s, t])
     to_original, adj, m = _reference_reduce(g, s, t, ell)
     assert report.to_original == to_original
     assert reduced.base.graph.adj == adj
@@ -145,44 +188,61 @@ def test_reduce_matches_the_full_graph_reference(seed):
 
 
 def test_parity_cases_cover_far_and_disconnected_terminals():
-    far = disconnected = 0
-    for seed in range(90):
+    far = disconnected = half_balls = 0
+    boundary = set()
+    for seed in range(PARITY_SEEDS):
         g, s, t, ell = _parity_case(seed)
         d = int(Workspace(g).distances_unmasked(s)[t])
         disconnected += d < 0
         far += d > ell
+        half_balls += _half_ball_regime(d, ell)
+        if d - (ell - ell // 2) in (0, 1):
+            boundary.add((min(ell, 4), d - (ell - ell // 2)))
     assert far >= 10 and disconnected >= 10
+    # both regimes of the reduction, and both sides of their boundary
+    assert half_balls >= 30 and PARITY_SEEDS - half_balls >= 30
+    assert boundary == {(e, side) for e in (1, 2, 3, 4) for side in (0, 1)}
 
 
 def test_reduce_bfs_enqueues_only_the_ell_ball(monkeypatch):
-    # a 250 x 400 grid (10^5 vertices); every BFS of the reduction must stop
-    # at the Manhattan ball of radius ell around its source
-    rows, cols, ell = 250, 400, 4
+    # a 250 x 400 grid (10^5 vertices) with the terminals at distance 3.
+    # At ell = 6 (3 + 3 <= 6) both searches stop at the half-balls of
+    # radius 3; at ell = 4 (3 + 2 > 4) the half-ball of radius 2 around s
+    # shows that, and two searches to the Manhattan balls of radius ell
+    # follow
+    rows, cols = 250, 400
     g = grid_graph(rows, cols, 0.0, random.Random(0))
     s = 125 * cols + 200
     t = s + 2 * cols + 1
-    calls = []
     kernel = pathpack.graph.bfs_tree
 
-    def spy(*args):
-        enqueued = kernel(*args)
-        calls.append((args[2], enqueued))
-        return enqueued
-
-    monkeypatch.setattr(pathpack.graph, "bfs_tree", spy)
-    reduced, report = reduce_instance(
-        from_packing(PackingInstance(g, s, t, 2, ell)))
-    monkeypatch.undo()
-
-    assert [src for src, _ in calls] == [s, t]
-    for src, enqueued in calls:
+    def ball(src, radius):
         r0, c0 = divmod(src, cols)
-        ball = sum(1 for r in range(rows) for c in range(cols)
-                   if abs(r - r0) + abs(c - c0) <= ell)
-        assert enqueued == ball
-    to_original, adj, m = _reference_reduce(g, s, t, ell)
-    assert report.to_original == to_original
-    assert reduced.base.graph.adj == adj
+        return sum(1 for r in range(rows) for c in range(cols)
+                   if abs(r - r0) + abs(c - c0) <= radius)
+
+    def reduce_spied(ell):
+        calls = []
+
+        def spy(*args):
+            enqueued = kernel(*args)
+            calls.append((args[2], enqueued))
+            return enqueued
+
+        monkeypatch.setattr(pathpack.graph, "bfs_tree", spy)
+        reduced, report = reduce_instance(
+            from_packing(PackingInstance(g, s, t, 2, ell)))
+        monkeypatch.undo()
+        to_original, adj, m = _reference_reduce(g, s, t, ell)
+        assert report.to_original == to_original
+        assert reduced.base.graph.adj == adj
+        return calls
+
+    assert reduce_spied(6) == [(s, ball(s, 3)), (t, ball(t, 3))]
+    calls = reduce_spied(4)
+    assert [src for src, _ in calls] == [s, s, t]
+    assert sum(enqueued for _, enqueued in calls) <= (
+        ball(s, 2) + ball(t, 2) + ball(s, 4) + ball(t, 4))
 
 
 def test_reduce_kept_monotone_in_ell(gex):
