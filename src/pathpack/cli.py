@@ -248,6 +248,10 @@ def _cmd_bench(args, out) -> int:
     if args.ell_min < 1 or args.ell_max < args.ell_min:
         raise UsageError("need 1 <= ell-min <= ell-max")
     config_names = [c.strip() for c in args.configs.split(",") if c.strip()]
+    if not config_names:
+        raise UsageError("--configs needs at least one configuration name")
+    if len(set(config_names)) < len(config_names):
+        raise UsageError("--configs names a configuration twice")
     base = _base_config(args)
     try:
         configs = {name: config_from_name(name, base) for name in config_names}

@@ -9,7 +9,7 @@ __all__ = ["SolverConfig", "SolveStats", "config_from_name",
            "with_heuristics", "CONFIG_NAMES", "HEURISTIC_CODES"]
 
 # short codes accepted by --heur and by named configurations
-HEURISTIC_CODES = ("b-cpl", "b-sp", "b-fi", "d-ms", "c-dist", "c-pl")
+HEURISTIC_CODES = ("b-sp", "b-fi", "d-ms", "c-dist", "c-pl")
 
 
 @dataclass(frozen=True)
@@ -19,7 +19,6 @@ class SolverConfig:
 
     preprocess: bool = True
     trivial_detection: bool = True
-    b_cpl: bool = False
     b_sp: bool = True
     b_fi: bool = True
     d_ms: bool = True
@@ -87,7 +86,10 @@ class SolveStats:
     depth 0, which keeps max_depth <= k*ell structural.  ``bfi_recorded``
     counts pushed forbidden intervals, ``bfi_masked`` the candidate
     insertions they masked out of the branching.  The field order is the
-    column order of the bench CSV.
+    column order of the bench CSV.  ``prunes_bcpl`` always reads 0: the
+    rule it counted is gone (the gap-sum bound, ``prunes_bsp``, refutes
+    every list it refuted), and the field stays only while the benchmark's
+    tracer still reads it.
     """
 
     solved_by: str = ""

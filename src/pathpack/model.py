@@ -67,9 +67,6 @@ class IntervalStore:
         # (list_index, x) -> [(a, b), ...] in push order
         self._ends: dict[tuple[int, int], list[tuple[int, int]]] = {}
 
-    def __len__(self) -> int:
-        return len(self._items)
-
     def mark(self) -> int:
         return len(self._items)
 

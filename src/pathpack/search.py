@@ -4,13 +4,13 @@ Each node runs the greedy builder; a greedy failure names one of three
 branching rules, and :func:`branch` turns it into that rule's candidate
 insertions, in the order the node tries them.
 A child differs from its parent in one list, so the parent runs the child's
-entry checks itself, on that list alone, from the per-list counts it carries
-down the tree (the entry count, the adjacent consecutive pairs and the sum
-of the unmasked gap distances): a refuted child is counted as entered and
-pruned without being built, and only a surviving child is built and
-expanded.  The root's entry checks cover every list.  A refuted child
-optionally records a forbidden interval visible to its later siblings, in
-the one interval store that the search owns.
+two entry rules itself, on that list alone: the entry count it reads off the
+list, and the one count it carries per list down the tree, the sum of the
+unmasked gap distances.  A refuted child is counted as entered and pruned
+without being built, and only a surviving child is built and expanded.  The
+root's entry checks cover every list.  A refuted child optionally records a
+forbidden interval visible to its later siblings, in the one interval store
+that the search owns.
 Everything is deterministic for a fixed (instance, config) pair;
 tie-breaking is ascending vertex id throughout.
 """
@@ -31,7 +31,7 @@ from .preprocess import detect_trivial, reduce_instance
 __all__ = ["solve", "node_infeasible"]
 
 _FAR = 1 << 30  # distance placeholder for unreachable pairs
-_RULES = ("len", "bcpl", "bsp")  # entry checks, in the order they apply
+_RULES = ("len", "bsp")  # entry checks, in the order they apply
 
 
 class Candidate(NamedTuple):
@@ -130,29 +130,25 @@ def branch(fail: GreedyFailure, inst: CheckpointInstance, cfg: SolverConfig,
     return out
 
 
-def _list_counts(g: Graph, entries: tuple[int, ...], cfg: SolverConfig,
-                 dist_fn: DistFn) -> tuple[int, int]:
-    """(adjacent consecutive pairs, sum of the unmasked gap distances) of
-    one list; each reads 0 when the check that uses it is off."""
-    pairs = list(zip(entries, entries[1:]))
-    adjacent = sum(g.has_edge(a, b) for a, b in pairs) if cfg.b_cpl else 0
+def _gap_sum(entries: tuple[int, ...], cfg: SolverConfig,
+             dist_fn: DistFn) -> int:
+    """The sum of one list's unmasked gap distances, an unreachable gap
+    counted as far; 0 when b-sp, the check that reads it, is off."""
     gaps = 0
     if cfg.b_sp:
-        for a, b in pairs:
+        for a, b in zip(entries, entries[1:]):
             d = dist_fn(a)[b]
             gaps += d if d >= 0 else _FAR
-    return adjacent, gaps
+    return gaps
 
 
-def _list_verdict(size: int, adjacent: int, gaps: int, ell: int,
+def _list_verdict(size: int, gaps: int, ell: int,
                   cfg: SolverConfig) -> Optional[str]:
     """The entry rules of :func:`node_infeasible` for one list with
-    ``size`` entries and the counts of :func:`_list_counts`."""
+    ``size`` entries and the gap sum of :func:`_gap_sum`."""
     # a path of length <= ell visits at most ell + 1 entries
     if size > ell + 1:
         return "len"
-    if cfg.b_cpl and size > ell // 2 + 1 and adjacent < 2 * (size - 1) - ell:
-        return "bcpl"
     if cfg.b_sp and gaps > ell:
         return "bsp"
     return None
@@ -162,20 +158,18 @@ def node_infeasible(inst: CheckpointInstance, cfg: SolverConfig,
                     dist_fn: DistFn) -> Optional[str]:
     """Cheap refutations checked at node entry, in order.
 
-    'len': some list has more than ell + 1 entries.  'bcpl': a list long
-    enough that it needs at least 2(|L|-1) - ell adjacent consecutive pairs
-    falls short of that count.  'bsp': the shortest-path lengths between
-    consecutive entries (unmasked graph) already sum past ell.
+    Two rules.  'len': some list has more than ell + 1 entries.  'bsp': the
+    shortest-path lengths between consecutive entries (unmasked graph)
+    already sum past ell.
 
-    Each rule reads one list at a time, so a child, which differs from its
-    parent in one list, needs the rules on that list only: the search
-    applies them there through :func:`_list_verdict`.
+    Each rule reads one list at a time, and 'bsp' reads one count per list,
+    its gap sum; so a child, which differs from its parent in one list,
+    needs the rules on that list only: the search carries each list's gap
+    sum down the tree and applies them there through :func:`_list_verdict`.
     """
-    g = inst.base.graph
     ell = inst.base.ell
-    verdicts = [_list_verdict(len(entries),
-                              *_list_counts(g, entries, cfg, dist_fn), ell,
-                              cfg)
+    verdicts = [_list_verdict(len(entries), _gap_sum(entries, cfg, dist_fn),
+                              ell, cfg)
                 for entries in inst.lists]
     return min(filter(None, verdicts), key=_RULES.index, default=None)
 
@@ -212,8 +206,6 @@ class _TreeSearch:
         stats = self.stats
         if reason == "len":
             stats.prunes_len += 1
-        elif reason == "bcpl":
-            stats.prunes_bcpl += 1
         else:
             stats.prunes_bsp += 1
 
@@ -224,12 +216,10 @@ class _TreeSearch:
         if reason is not None:
             self._prune(reason)
             return None
-        # each list's counts (see _list_counts) at the current node; a
-        # surviving child changes one entry of each and restores it on return
-        counts = [_list_counts(root.base.graph, entries, self.cfg, self.row)
-                  for entries in root.lists]
-        self.adjacent = [a for a, _ in counts]
-        self.gaps = [gaps for _, gaps in counts]
+        # each list's gap sum (see _gap_sum) at the current node; a
+        # surviving child changes one entry and restores it on return
+        self.gaps = [_gap_sum(entries, self.cfg, self.row)
+                     for entries in root.lists]
         # depth first from an explicit stack, so the tree's depth (up to
         # k*ell) never meets the interpreter's recursion limit: each node
         # yields a surviving child's expansion and is sent back its result
@@ -269,8 +259,7 @@ class _TreeSearch:
             raise AssertionError(f"rule {rule} branched {len(candidates)} "
                                  f"ways, above its bound {bound}")
 
-        has_edge = inst.base.graph.has_edge
-        adjacent, gaps = self.adjacent, self.gaps
+        gaps = self.gaps
         ell = self.ell
         positions: dict[int, dict[int, int]] = {}  # per list, for b-fi
         mark = self.store.mark()
@@ -282,28 +271,21 @@ class _TreeSearch:
                     stats.bfi_masked += 1
                     continue
                 self._enter(depth + 1)
-                # the child's counts on the one list it changes
+                # the child's gap sum on the one list it changes
                 size = len(inst.lists[li]) + 1
-                old_adjacent = adjacent[li]
                 old_gaps = gaps[li]
-                child_adjacent = (old_adjacent - has_edge(u, u2)
-                                  + has_edge(u, v) + has_edge(v, u2)
-                                  if cfg.b_cpl else 0)
                 if cfg.b_sp:
                     d = self.row(u)[u2]
                     child_gaps = old_gaps - (d if d >= 0 else _FAR) + new_gaps
                 else:
                     child_gaps = 0
-                reason = _list_verdict(size, child_adjacent, child_gaps, ell,
-                                       cfg)
+                reason = _list_verdict(size, child_gaps, ell, cfg)
                 if reason is not None:
                     self._prune(reason)
                 else:
                     child = inst.with_insertion(li, pos, v)
-                    adjacent[li] = child_adjacent
                     gaps[li] = child_gaps
                     result = yield self._node(child, depth + 1)
-                    adjacent[li] = old_adjacent
                     gaps[li] = old_gaps
                     if result is not None:
                         return result

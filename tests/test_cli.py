@@ -85,9 +85,10 @@ def test_solve_same_terminals_usage_error(gex_file):
     assert code == 64
 
 
-def test_solve_bad_heuristic_usage_error(gex_file):
+@pytest.mark.parametrize("code_name", ["b-zz", "b-cpl"])
+def test_solve_bad_heuristic_usage_error(gex_file, code_name):
     code, _ = _run(["solve", gex_file, "--s", "1", "--t", "5",
-                    "--k", "2", "--ell", "5", "--heur", "b-zz"])
+                    "--k", "2", "--ell", "5", "--heur", code_name])
     assert code == 64
 
 
@@ -551,6 +552,15 @@ def test_bench_non_positive_pairs_or_timeout_usage_error(gnp_file, extra):
     code, out = _run(["bench", gnp_file, "--k-min", "2", "--k-max", "2",
                       "--ell-min", "5", "--ell-max", "5", "--configs", "all",
                       *extra])
+    assert code == 64
+    assert out == ""
+
+
+@pytest.mark.parametrize("names", ["", ",", " , ", "all,all", "bare,all,bare"])
+def test_bench_empty_or_repeated_configs_usage_error(gnp_file, names):
+    code, out = _run(["bench", gnp_file, "--pairs", "1", "--k-min", "2",
+                      "--k-max", "2", "--ell-min", "5", "--ell-max", "5",
+                      "--configs", names])
     assert code == 64
     assert out == ""
 

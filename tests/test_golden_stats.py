@@ -6,7 +6,7 @@ Each configuration below is solved on every suite case, and the whole
 interval counter and the depth.  A change that alters the search tree fails
 here even when decisions and node totals happen to agree.
 
-The first four configurations are the pipelines people run; the suite
+The first three configurations are the pipelines people run; the suite
 decides nearly all of them at the root.  The last three switch off the root
 detectors so that the search, its entry checks and the interval rule do the
 work.  Regenerate the pins only for a change that means to alter the tree,
@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from pathpack import SolverConfig, SolveStats, config_from_name
+from pathpack import SolverConfig, SolveStats
 from pathpack.config import with_heuristics
 from pathpack.search import solve
 
@@ -35,11 +35,10 @@ FIELDS = [f.name for f in dataclasses.fields(SolveStats) if f.name != "wall_ms"]
 _NO_TRIVIAL = SolverConfig(trivial_detection=False)
 CONFIGS = {
     "default": SolverConfig(),
-    "all+b-cpl": dataclasses.replace(config_from_name("all"), b_cpl=True),
     "no-trivial": _NO_TRIVIAL,
     "no-preprocess": SolverConfig(preprocess=False),
-    "search:b-cpl+b-sp+b-fi+c": with_heuristics(
-        _NO_TRIVIAL, ["b-cpl", "b-sp", "b-fi", "c-dist", "c-pl"]),
+    "search:b-sp+b-fi+c": with_heuristics(
+        _NO_TRIVIAL, ["b-sp", "b-fi", "c-dist", "c-pl"]),
     "search:b-fi+c": with_heuristics(_NO_TRIVIAL, ["b-fi", "c-dist", "c-pl"]),
     "search:b-sp+b-fi,no-preprocess": with_heuristics(
         dataclasses.replace(_NO_TRIVIAL, preprocess=False), ["b-sp", "b-fi"]),
@@ -79,8 +78,8 @@ def test_pins_exercise_every_counter(pins):
         for row in rows.values():
             for field, value in zip(FIELDS[1:], row[1:]):
                 totals[field] += value
-    for field in ("nodes", "br1", "br2", "br3", "prunes_len", "prunes_bcpl",
-                  "prunes_bsp", "bfi_recorded", "bfi_masked", "max_depth"):
+    for field in ("nodes", "br1", "br2", "br3", "prunes_len", "prunes_bsp",
+                  "bfi_recorded", "bfi_masked", "max_depth"):
         assert totals[field] > 0, field
 
 

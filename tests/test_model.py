@@ -71,7 +71,7 @@ def test_insertion_child_equals_checked_instance(gex):
 def test_too_long_lists(gex):
     # a path of length <= ell visits at most ell + 1 list entries; the
     # check lives in search.node_infeasible, with every other bound off
-    bare = SolverConfig(b_cpl=False, b_sp=False)
+    bare = SolverConfig(b_sp=False)
     dist = Workspace(gex).distance_row
     base = _inst(gex, k=1, ell=5)
     ci = CheckpointInstance(base, (vids(1, 2, 9, 10, 11, 3, 5),))
@@ -92,11 +92,11 @@ def test_interval_store_scoped_stack():
     store.push(0, 1, 5, 3)
     inner = store.mark()
     store.push(0, 1, 5, 4)
-    assert len(store) == 2
+    assert store.mark() == 2
     store.pop_to(inner)
-    assert len(store) == 1
+    assert store.mark() == 1
     store.pop_to(outer)
-    assert len(store) == 0
+    assert store.mark() == 0
 
 
 def test_interval_matching_spans_positions():
@@ -157,9 +157,9 @@ def test_interval_store_index_matches_scan(seed):
             assert store.forbids(li, positions, gap, x) == want
             queries += 1
             hits += want
-        assert len(store) == len(live)
+        assert store.mark() == len(live)
     store.pop_to(0)
-    assert len(store) == 0
+    assert store.mark() == 0
     assert queries > 0 and hits > 0
 
 
@@ -169,7 +169,7 @@ def test_interval_endpoints_checked():
         store.push(0, 1, 5, 1)
     with pytest.raises(ValueError):
         store.push(0, 1, 5, 5)
-    assert len(store) == 0
+    assert store.mark() == 0
 
 
 # ---------------------------------------------------------------------------

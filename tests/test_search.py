@@ -37,21 +37,64 @@ def test_infeasible_overfull_list(gex):
     dist = _dist_fn(gex)
     assert node_infeasible(ci, SolverConfig(), dist) == "len"
     # ell + 1 entries still fit a path of length ell
-    bare = SolverConfig(b_cpl=False, b_sp=False)
+    bare = SolverConfig(b_sp=False)
     ci = CheckpointInstance(base, (vids(1, 2, 9, 10, 11, 5),))
     assert node_infeasible(ci, bare, dist) is None
     ci = from_packing(PackingInstance(gex, vid(1), vid(2), 1, 1))
     assert node_infeasible(ci, bare, dist) is None
 
 
+def _adjacency_bound_fires(g, entries, ell):
+    """The consecutive-adjacency bound, a rule the solver no longer runs:
+    a list long enough that it needs at least 2(|L|-1) - ell adjacent
+    consecutive pairs falls short of that count.  Non-adjacent distinct
+    entries are at least 2 apart, so the gap sum is then past ell and the
+    gap-sum bound (b-sp) refutes the list as well."""
+    size = len(entries)
+    adjacent = sum(g.has_edge(a, b) for a, b in zip(entries, entries[1:]))
+    return size > ell // 2 + 1 and adjacent < 2 * (size - 1) - ell
+
+
 def test_infeasible_consecutive_adjacency_bound(gex):
     base = PackingInstance(gex, vid(1), vid(5), 1, 5)
     ci = CheckpointInstance(base, (vids(1, 7, 10, 5),))
-    cfg = SolverConfig(b_cpl=True, b_sp=False)
-    assert node_infeasible(ci, cfg, _dist_fn(gex)) == "bcpl"
+    assert _adjacency_bound_fires(gex, ci.lists[0], 5)
+    # the gap-sum bound refutes what the adjacency bound did
+    assert node_infeasible(ci, SolverConfig(b_sp=True), _dist_fn(gex)) == "bsp"
     # without the toggle no verdict
-    assert node_infeasible(ci, SolverConfig(b_cpl=False, b_sp=False),
+    assert node_infeasible(ci, SolverConfig(b_sp=False),
                            _dist_fn(gex)) is None
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_gap_sum_bound_implies_adjacency_bound(seed):
+    """On random graphs and random valid checkpoint lists, every list the
+    adjacency bound refutes is refuted by the default entry checks."""
+    rng = random.Random(seed)
+    fired = by_bsp = 0
+    for _ in range(40):
+        n = rng.randrange(6, 16)
+        g = random_gnp(n, rng.choice((0.2, 0.35, 0.5)), rng.randrange(10**6))
+        dist = _dist_fn(g)
+        s, t = rng.sample(range(n), 2)
+        interior = [v for v in range(n) if v not in (s, t)]
+        rng.shuffle(interior)
+        for ell in range(1, 13):
+            k = rng.randrange(1, 4)
+            lists, taken = [], 0
+            for _ in range(k):
+                size = rng.randrange(0, min(ell + 3, len(interior) - taken) + 1)
+                lists.append((s, *interior[taken:taken + size], t))
+                taken += size
+            ci = CheckpointInstance(PackingInstance(g, s, t, k, ell),
+                                    tuple(lists))
+            if any(_adjacency_bound_fires(g, entries, ell)
+                   for entries in ci.lists):
+                fired += 1
+                verdict = node_infeasible(ci, SolverConfig(), dist)
+                assert verdict is not None, (seed, ci.lists, ell)
+                by_bsp += verdict == "bsp"
+    assert fired > 0 and by_bsp > 0
 
 
 def test_infeasible_gap_distance_bound(gex):
@@ -62,15 +105,14 @@ def test_infeasible_gap_distance_bound(gex):
     assert dist(vid(1))[vid(10)] == 3
     assert dist(vid(10))[vid(8)] == 4
     assert dist(vid(8))[vid(5)] == 2
-    assert node_infeasible(ci, SolverConfig(b_cpl=False, b_sp=True),
-                           dist) == "bsp"
+    assert node_infeasible(ci, SolverConfig(b_sp=True), dist) == "bsp"
 
 
 def test_infeasible_check_order(gex):
-    # an overfull list wins over bcpl/bsp regardless of toggles
+    # an overfull list wins over bsp regardless of toggles
     base = PackingInstance(gex, vid(1), vid(5), 1, 2)
     ci = CheckpointInstance(base, (vids(1, 7, 10, 5),))
-    assert node_infeasible(ci, SolverConfig(b_cpl=True, b_sp=True),
+    assert node_infeasible(ci, SolverConfig(b_sp=True),
                            _dist_fn(gex)) == "len"
 
 
@@ -361,7 +403,7 @@ def test_interval_scope_unwinds_to_empty(gex):
     cfg = config_from_name("b-sp+b-fi", SolverConfig(trivial_detection=False))
     search = _TreeSearch(ci, cfg, SolveStats(), None, Workspace(gex))
     assert search.run() is None
-    assert len(search.store) == 0
+    assert search.store.mark() == 0
 
 
 def test_solve_matches_oracle_on_seeded_grid():
