@@ -86,10 +86,13 @@ class SolveStats:
     depth 0, which keeps max_depth <= k*ell structural.  ``bfi_recorded``
     counts pushed forbidden intervals, ``bfi_masked`` the candidate
     insertions they masked out of the branching.  The field order is the
-    column order of the bench CSV.  ``prunes_bcpl`` always reads 0: the
-    rule it counted is gone (the gap-sum bound, ``prunes_bsp``, refutes
-    every list it refuted), and the field stays only while the benchmark's
-    tracer still reads it.
+    column order of the bench CSV.  ``n_after``/``m_after`` are the size of
+    the reduced graph, and equal ``n_before``/``m_before`` when no
+    reduction ran: with preprocessing off, or when the input-graph step
+    (``preprocess.detect_on_input``) decided the instance before it.
+    ``prunes_bcpl`` always reads 0: the rule it counted is gone (the
+    gap-sum bound, ``prunes_bsp``, refutes every list it refuted), and the
+    field stays only while the benchmark's tracer still reads it.
     """
 
     solved_by: str = ""

@@ -13,7 +13,8 @@ BFS scratch state lives in a per-run :class:`Workspace` so concurrent
 solves on one graph never interfere; the flows of ``flows`` walk the same
 rows and keep their flow state per call.  The solver runs the kernel in three
 places: :func:`shortest_path_blocked` (a shortest path avoiding a
-``bytearray`` of blocked vertices), :meth:`Workspace.distance_row`
+``bytearray`` of blocked vertices, optionally no longer than a given
+depth), :meth:`Workspace.distance_row`
 (cached full-graph distances) and ``preprocess.reduce_instance`` (a
 search from s stopped at distance floor(ell/2), then one from t stopped
 there too when that shows dist(s, t) + floor(ell/2) <= ell, else one from
@@ -204,10 +205,12 @@ def _extract_path(parent: list[int], a: int, b: int) -> tuple[int, ...]:
 def shortest_path_blocked(g: Graph, blocked: bytearray, a: int, b: int,
                           ws: Workspace,
                           ban_edge: Optional[tuple[int, int]] = None,
+                          depth: int = -1,
                           ) -> Optional[tuple[int, ...]]:
     """Minimum-length a-b path avoiding the vertices with a nonzero
     ``blocked`` entry (and the edge ``ban_edge``, if given), or None if
-    there is none.
+    there is none.  A non-negative ``depth`` is the kernel's: the search
+    stops there, so a path longer than ``depth`` reads as none.
 
     Deterministic: among equal-length routes the lexicographically smallest
     vertex sequence is returned (ascending-id BFS, parents fixed on first
@@ -217,7 +220,8 @@ def shortest_path_blocked(g: Graph, blocked: bytearray, a: int, b: int,
         return (a,)
     bu, bv = ban_edge if ban_edge is not None else (-1, -1)
     dist, queue = ws.dist, ws.queue
-    count = bfs_tree(g.adj, blocked, a, b, bu, bv, dist, ws.parent, queue)
+    count = bfs_tree(g.adj, blocked, a, b, bu, bv, dist, ws.parent, queue,
+                     depth)
     found = dist[b] >= 0
     # the next call needs dist at -1 again: clear only what this one set
     for v in queue[:count]:

@@ -1,4 +1,10 @@
-"""Input-graph reduction and pre-search trivial-instance detection.
+"""Root steps: the input-graph step, the reduction and trivial detection.
+
+The first step runs on the input graph, before anything is reduced: k
+above the smaller terminal degree is refuted, and otherwise k successive
+shortest s-t paths, each avoiding the earlier paths' internal vertices and
+each searched only to depth ell, answer yes when all k are found.  An
+instance this step decides never pays for the reduction or a flow.
 
 Reduction keeps only vertices that can appear on a solution path: those
 within distance ell of both terminals and within distance floor(ell/2) of
@@ -8,16 +14,17 @@ is the union of the two balls of radius floor(ell/2) around the terminals,
 and both searches stop there; otherwise they run to distance ell.  The
 reduced instance is decision-equivalent.
 
-Trivial detection runs next, in this order: the ell = 2 and k = 1 cases
-are decided outright; k above the smaller terminal degree is refuted;
-then one min-cost flow for the k disjoint paths of minimum total length
-either refutes (fewer than k disjoint paths: a separator below k), gives a
-witness, refutes by total length, or leaves the instance open.  Both steps
-run once, at the root, and take only bare checkpoint lists (s, t).
+Trivial detection runs on the reduced instance, in this order: the
+ell = 2 and k = 1 cases are decided outright; then one min-cost flow for
+the k disjoint paths of minimum total length either refutes (fewer than k
+disjoint paths: a separator below k), gives a witness, refutes by total
+length, or leaves the instance open.  Every step runs once, at the root,
+and takes only bare checkpoint lists (s, t).
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,7 +34,7 @@ from .graph import Graph, Workspace, shortest_path_blocked
 from .model import (CheckpointInstance, PackingInstance, Solution,
                     from_packing)
 
-__all__ = ["reduce_instance", "detect_trivial"]
+__all__ = ["detect_on_input", "reduce_instance", "detect_trivial"]
 
 
 @dataclass(frozen=True)
@@ -167,18 +174,60 @@ def _no(via: str) -> TrivialOutcome:
     return TrivialOutcome("no", None, via)
 
 
+def detect_on_input(inst: CheckpointInstance,
+                    deadline: Optional[float] = None) -> TrivialOutcome:
+    """The root step on the input graph, before the reduction.
+
+    Refutes (``min-separator``) when k exceeds the degree of s or of t.
+    Otherwise packs greedily: k successive shortest s-t paths, each
+    avoiding the internal vertices of the earlier ones, with the direct
+    s-t edge used at most once, and each BFS stopped at depth ell.  All k
+    found answer yes (``greedy``).  They are the paths the search's root
+    greedy finds on the reduced graph: the reduction keeps every vertex of
+    every s-t path of length <= ell and preserves id order, and the BFS
+    returns the lexicographically smallest shortest path.  A missing path
+    leaves the instance open, and so does a ``deadline`` (a
+    ``time.perf_counter()`` value) found passed after a BFS; the caller
+    then reads the clock itself.
+    """
+    _require_bare(inst)
+    g = inst.base.graph
+    s, t, k, ell = inst.base.s, inst.base.t, inst.base.k, inst.base.ell
+    # each path leaves s through its own neighbour and enters t through its
+    # own neighbour, so a terminal of degree below k is a separator
+    if k > min(g.degree(s), g.degree(t)):
+        return _no("min-separator")
+    ws = Workspace(g)
+    blocked = bytearray(g.n)
+    paths: list[tuple[int, ...]] = []
+    for _ in range(k):
+        # the direct s-t edge is a consumable route, as in run_greedy
+        ban = (s, t) if (s, t) in paths else None
+        path = shortest_path_blocked(g, blocked, s, t, ws, ban_edge=ban,
+                                     depth=ell)
+        if path is None or (deadline is not None
+                            and time.perf_counter() > deadline):
+            return TrivialOutcome("unknown")
+        paths.append(path)
+        for v in path[1:-1]:
+            blocked[v] = 1
+    return _yes(Solution(tuple(paths)), "greedy")
+
+
 def detect_trivial(inst: CheckpointInstance,
                    ws: Optional[Workspace] = None) -> TrivialOutcome:
-    """Root-only detectors, applied in order.
+    """Root-only detectors after the reduction, applied in order.
 
     ell = 2: one path per common neighbor plus the direct edge, so yes iff
     that count reaches k.  k = 1: shortest-path length against ell.  Then
-    the separator refutes (``min-separator``) when k exceeds the degree of
-    s or of t, or when the min-cost flow finds fewer than k disjoint paths.
-    Otherwise the k disjoint paths of minimum total length either directly
-    form a witness (longest path <= ell), refute (total > k * ell, always
-    so at ell = 1 since 1 + 2(k - 1) > k), or leave the instance open.  No
-    max flow runs here.
+    the separator refutes (``min-separator``) when the min-cost flow finds
+    fewer than k disjoint paths; :func:`detect_on_input` has already
+    refuted k above a terminal's degree in the input graph, and the flow
+    covers a degree that only the reduction brought below k.  Otherwise
+    the k disjoint paths of minimum total length either directly form a
+    witness (longest path <= ell), refute (total > k * ell, always so at
+    ell = 1 since 1 + 2(k - 1) > k), or leave the instance open.  No max
+    flow runs here.
     """
     _require_bare(inst)
     g = inst.base.graph
@@ -206,10 +255,6 @@ def detect_trivial(inst: CheckpointInstance,
             return _yes(Solution((path,)), "k1")
         return _no("k1")
 
-    # each path leaves s through its own neighbour and enters t through its
-    # own neighbour, so a terminal of degree below k is a separator
-    if k > min(g.degree(s), g.degree(t)):
-        return _no("min-separator")
     # successive shortest paths finds k paths exactly when the max flow
     # reaches k, so its failure is the separator refutation
     result = min_total_length_disjoint_paths(g, s, t, k)

@@ -26,7 +26,7 @@ from .graph import Graph, Workspace
 from .greedy import GreedyFailure, GreedySuccess, run_greedy
 from .model import (CheckpointInstance, IntervalStore, PackingInstance,
                     Solution, from_packing, validate_solution)
-from .preprocess import detect_trivial, reduce_instance
+from .preprocess import detect_on_input, detect_trivial, reduce_instance
 
 __all__ = ["solve", "node_infeasible"]
 
@@ -50,6 +50,12 @@ class Candidate(NamedTuple):
 
 class SolveTimeout(Exception):
     """Internal unwind signal; surfaces as the 'timeout' decision."""
+
+
+def _check(deadline: Optional[float]) -> None:
+    """Unwind once the ``time.perf_counter()`` deadline has passed."""
+    if deadline is not None and time.perf_counter() > deadline:
+        raise SolveTimeout
 
 
 # vertex -> its unmasked distance row (-1 = unreachable), such as
@@ -189,8 +195,7 @@ class _TreeSearch:
         self.row = ws.distance_row
 
     def _tick(self) -> None:
-        if self.deadline is not None and time.perf_counter() > self.deadline:
-            raise SolveTimeout
+        _check(self.deadline)
 
     def _enter(self, depth: int) -> None:
         """A node's bookkeeping on entry, before its checks."""
@@ -315,6 +320,13 @@ def solve(inst: PackingInstance,
           ) -> tuple[str, Optional[Solution], SolveStats]:
     """Decide an instance.
 
+    The pipeline: with trivial detection on, :func:`detect_on_input`
+    decides what it can on the input graph; an instance it leaves open is
+    reduced (with preprocessing on), passed to :func:`detect_trivial`
+    (with trivial detection on), and then searched.  ``timeout_ms`` is
+    checked after each BFS of the input-graph step, after the reduction
+    and throughout the search.
+
     Returns (decision, witness, stats) with decision one of 'yes', 'no',
     'timeout'.  A 'yes' always carries a witness that validates against the
     original instance; 'no' means exhaustive refutation; 'timeout' claims
@@ -339,25 +351,32 @@ def solve(inst: PackingInstance,
     report = None
     decision = "no"
     witness: Optional[Solution] = None
+    original = from_packing(inst)
     try:
-        if cfg.preprocess:
-            root, report = reduce_instance(from_packing(inst))
-            stats.n_after = report.n_after
-            stats.m_after = report.m_after
-        else:
-            # the layers below read a row per dequeue: tuple rows of the
-            # whole graph, built once (a tuple row is its own tuple())
-            g = Graph.from_sorted_rows(map(tuple, inst.graph.adj))
-            root = from_packing(
-                PackingInstance(g, inst.s, inst.t, inst.k, inst.ell))
-        # either step may walk the whole graph, so the deadline bounds it
-        if deadline is not None and time.perf_counter() > deadline:
-            raise SolveTimeout
-        # one workspace for the whole solve
-        ws = Workspace(root.base.graph)
         outcome = None
         if cfg.trivial_detection:
-            outcome = detect_trivial(root, ws)
+            # decided on the input graph, before the reduction builds
+            # anything; the step stops early once the deadline has passed
+            outcome = detect_on_input(original, deadline)
+            _check(deadline)
+        if outcome is None or outcome.kind == "unknown":
+            if cfg.preprocess:
+                root, report = reduce_instance(original)
+                stats.n_after = report.n_after
+                stats.m_after = report.m_after
+            else:
+                # the layers below read a row per dequeue: tuple rows of
+                # the whole graph, built once (a tuple row is its own
+                # tuple())
+                g = Graph.from_sorted_rows(map(tuple, inst.graph.adj))
+                root = from_packing(
+                    PackingInstance(g, inst.s, inst.t, inst.k, inst.ell))
+            # either step may walk the whole graph, so the deadline bounds it
+            _check(deadline)
+            # one workspace for the rest of the solve
+            ws = Workspace(root.base.graph)
+            if cfg.trivial_detection:
+                outcome = detect_trivial(root, ws)
         if outcome is not None and outcome.kind == "yes":
             decision = "yes"
             witness = outcome.witness
@@ -383,7 +402,7 @@ def solve(inst: PackingInstance,
     if witness is not None and report is not None:
         witness = report.solution_to_original(witness)
     if witness is not None:
-        check = validate_solution(from_packing(inst), witness)
+        check = validate_solution(original, witness)
         if not check.ok:
             raise AssertionError(
                 f"internal error: witness rejected ({check.violation})")

@@ -8,10 +8,12 @@ from pathpack import (Graph, PackingInstance, SolverConfig, Workspace,
                       config_from_name, from_packing, random_gnp,
                       validate_solution)
 from pathpack.oracle import oracle_decide
-from pathpack.preprocess import detect_trivial, reduce_instance
+from pathpack.preprocess import (detect_on_input, detect_trivial,
+                                 reduce_instance)
 from pathpack.search import solve
 
 from conftest import GEX_EDGES_1BASED, grid_graph, vid
+from suite import build_suite
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +297,145 @@ def test_reduce_node_count_invariant_random():
 
 
 # ---------------------------------------------------------------------------
+# the input-graph step
+# ---------------------------------------------------------------------------
+
+def _step_strata():
+    """The suite's instances, then seeded G(n, p) graphs and grids with
+    edge dropout whose terminals lie within ell of each other."""
+    for case in build_suite():
+        yield case.instance
+    rng = random.Random(16)
+    for trial in range(60):
+        if trial % 2:
+            n = rng.randrange(20, 120)
+            g = random_gnp(n, rng.choice([2.5, 4.0, 6.0]) / (n - 1),
+                           trial + 1600)
+        else:
+            g = grid_graph(rng.randrange(4, 12), rng.randrange(4, 12),
+                           rng.choice([0.0, 0.15, 0.3]), rng)
+        ell = rng.randrange(3, 9)
+        s = rng.randrange(g.n)
+        near = [v for v, d in enumerate(Workspace(g).distance_row(s))
+                if 0 < d <= ell]
+        if near:
+            yield PackingInstance(g, s, rng.choice(near),
+                                  rng.choice([1, 2, 3]), ell)
+
+
+def test_input_step_answers_yes_exactly_when_the_root_greedy_does():
+    # the step's paths are the ones the search's root greedy finds on the
+    # reduced graph, mapped back to the input ids
+    greedy_yes = 0
+    for inst in _step_strata():
+        out = detect_on_input(from_packing(inst))
+        _, witness, stats = solve(inst, SolverConfig(trivial_detection=False))
+        root_greedy = stats.solved_by == "greedy" and stats.nodes == 1
+        assert (out.kind == "yes") == root_greedy
+        if root_greedy:
+            greedy_yes += 1
+            assert out.via == "greedy" and out.witness == witness
+        elif out.kind == "no":
+            g = inst.graph
+            assert out.via == "min-separator"
+            assert inst.k > min(g.degree(inst.s), g.degree(inst.t))
+    # the strata hold both answers
+    assert 150 < greedy_yes < 400
+
+
+def test_input_step_decides_without_reduction_or_flow(gex, monkeypatch):
+    import pathpack.preprocess
+    import pathpack.search
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the input-graph step must decide first")
+
+    monkeypatch.setattr(pathpack.search, "reduce_instance", forbidden)
+    monkeypatch.setattr(pathpack.preprocess,
+                        "min_total_length_disjoint_paths", forbidden)
+    # a greedy yes on a 6-cycle, and a refutation by the degree of vertex 1
+    # of the fixture
+    ring = Graph(6, [(v, (v + 1) % 6) for v in range(6)])
+    for inst, decision in ((PackingInstance(ring, 0, 3, 2, 3), "yes"),
+                           (PackingInstance(gex, vid(1), vid(5), 3, 9), "no")):
+        got, witness, stats = solve(inst)
+        assert got == decision and stats.nodes == 0
+        assert stats.solved_by == f"trivial-{decision}"
+        assert (stats.n_after, stats.m_after) == (inst.graph.n, inst.graph.m)
+        assert (witness is not None) == (decision == "yes")
+
+
+def test_input_step_bfs_stops_at_ell(monkeypatch):
+    kernel = pathpack.graph.bfs_tree
+    depths = []
+
+    def spy(*args):
+        depths.append(args[9])
+        return kernel(*args)
+
+    monkeypatch.setattr(pathpack.graph, "bfs_tree", spy)
+    rng = random.Random(5)
+    for trial in range(30):
+        g = grid_graph(8, 8, 0.2, rng)
+        s, t = rng.sample(range(g.n), 2)
+        ell = rng.randrange(1, 10)
+        depths.clear()
+        out = detect_on_input(
+            from_packing(PackingInstance(g, s, t, rng.choice([1, 2]), ell)))
+        assert depths == [ell] * len(depths)
+        if out.kind != "no":
+            assert depths
+
+
+def test_input_step_uses_the_direct_edge_once():
+    # s = 0 and t = 1 are adjacent and share the one neighbour 2
+    g = Graph(3, [(0, 1), (0, 2), (1, 2)])
+    out = detect_on_input(from_packing(PackingInstance(g, 0, 1, 2, 2)))
+    assert out.kind == "yes" and out.witness.paths == ((0, 1), (0, 2, 1))
+    # at ell = 1 only the edge itself is short enough, and only once
+    out = detect_on_input(from_packing(PackingInstance(g, 0, 1, 2, 1)))
+    assert out.kind == "unknown"
+    decision, _, stats = solve(PackingInstance(g, 0, 1, 2, 1))
+    assert decision == "no" and stats.solved_by == "trivial-no"
+
+
+def test_input_step_stops_at_the_deadline(gex):
+    # a deadline already passed ends the step after its first BFS
+    inst = from_packing(PackingInstance(gex, vid(1), vid(5), 1, 4))
+    assert detect_on_input(inst).kind == "yes"
+    assert detect_on_input(inst, deadline=0.0).kind == "unknown"
+
+
+def _small_case(seed):
+    rng = random.Random(seed + 1600)
+    n = rng.randrange(5, 13)
+    g = random_gnp(n, rng.choice([0.2, 0.35, 0.5]), seed + 1600)
+    s, t = rng.sample(range(n), 2)
+    return PackingInstance(g, s, t, rng.choice([1, 2, 3]),
+                           rng.choice([1, 2, 3, 5, 6]))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_input_step_pipelines_agree_with_the_oracle(seed):
+    inst = _small_case(seed)
+    truth = oracle_decide(inst).decision
+    out = detect_on_input(from_packing(inst))
+    assert out.kind in ("unknown", truth)
+    for cfg in (SolverConfig(), SolverConfig(trivial_detection=False),
+                SolverConfig(preprocess=False)):
+        decision, witness, _ = solve(inst, cfg)
+        assert decision == truth
+        if witness is not None:
+            assert validate_solution(from_packing(inst), witness)
+
+
+def test_input_step_oracle_cases_cover_every_outcome():
+    kinds = {detect_on_input(from_packing(_small_case(seed))).kind
+             for seed in range(60)}
+    assert kinds == {"yes", "no", "unknown"}
+
+
+# ---------------------------------------------------------------------------
 # trivial detection
 # ---------------------------------------------------------------------------
 
@@ -315,20 +456,27 @@ def test_trivial_fixture_cases(gex):
 
 
 def test_trivial_degree_bound_refutes_without_a_flow(gex, monkeypatch):
-    # vertices 1 and 5 have degree 2 each, so three paths cannot leave 1
+    # vertices 1 and 5 have degree 2 each, so three paths cannot leave 1:
+    # the input-graph step refutes that before the reduction and the flow
     import pathpack.preprocess
+    import pathpack.search
 
-    def no_flow(*args, **kwargs):
+    def forbidden(*args, **kwargs):
         raise AssertionError("the degree bound must decide first")
 
     monkeypatch.setattr(pathpack.preprocess, "min_total_length_disjoint_paths",
-                        no_flow)
-    out = _detect(gex, vid(1), vid(5), 3, 9)
+                        forbidden)
+    monkeypatch.setattr(pathpack.search, "reduce_instance", forbidden)
+    inst = PackingInstance(gex, vid(1), vid(5), 3, 9)
+    out = detect_on_input(from_packing(inst))
     assert out.kind == "no" and out.via == "min-separator"
-    decision, witness, stats = solve(PackingInstance(gex, vid(1), vid(5),
-                                                     3, 9))
+    decision, witness, stats = solve(inst)
     assert (decision, witness) == ("no", None)
     assert stats.solved_by == "trivial-no" and stats.nodes == 0
+    # after the reduction, the min-cost flow refutes the same fixture
+    monkeypatch.undo()
+    out = _detect(gex, vid(1), vid(5), 3, 9)
+    assert out.kind == "no" and out.via == "min-separator"
 
 
 def test_trivial_cut_below_k_refutes_through_the_min_cost_flow():

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,10 +14,11 @@ from pathpack import (Graph, PackingInstance, SolverConfig, Workspace,
 from pathpack.greedy import FailureCondition, GreedyFailure, run_greedy
 from pathpack.model import CheckpointInstance
 from pathpack.oracle import oracle_decide
+from pathpack.preprocess import detect_on_input
 from pathpack.search import (_position_candidates, branch,
                              node_infeasible, solve)
 
-from conftest import grid_graph, vid, vids
+from conftest import GEX_EDGES_1BASED, grid_graph, vid, vids
 
 PLAIN = SolverConfig(trivial_detection=False, d_ms=False,
                      b_fi=False, c_dist=False, c_pl=False)
@@ -445,8 +447,9 @@ def test_solve_timeout_reports():
 
 def test_timeout_bounds_the_reduction():
     # a 300 x 300 grid whose ell-ball around both corners is the whole grid:
-    # the reduction alone takes far longer than the 1 ms budget, and the
-    # search, which checks the deadline itself, is never reached
+    # the input-graph step's first BFS, from corner to corner, alone takes
+    # far longer than the 1 ms budget, so neither the reduction nor the
+    # search, which checks the deadline itself, is reached
     side = 300
     lines = [f"{side * side} {2 * side * (side - 1)}"]
     for v in range(1, side * side + 1):
@@ -459,9 +462,34 @@ def test_timeout_bounds_the_reduction():
     decision, witness, stats = solve(inst, SolverConfig(timeout_ms=1))
     assert decision == "timeout" and witness is None
     assert stats.solved_by == "timeout"
-    # the reduction ran to its end and kept every vertex
+    # no reduction ran
     assert stats.n_after == side * side
     assert stats.nodes == 0
+
+
+def test_timeout_after_an_overrunning_reduction(monkeypatch):
+    # the input-graph step leaves the walkthrough instance open (its greedy
+    # finds one path, not two); the reduction then overruns the deadline,
+    # and the solve stops right after it
+    import pathpack.search
+
+    reduce_instance = pathpack.search.reduce_instance
+
+    def overrunning(inst):
+        out = reduce_instance(inst)
+        time.sleep(0.3)
+        return out
+
+    monkeypatch.setattr(pathpack.search, "reduce_instance", overrunning)
+    # a pendant vertex on 7 shows that the reduction ran to its end
+    g = Graph(12, [(u - 1, v - 1) for u, v in GEX_EDGES_1BASED]
+              + [(vid(7), 11)])
+    inst = PackingInstance(g, vid(1), vid(5), 2, 5)
+    assert detect_on_input(from_packing(inst)).kind == "unknown"
+    decision, witness, stats = solve(inst, SolverConfig(timeout_ms=200))
+    assert (decision, witness) == ("timeout", None)
+    assert stats.solved_by == "timeout" and stats.nodes == 0
+    assert stats.n_after == 11
 
 
 def test_depth_and_branch_bounds_hold():
