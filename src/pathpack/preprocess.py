@@ -1,10 +1,12 @@
 """Root steps: the input-graph step, the reduction and trivial detection.
 
-The first step runs on the input graph, before anything is reduced: k
-above the smaller terminal degree is refuted, and otherwise k successive
-shortest s-t paths, each avoiding the earlier paths' internal vertices and
-each searched only to depth ell, answer yes when all k are found.  An
-instance this step decides never pays for the reduction or a flow.
+The first step runs on the input graph, before anything is reduced: ell = 2
+is decided by counting the terminals' common neighbours; otherwise k above
+the smaller terminal degree is refuted, and k successive shortest s-t
+paths, each avoiding the earlier paths' internal vertices and each searched
+only to depth ell, answer yes when all k are found (and no when even the
+first is missing).  An instance this step decides never pays for the
+reduction or a flow.
 
 Reduction keeps only vertices that can appear on a solution path: those
 within distance ell of both terminals and within distance floor(ell/2) of
@@ -14,8 +16,7 @@ is the union of the two balls of radius floor(ell/2) around the terminals,
 and both searches stop there; otherwise they run to distance ell.  The
 reduced instance is decision-equivalent.
 
-Trivial detection runs on the reduced instance, in this order: the
-ell = 2 and k = 1 cases are decided outright; then one min-cost flow for
+Trivial detection then runs on the reduced instance: one min-cost flow for
 the k disjoint paths of minimum total length either refutes (fewer than k
 disjoint paths: a separator below k), gives a witness, refutes by total
 length, or leaves the instance open.  Every step runs once, at the root,
@@ -178,62 +179,66 @@ def detect_on_input(inst: CheckpointInstance,
                     deadline: Optional[float] = None) -> TrivialOutcome:
     """The root step on the input graph, before the reduction.
 
-    Refutes (``min-separator``) when k exceeds the degree of s or of t.
-    Otherwise packs greedily: k successive shortest s-t paths, each
-    avoiding the internal vertices of the earlier ones, with the direct
-    s-t edge used at most once, and each BFS stopped at depth ell.  All k
-    found answer yes (``greedy``).  They are the paths the search's root
-    greedy finds on the reduced graph: the reduction keeps every vertex of
-    every s-t path of length <= ell and preserves id order, and the BFS
-    returns the lexicographically smallest shortest path.  A missing path
-    leaves the instance open, and so does a ``deadline`` (a
-    ``time.perf_counter()`` value) found passed after a BFS; the caller
-    then reads the clock itself.
+    ell = 2 is decided by :func:`detect_trivial`'s common-neighbour count,
+    which is exact on the input graph and costs O(deg) rather than k
+    searches.  Otherwise the step refutes (``min-separator``) when k
+    exceeds the degree of s or of t, and then packs greedily: k successive
+    shortest s-t paths, each avoiding the internal vertices of the earlier
+    ones, with the direct s-t edge used at most once, and each BFS stopped
+    at depth ell.  All k found answer yes (``k1`` at k = 1, else
+    ``greedy``); a first BFS that finds nothing shows dist(s, t) > ell and
+    answers no (``k1``, or ``min-separator`` as the flow would say on the
+    reduced graph, which then has no s-t path).  The paths are those the
+    search's root greedy finds on the reduced graph: the reduction keeps
+    every vertex of every s-t path of length <= ell and preserves id
+    order, and the BFS returns the lexicographically smallest shortest
+    path.  A later missing path leaves the instance open, and so does a
+    ``deadline`` (a ``time.perf_counter()`` value) found passed after a
+    BFS; the caller then reads the clock itself.
     """
     _require_bare(inst)
     g = inst.base.graph
     s, t, k, ell = inst.base.s, inst.base.t, inst.base.k, inst.base.ell
+    if ell == 2:
+        return detect_trivial(inst)
     # each path leaves s through its own neighbour and enters t through its
     # own neighbour, so a terminal of degree below k is a separator
     if k > min(g.degree(s), g.degree(t)):
         return _no("min-separator")
     ws = Workspace(g)
-    blocked = bytearray(g.n)
     paths: list[tuple[int, ...]] = []
     for _ in range(k):
         # the direct s-t edge is a consumable route, as in run_greedy
         ban = (s, t) if (s, t) in paths else None
-        path = shortest_path_blocked(g, blocked, s, t, ws, ban_edge=ban,
+        path = shortest_path_blocked(g, ws.blocked, s, t, ws, ban_edge=ban,
                                      depth=ell)
-        if path is None or (deadline is not None
-                            and time.perf_counter() > deadline):
+        if deadline is not None and time.perf_counter() > deadline:
             return TrivialOutcome("unknown")
+        if path is None:
+            if paths:
+                return TrivialOutcome("unknown")
+            return _no("k1" if k == 1 else "min-separator")
         paths.append(path)
         for v in path[1:-1]:
-            blocked[v] = 1
-    return _yes(Solution(tuple(paths)), "greedy")
+            ws.blocked[v] = 1
+    return _yes(Solution(tuple(paths)), "k1" if k == 1 else "greedy")
 
 
-def detect_trivial(inst: CheckpointInstance,
-                   ws: Optional[Workspace] = None) -> TrivialOutcome:
-    """Root-only detectors after the reduction, applied in order.
+def detect_trivial(inst: CheckpointInstance) -> TrivialOutcome:
+    """The root detectors that need no greedy, applied in order.
 
     ell = 2: one path per common neighbor plus the direct edge, so yes iff
-    that count reaches k.  k = 1: shortest-path length against ell.  Then
-    the separator refutes (``min-separator``) when the min-cost flow finds
-    fewer than k disjoint paths; :func:`detect_on_input` has already
-    refuted k above a terminal's degree in the input graph, and the flow
-    covers a degree that only the reduction brought below k.  Otherwise
-    the k disjoint paths of minimum total length either directly form a
-    witness (longest path <= ell), refute (total > k * ell, always so at
-    ell = 1 since 1 + 2(k - 1) > k), or leave the instance open.  No max
-    flow runs here.
+    that count reaches k; :func:`detect_on_input` answers ell = 2 with this
+    count on the input graph.  Otherwise one min-cost flow: fewer than k
+    disjoint paths refute (``min-separator``), and the k disjoint paths of
+    minimum total length either directly form a witness (longest path <=
+    ell), refute (total > k * ell, always so at ell = 1 since
+    1 + 2(k - 1) > k), or leave the instance open.  At k = 1 the flow is a
+    shortest path and always decides.  No max flow runs here.
     """
     _require_bare(inst)
     g = inst.base.graph
     s, t, k, ell = inst.base.s, inst.base.t, inst.base.k, inst.base.ell
-    if ws is None:
-        ws = Workspace(g)
 
     if ell == 2:
         common = sorted(set(g.neighbors(s)) & set(g.neighbors(t)))
@@ -248,12 +253,6 @@ def detect_trivial(inst: CheckpointInstance,
                 break
             paths.append((s, c, t))
         return _yes(Solution(tuple(paths[:k])), "ell2")
-
-    if k == 1:
-        path = shortest_path_blocked(g, bytearray(g.n), s, t, ws)
-        if path is not None and len(path) - 1 <= ell:
-            return _yes(Solution((path,)), "k1")
-        return _no("k1")
 
     # successive shortest paths finds k paths exactly when the max flow
     # reaches k, so its failure is the separator refutation

@@ -195,7 +195,9 @@ class _TreeSearch:
         self.row = ws.distance_row
 
     def _tick(self) -> None:
-        _check(self.deadline)
+        # _check's test written out: this runs at every node
+        if self.deadline is not None and time.perf_counter() > self.deadline:
+            raise SolveTimeout
 
     def _enter(self, depth: int) -> None:
         """A node's bookkeeping on entry, before its checks."""
@@ -373,10 +375,8 @@ def solve(inst: PackingInstance,
                     PackingInstance(g, inst.s, inst.t, inst.k, inst.ell))
             # either step may walk the whole graph, so the deadline bounds it
             _check(deadline)
-            # one workspace for the rest of the solve
-            ws = Workspace(root.base.graph)
             if cfg.trivial_detection:
-                outcome = detect_trivial(root, ws)
+                outcome = detect_trivial(root)
         if outcome is not None and outcome.kind == "yes":
             decision = "yes"
             witness = outcome.witness
@@ -385,6 +385,8 @@ def solve(inst: PackingInstance,
             decision = "no"
             stats.solved_by = "trivial-no"
         else:
+            # one workspace for the whole search
+            ws = Workspace(root.base.graph)
             search = _TreeSearch(root, cfg, stats, deadline, ws)
             paths = search.run()
             if paths is not None:

@@ -1,3 +1,4 @@
+import collections
 import random
 import time
 
@@ -12,7 +13,7 @@ from pathpack.preprocess import (detect_on_input, detect_trivial,
                                  reduce_instance)
 from pathpack.search import solve
 
-from conftest import GEX_EDGES_1BASED, grid_graph, vid
+from conftest import GEX_EDGES_1BASED, grid_graph, vid, vids
 from suite import build_suite
 
 
@@ -302,7 +303,8 @@ def test_reduce_node_count_invariant_random():
 
 def _step_strata():
     """The suite's instances, then seeded G(n, p) graphs and grids with
-    edge dropout whose terminals lie within ell of each other."""
+    edge dropout whose terminals lie within ell of each other, except in
+    every fourth trial, whose t is any vertex but s."""
     for case in build_suite():
         yield case.instance
     rng = random.Random(16)
@@ -314,10 +316,10 @@ def _step_strata():
         else:
             g = grid_graph(rng.randrange(4, 12), rng.randrange(4, 12),
                            rng.choice([0.0, 0.15, 0.3]), rng)
-        ell = rng.randrange(3, 9)
+        ell = rng.randrange(2, 9)
         s = rng.randrange(g.n)
         near = [v for v, d in enumerate(Workspace(g).distance_row(s))
-                if 0 < d <= ell]
+                if 0 < d <= ell or (trial % 4 == 3 and v != s)]
         if near:
             yield PackingInstance(g, s, rng.choice(near),
                                   rng.choice([1, 2, 3]), ell)
@@ -326,21 +328,26 @@ def _step_strata():
 def test_input_step_answers_yes_exactly_when_the_root_greedy_does():
     # the step's paths are the ones the search's root greedy finds on the
     # reduced graph, mapped back to the input ids
-    greedy_yes = 0
+    vias = collections.Counter()
     for inst in _step_strata():
         out = detect_on_input(from_packing(inst))
-        _, witness, stats = solve(inst, SolverConfig(trivial_detection=False))
+        decision, witness, stats = solve(
+            inst, SolverConfig(trivial_detection=False))
         root_greedy = stats.solved_by == "greedy" and stats.nodes == 1
         assert (out.kind == "yes") == root_greedy
+        vias[out.kind, out.via] += 1
         if root_greedy:
-            greedy_yes += 1
-            assert out.via == "greedy" and out.witness == witness
+            assert out.witness == witness
+            assert out.via == ("ell2" if inst.ell == 2 else
+                               "k1" if inst.k == 1 else "greedy")
         elif out.kind == "no":
-            g = inst.graph
-            assert out.via == "min-separator"
-            assert inst.k > min(g.degree(inst.s), g.degree(inst.t))
-    # the strata hold both answers
-    assert 150 < greedy_yes < 400
+            assert decision == "no"
+            assert out.via in ("ell2", "k1", "min-separator")
+    # the strata hold every answer of the step
+    assert set(vias) == {("yes", "greedy"), ("yes", "k1"), ("yes", "ell2"),
+                         ("no", "min-separator"), ("no", "k1"),
+                         ("no", "ell2"), ("unknown", "")}, vias
+    assert 150 < vias["yes", "greedy"] < 400
 
 
 def test_input_step_decides_without_reduction_or_flow(gex, monkeypatch):
@@ -353,11 +360,17 @@ def test_input_step_decides_without_reduction_or_flow(gex, monkeypatch):
     monkeypatch.setattr(pathpack.search, "reduce_instance", forbidden)
     monkeypatch.setattr(pathpack.preprocess,
                         "min_total_length_disjoint_paths", forbidden)
-    # a greedy yes on a 6-cycle, and a refutation by the degree of vertex 1
-    # of the fixture
+    # a greedy yes on a 6-cycle and a common-neighbour yes at ell = 2; on
+    # the fixture, a refutation by the degree of vertex 1, and vertices 1
+    # and 5 four apart, refuted by the first search at k = 1 and k = 2 and
+    # by the common-neighbour count at ell = 2
     ring = Graph(6, [(v, (v + 1) % 6) for v in range(6)])
     for inst, decision in ((PackingInstance(ring, 0, 3, 2, 3), "yes"),
-                           (PackingInstance(gex, vid(1), vid(5), 3, 9), "no")):
+                           (PackingInstance(ring, 0, 2, 1, 2), "yes"),
+                           (PackingInstance(gex, vid(1), vid(5), 3, 9), "no"),
+                           (PackingInstance(gex, vid(1), vid(5), 1, 3), "no"),
+                           (PackingInstance(gex, vid(1), vid(5), 2, 3), "no"),
+                           (PackingInstance(gex, vid(1), vid(5), 1, 2), "no")):
         got, witness, stats = solve(inst)
         assert got == decision and stats.nodes == 0
         assert stats.solved_by == f"trivial-{decision}"
@@ -383,14 +396,18 @@ def test_input_step_bfs_stops_at_ell(monkeypatch):
         out = detect_on_input(
             from_packing(PackingInstance(g, s, t, rng.choice([1, 2]), ell)))
         assert depths == [ell] * len(depths)
-        if out.kind != "no":
+        if ell == 2:
+            # the common-neighbour count searches nothing
+            assert not depths
+        elif out.kind != "no":
             assert depths
 
 
 def test_input_step_uses_the_direct_edge_once():
     # s = 0 and t = 1 are adjacent and share the one neighbour 2
     g = Graph(3, [(0, 1), (0, 2), (1, 2)])
-    out = detect_on_input(from_packing(PackingInstance(g, 0, 1, 2, 2)))
+    out = detect_on_input(from_packing(PackingInstance(g, 0, 1, 2, 3)))
+    assert out.via == "greedy"
     assert out.kind == "yes" and out.witness.paths == ((0, 1), (0, 2, 1))
     # at ell = 1 only the edge itself is short enough, and only once
     out = detect_on_input(from_packing(PackingInstance(g, 0, 1, 2, 1)))
@@ -506,11 +523,25 @@ def test_trivial_ell_two_counts_common_neighbors():
     assert _detect(g, 0, 1, 3, 2).kind == "yes"
     assert _detect(g, 0, 1, 4, 2).kind == "no"
     out = _detect(g, 0, 1, 3, 2)
+    assert out.witness.paths == ((0, 1), (0, 2, 1), (0, 3, 1))
     assert validate_solution(
         from_packing(PackingInstance(g, 0, 1, 3, 2)), out.witness)
+    # the input-graph step answers ell = 2 with the same count
+    for k in (3, 4):
+        inst = from_packing(PackingInstance(g, 0, 1, k, 2))
+        assert detect_on_input(inst) == detect_trivial(inst)
 
 
 def test_trivial_k_one_shortest_path(gex):
+    # the input-graph step decides k = 1 with one search stopped at ell
+    out = detect_on_input(from_packing(PackingInstance(gex, vid(1), vid(5),
+                                                       1, 4)))
+    assert (out.kind, out.via) == ("yes", "k1")
+    assert out.witness.paths == (vids(1, 2, 3, 4, 5),)
+    out = detect_on_input(from_packing(PackingInstance(gex, vid(1), vid(5),
+                                                       1, 3)))
+    assert (out.kind, out.via) == ("no", "k1")
+    # on its own, detect_trivial's min-cost flow is then a shortest path
     assert _detect(gex, vid(1), vid(5), 1, 4).kind == "yes"
     assert _detect(gex, vid(1), vid(5), 1, 3).kind == "no"
 
