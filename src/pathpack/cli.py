@@ -229,8 +229,8 @@ def _sample_pairs(g: Graph, count: int, rng: random.Random,
         key = (min(u, v), max(u, v))
         if key in seen:
             continue
-        reached = bfs_tree(g.adj, ws.blocked, u, v, -1, -1, ws.dist,
-                           ws.parent, ws.queue, max_dist)
+        reached = bfs_tree(g.adj, ws.blocked, u, v, ws.dist, ws.parent,
+                           ws.queue, max_dist)
         d = ws.dist[v]
         for x in ws.queue[:reached]:
             ws.dist[x] = -1

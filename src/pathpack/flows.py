@@ -14,10 +14,10 @@ The split is implicit: both flows walk the graph's own sorted rows, and a
 unit flow is kept per vertex.  ``prv[v]`` is the vertex whose out-node sends
 v its unit of flow and ``nxt[v]`` the vertex it sends it on to (-1: none),
 so v carries flow exactly when ``prv[v] >= 0``; s sends to every w with
-``prv[w] == s``, and one flag marks a flowed direct s-t edge.  The residual
-arcs of a node are visited in a fixed order, the arc order of the explicit
-split digraph (internal arcs first, then cross arcs in ascending neighbour
-order):
+``prv[w] == s``.  The terminals must not be adjacent (``search.solve`` sees
+to that), so every unit passes an internal vertex.  The residual arcs of a
+node are visited in a fixed order, the arc order of the explicit split
+digraph (internal arcs first, then cross arcs in ascending neighbour order):
 
 * v_in: the internal arc to v_out while v carries no flow (and, in the max
   flow, is not closed), otherwise the reverse cross arc to ``prv[v]``'s
@@ -48,7 +48,7 @@ __all__ = ["st_flow_value", "min_total_length_disjoint_paths"]
 class _UnitFlow:
     """A unit s-t flow on ``g``'s implicit split digraph, empty at first."""
 
-    __slots__ = ("adj", "s", "t", "prv", "nxt", "direct")
+    __slots__ = ("adj", "s", "t", "prv", "nxt")
 
     def __init__(self, g: Graph, s: int, t: int):
         self.adj = g.adj
@@ -56,14 +56,6 @@ class _UnitFlow:
         self.t = t
         self.prv = [-1] * g.n
         self.nxt = [-1] * g.n
-        self.direct = False
-
-    def source_row(self) -> list[int]:
-        """The neighbours w of s whose cross arc s_out -> w_in is residual
-        (s carries no internal flow, so s_out has no other arc)."""
-        s, t, prv = self.s, self.t, self.prv
-        return [w for w in self.adj[s]
-                if (not self.direct if w == t else prv[w] != s)]
 
     def augment(self, parent: list[int], source: int, sink: int) -> None:
         """Push one unit along the residual path that ``parent`` records
@@ -82,15 +74,10 @@ class _UnitFlow:
             if x & 1:
                 if y != x - 1:
                     u, w = x >> 1, y >> 1
-                    if w == t:
-                        if u == s:
-                            self.direct = True
-                        else:
-                            nxt[u] = t
-                    else:
+                    if w != t:
                         prv[w] = u
-                        if u != s:
-                            nxt[u] = w
+                    if u != s:
+                        nxt[u] = w
             elif y != x + 1:
                 u, w = y >> 1, x >> 1
                 prv[w] = -1
@@ -105,9 +92,8 @@ def st_flow_value(g: Graph, s: int, t: int, limit: int,
     ``closed`` (a byte per vertex, or None) shut out; the flow value, or
     ``limit`` if it reaches that.
 
-    The value is the maximum number of internally vertex-disjoint s-t paths
-    (a direct s-t edge is one unit that no internal arc can cut), so a
-    ``limit`` of ``g.n`` never caps it.
+    The value is the maximum number of internally vertex-disjoint s-t paths,
+    so a ``limit`` of ``g.n`` never caps it.
     """
     flow = _UnitFlow(g, s, t)
     adj, prv, nxt = flow.adj, flow.prv, flow.nxt
@@ -135,7 +121,7 @@ def st_flow_value(g: Graph, s: int, t: int, limit: int,
                     queue.append(y)
                 continue
             if x == source:
-                row, q = flow.source_row(), -1
+                row, q = [w for w in adj[v] if prv[w] != v], -1
             else:
                 row, q = adj[v], nxt[v]
                 if p >= 0 and parent[x - 1] == -1:
@@ -212,7 +198,7 @@ def _dijkstra_reduced(flow: _UnitFlow, source: int, sink: int,
                 heappush(heap, (nd, y))
             continue
         if x == source:
-            row, q = flow.source_row(), -1
+            row, q = [w for w in adj[v] if prv[w] != v], -1
         else:
             row, q = adj[v], nxt[v]
             if p >= 0:
@@ -272,12 +258,6 @@ def _decompose(flow: _UnitFlow, k: int) -> DisjointPathsResult:
     paths: list[tuple[int, ...]] = []
     split_total = 0
     for w in flow.adj[s]:
-        if w == t:
-            if not flow.direct:
-                continue
-            paths.append((s, t))
-            split_total += 1
-            continue
         if prv[w] != s:
             continue
         path = [s]

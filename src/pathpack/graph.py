@@ -115,6 +115,30 @@ class Graph:
         i = bisect_left(row, v)
         return i < len(row) and row[i] == v
 
+    def without_edge(self, u: int, v: int) -> "Graph":
+        """The graph minus its edge {u, v}, in its layout, by bulk copies."""
+        if not self.has_edge(u, v):
+            raise ValueError(f"({u},{v}) is not an edge")
+        a, b = sorted((u, v))
+        adj = self.adj
+        if isinstance(adj, _FlatRows):
+            # both entries leave nbr, and the offsets past them move down
+            nbr, off = adj.nbr[:], adj.off[:]
+            del nbr[adj.off[b] + bisect_left(adj[b], a)]
+            del nbr[adj.off[a] + bisect_left(adj[a], b)]
+            shift = np.frombuffer(off, dtype=np.int64)
+            shift[a + 1:] -= 1
+            shift[b + 1:] -= 1
+            adj = _FlatRows(nbr, off)
+        else:
+            rows = list(adj)
+            rows[a] = tuple(w for w in adj[a] if w != b)
+            rows[b] = tuple(w for w in adj[b] if w != a)
+            adj = tuple(rows)
+        g = Graph.__new__(Graph)
+        g.n, g.m, g.adj = self.n, self.m - 1, adj
+        return g
+
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges once, as (u, v) with u < v, in ascending order."""
         for u, row in enumerate(self.adj):
@@ -182,8 +206,8 @@ class Workspace:
         row = self.dist_cache.get(src)
         if row is None:
             row = [-1] * self.g.n
-            bfs_tree(self.g.adj, bytearray(self.g.n), src, -1, -1, -1,
-                     row, self.parent, self.queue)
+            bfs_tree(self.g.adj, bytearray(self.g.n), src, -1, row,
+                     self.parent, self.queue)
             self.dist_cache[src] = row
         return row
 
@@ -203,14 +227,12 @@ def _extract_path(parent: list[int], a: int, b: int) -> tuple[int, ...]:
 
 
 def shortest_path_blocked(g: Graph, blocked: bytearray, a: int, b: int,
-                          ws: Workspace,
-                          ban_edge: Optional[tuple[int, int]] = None,
-                          depth: int = -1,
+                          ws: Workspace, depth: int = -1,
                           ) -> Optional[tuple[int, ...]]:
     """Minimum-length a-b path avoiding the vertices with a nonzero
-    ``blocked`` entry (and the edge ``ban_edge``, if given), or None if
-    there is none.  A non-negative ``depth`` is the kernel's: the search
-    stops there, so a path longer than ``depth`` reads as none.
+    ``blocked`` entry, or None if there is none.  A non-negative ``depth``
+    is the kernel's: the search stops there, so a path longer than
+    ``depth`` reads as none.
 
     Deterministic: among equal-length routes the lexicographically smallest
     vertex sequence is returned (ascending-id BFS, parents fixed on first
@@ -218,10 +240,8 @@ def shortest_path_blocked(g: Graph, blocked: bytearray, a: int, b: int,
     """
     if a == b:
         return (a,)
-    bu, bv = ban_edge if ban_edge is not None else (-1, -1)
     dist, queue = ws.dist, ws.queue
-    count = bfs_tree(g.adj, blocked, a, b, bu, bv, dist, ws.parent, queue,
-                     depth)
+    count = bfs_tree(g.adj, blocked, a, b, dist, ws.parent, queue, depth)
     found = dist[b] >= 0
     # the next call needs dist at -1 again: clear only what this one set
     for v in queue[:count]:

@@ -2,8 +2,9 @@
 
 Paths are built one list at a time, each as a chain of shortest subpaths
 between consecutive checkpoints in a working graph that masks everything
-already consumed.  Failure is data, never an exception: the failure kind
-plus the exact partial state at the break point drive the branching rules.
+already consumed (the terminals are never adjacent, as ``search.solve``
+leaves them).  Failure is data, never an exception: the failure kind plus
+the exact partial state at the break point drive the branching rules.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def run_greedy(inst: CheckpointInstance, cfg: SolverConfig,
     refuted insertions) and never perturb where a greedy run breaks.
 
     Requires that no list exceeds ell + 1 entries (the caller prunes that
-    case first).
+    case first) and non-adjacent terminals.
     """
     g = inst.base.graph
     s, t, k, ell = inst.base.s, inst.base.t, inst.base.k, inst.base.ell
@@ -118,7 +119,6 @@ def run_greedy(inst: CheckpointInstance, cfg: SolverConfig,
                 return GreedyFailure(FailureCondition.CUT_TOO_SMALL,
                                      i0 + 1, None, tuple(completed), ())
         entries = lists[i0]
-        used_direct = (s, t) in completed
         ell_i = 0
         subpaths: list[tuple[int, ...]] = []
         for j0 in range(len(entries) - 1):
@@ -131,10 +131,7 @@ def run_greedy(inst: CheckpointInstance, cfg: SolverConfig,
                 blocked[v] = 1
             blocked[u] = 0
             blocked[u2] = 0
-            # the direct s-t edge is a consumable route: once one completed
-            # path is exactly (s, t), no later path may be that same edge
-            ban = (s, t) if (used_direct and u == s and u2 == t) else None
-            q = shortest_path_blocked(g, blocked, u, u2, ws, ban_edge=ban)
+            q = shortest_path_blocked(g, blocked, u, u2, ws)
             if q is None:
                 return GreedyFailure(FailureCondition.NO_SUBPATH,
                                      i0 + 1, j0 + 1,

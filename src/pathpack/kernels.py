@@ -7,7 +7,8 @@ kernel: a scalar loop over the graph's sorted adjacency rows.
 BFS explores neighbors in ascending vertex id and fixes parent pointers on
 first discovery, which makes the extracted route the lexicographically
 smallest shortest path.  That canonical choice is what keeps solver runs,
-including search-tree node counts, reproducible.
+including search-tree node counts, reproducible.  The kernel walks every
+edge of ``adj``: ``search.solve`` takes a direct s-t edge out first.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from __future__ import annotations
 __all__ = ["bfs_tree"]
 
 
-def bfs_tree(adj, blocked, src, target, ban_u, ban_v, dist, parent, queue,
-             depth=-1):
+def bfs_tree(adj, blocked, src, target, dist, parent, queue, depth=-1):
     """Masked BFS from ``src`` over the sorted adjacency rows ``adj``.
 
     ``dist`` must read -1 at every vertex on entry; the kernel does not
@@ -30,7 +30,6 @@ def bfs_tree(adj, blocked, src, target, ban_u, ban_v, dist, parent, queue,
     call set.  Vertices with a nonzero ``blocked`` entry are never entered.
     Returns early once ``target`` (negative = none) has been discovered, in
     which case only the target's ancestor chain is guaranteed to be filled.
-    The undirected edge {ban_u, ban_v} is skipped when ban_u >= 0.
     A non-negative ``depth`` stops the search at the first dequeued vertex
     at that distance, so only vertices within ``depth`` of ``src`` are
     reached.  Returns the number of vertices enqueued.
@@ -49,9 +48,6 @@ def bfs_tree(adj, blocked, src, target, ban_u, ban_v, dist, parent, queue,
         head += 1
         for v in adj[u]:
             if blocked[v] or dist[v] >= 0:
-                continue
-            if ban_u >= 0 and ((u == ban_u and v == ban_v)
-                               or (u == ban_v and v == ban_u)):
                 continue
             dist[v] = du + 1
             parent[v] = u

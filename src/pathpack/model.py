@@ -233,12 +233,14 @@ def validate_solution(inst: CheckpointInstance, sol: Solution) -> ValidationRepo
         for entry in inst.lists[i][1:-1]:
             if pos[entry] in (0, len(path) - 1):
                 return _bad(f"path {i}: checkpoint {entry} at a terminal")
-    for i in range(k):
-        for j in range(i + 1, k):
-            if sol.paths[i] == sol.paths[j]:
-                return _bad(f"paths {i} and {j} are identical")
-            shared = (set(sol.paths[i]) & set(sol.paths[j])) - {s, t}
-            if shared:
-                v = min(shared)
+    # one pass; whole paths are keyed too: a repeated (s, t) shares no vertex
+    owner: dict = {}
+    for j, path in enumerate(sol.paths):
+        i = owner.setdefault(tuple(path), j)
+        if i != j:
+            return _bad(f"paths {i} and {j} are identical")
+        for v in path[1:-1]:
+            i = owner.setdefault(v, j)
+            if i != j:
                 return _bad(f"paths {i} and {j} share internal vertex {v}")
     return ValidationReport(True)

@@ -20,7 +20,8 @@ Trivial detection then runs on the reduced instance: one min-cost flow for
 the k disjoint paths of minimum total length either refutes (fewer than k
 disjoint paths: a separator below k), gives a witness, refutes by total
 length, or leaves the instance open.  Every step runs once, at the root,
-and takes only bare checkpoint lists (s, t).
+and takes only bare checkpoint lists (s, t) of non-adjacent terminals, as
+``search.solve`` leaves them after taking out a direct s-t edge.
 """
 
 from __future__ import annotations
@@ -95,8 +96,8 @@ def reduce_instance(inst: CheckpointInstance,
     def ball(src: int, depth: int, dist: list[int]) -> list[int]:
         # the kernel is looked up as graph.bfs_tree at call time, so wrapping
         # that one name (as perfbench's tracer does) sees these calls too
-        return queue[:graph.bfs_tree(adj, unblocked, src, -1, -1, -1, dist,
-                                     parent, queue, depth)]
+        return queue[:graph.bfs_tree(adj, unblocked, src, -1, dist, parent,
+                                     queue, depth)]
 
     near_s = ball(s, half, ds)
     keep = bytearray(n)
@@ -181,20 +182,19 @@ def detect_on_input(inst: CheckpointInstance,
 
     ell = 2 is decided by :func:`detect_trivial`'s common-neighbour count,
     which is exact on the input graph and costs O(deg) rather than k
-    searches.  Otherwise the step refutes (``min-separator``) when k
-    exceeds the degree of s or of t, and then packs greedily: k successive
-    shortest s-t paths, each avoiding the internal vertices of the earlier
-    ones, with the direct s-t edge used at most once, and each BFS stopped
-    at depth ell.  All k found answer yes (``k1`` at k = 1, else
-    ``greedy``); a first BFS that finds nothing shows dist(s, t) > ell and
-    answers no (``k1``, or ``min-separator`` as the flow would say on the
-    reduced graph, which then has no s-t path).  The paths are those the
+    searches.  Otherwise the step refutes (``min-separator``) when k exceeds
+    the degree of s or of t, and then packs greedily: k successive shortest
+    s-t paths, each avoiding the internal vertices of the earlier ones, and
+    each BFS stopped at depth ell.  All k found answer yes (``k1`` at k = 1,
+    else ``greedy``); a first BFS that finds nothing shows dist(s, t) > ell
+    and answers no (``k1``, or ``min-separator`` as the flow would say on
+    the reduced graph, which then has no s-t path).  The paths are those the
     search's root greedy finds on the reduced graph: the reduction keeps
-    every vertex of every s-t path of length <= ell and preserves id
-    order, and the BFS returns the lexicographically smallest shortest
-    path.  A later missing path leaves the instance open, and so does a
-    ``deadline`` (a ``time.perf_counter()`` value) found passed after a
-    BFS; the caller then reads the clock itself.
+    every vertex of every s-t path of length <= ell and preserves id order,
+    and the BFS returns the lexicographically smallest shortest path.  A
+    later missing path leaves the instance open, and so does a ``deadline``
+    (a ``time.perf_counter()`` value) found passed after a BFS; the caller
+    then reads the clock itself.
     """
     _require_bare(inst)
     g = inst.base.graph
@@ -208,10 +208,7 @@ def detect_on_input(inst: CheckpointInstance,
     ws = Workspace(g)
     paths: list[tuple[int, ...]] = []
     for _ in range(k):
-        # the direct s-t edge is a consumable route, as in run_greedy
-        ban = (s, t) if (s, t) in paths else None
-        path = shortest_path_blocked(g, ws.blocked, s, t, ws, ban_edge=ban,
-                                     depth=ell)
+        path = shortest_path_blocked(g, ws.blocked, s, t, ws, depth=ell)
         if deadline is not None and time.perf_counter() > deadline:
             return TrivialOutcome("unknown")
         if path is None:
@@ -227,14 +224,14 @@ def detect_on_input(inst: CheckpointInstance,
 def detect_trivial(inst: CheckpointInstance) -> TrivialOutcome:
     """The root detectors that need no greedy, applied in order.
 
-    ell = 2: one path per common neighbor plus the direct edge, so yes iff
-    that count reaches k; :func:`detect_on_input` answers ell = 2 with this
-    count on the input graph.  Otherwise one min-cost flow: fewer than k
-    disjoint paths refute (``min-separator``), and the k disjoint paths of
-    minimum total length either directly form a witness (longest path <=
-    ell), refute (total > k * ell, always so at ell = 1 since
-    1 + 2(k - 1) > k), or leave the instance open.  At k = 1 the flow is a
-    shortest path and always decides.  No max flow runs here.
+    ell = 2: one path per common neighbor, so yes iff that count reaches
+    k; :func:`detect_on_input` answers ell = 2 with this count on the
+    input graph.  Otherwise one min-cost flow: fewer than k disjoint paths
+    refute (``min-separator``), and the k disjoint paths of minimum total
+    length either directly form a witness (longest path <= ell), refute
+    (total > k * ell, always so at ell = 1, where every path has length at
+    least 2), or leave the instance open.  At k = 1 the flow is a shortest
+    path and always decides.  No max flow runs here.
     """
     _require_bare(inst)
     g = inst.base.graph
@@ -242,17 +239,9 @@ def detect_trivial(inst: CheckpointInstance) -> TrivialOutcome:
 
     if ell == 2:
         common = sorted(set(g.neighbors(s)) & set(g.neighbors(t)))
-        count = len(common) + (1 if g.has_edge(s, t) else 0)
-        if count < k:
+        if len(common) < k:
             return _no("ell2")
-        paths: list[tuple[int, ...]] = []
-        if g.has_edge(s, t):
-            paths.append((s, t))
-        for c in common:
-            if len(paths) == k:
-                break
-            paths.append((s, c, t))
-        return _yes(Solution(tuple(paths[:k])), "ell2")
+        return _yes(Solution(tuple((s, c, t) for c in common[:k])), "ell2")
 
     # successive shortest paths finds k paths exactly when the max flow
     # reaches k, so its failure is the separator refutation

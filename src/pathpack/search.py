@@ -322,10 +322,12 @@ def solve(inst: PackingInstance,
           ) -> tuple[str, Optional[Solution], SolveStats]:
     """Decide an instance.
 
-    The pipeline: with trivial detection on, :func:`detect_on_input`
-    decides what it can on the input graph; an instance it leaves open is
-    reduced (with preprocessing on), passed to :func:`detect_trivial`
-    (with trivial detection on), and then searched.  ``timeout_ms`` is
+    The pipeline: a direct s-t edge is taken out first, with one of the k
+    paths, so that no layer below sees adjacent terminals; then, with
+    trivial detection on, :func:`detect_on_input` decides what it can on
+    the input graph; an instance it leaves open is reduced (with
+    preprocessing on), passed to :func:`detect_trivial` (with trivial
+    detection on), and then searched.  ``timeout_ms`` is
     checked after each BFS of the input-graph step, after the reduction
     and throughout the search.
 
@@ -345,34 +347,45 @@ def solve(inst: PackingInstance,
     if inst.k >= inst.graph.n:
         # k internally disjoint paths need k - 1 distinct internal vertices
         # besides at most one direct s-t edge, and there are only n - 2;
-        # answered before anything of size k is built
+        # answered before anything of size k is built or the edge taken out
         stats.solved_by = "trivial-no"
         stats.wall_ms = (time.perf_counter() - t0) * 1000.0
         return "no", None, stats
 
+    s, t = inst.s, inst.t
+    # a packing holds (s, t) at most once, and one without it may drop any
+    # path: (G, k, ell) is yes exactly when (G - st, k - 1, ell) is
+    direct = inst.graph.has_edge(s, t)
+    if direct and inst.k == 1:
+        stats.solved_by = "trivial-yes"
+        stats.wall_ms = (time.perf_counter() - t0) * 1000.0
+        return "yes", Solution(((s, t),)), stats
+    below = (PackingInstance(inst.graph.without_edge(s, t), s, t, inst.k - 1,
+                             inst.ell) if direct else inst)
+    bare = from_packing(below)
+
     report = None
     decision = "no"
     witness: Optional[Solution] = None
-    original = from_packing(inst)
     try:
         outcome = None
         if cfg.trivial_detection:
             # decided on the input graph, before the reduction builds
             # anything; the step stops early once the deadline has passed
-            outcome = detect_on_input(original, deadline)
+            outcome = detect_on_input(bare, deadline)
             _check(deadline)
         if outcome is None or outcome.kind == "unknown":
             if cfg.preprocess:
-                root, report = reduce_instance(original)
+                root, report = reduce_instance(bare)
                 stats.n_after = report.n_after
                 stats.m_after = report.m_after
             else:
                 # the layers below read a row per dequeue: tuple rows of
                 # the whole graph, built once (a tuple row is its own
                 # tuple())
-                g = Graph.from_sorted_rows(map(tuple, inst.graph.adj))
+                g = Graph.from_sorted_rows(map(tuple, below.graph.adj))
                 root = from_packing(
-                    PackingInstance(g, inst.s, inst.t, inst.k, inst.ell))
+                    PackingInstance(g, s, t, below.k, below.ell))
             # either step may walk the whole graph, so the deadline bounds it
             _check(deadline)
             if cfg.trivial_detection:
@@ -403,8 +416,10 @@ def solve(inst: PackingInstance,
 
     if witness is not None and report is not None:
         witness = report.solution_to_original(witness)
+    if witness is not None and direct:
+        witness = Solution(((s, t),) + witness.paths)
     if witness is not None:
-        check = validate_solution(original, witness)
+        check = validate_solution(from_packing(inst), witness)
         if not check.ok:
             raise AssertionError(
                 f"internal error: witness rejected ({check.violation})")

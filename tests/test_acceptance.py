@@ -13,16 +13,15 @@ import math
 import statistics
 
 
-from pathpack import (PackingInstance, SolverConfig, Workspace,
+from pathpack import (PackingInstance, Solution, SolverConfig, Workspace,
                       config_from_name, from_packing, random_gnp,
                       validate_solution)
-from pathpack.flows import min_total_length_disjoint_paths, st_flow_value
 from pathpack.greedy import FailureCondition, run_greedy
 from pathpack.oracle import oracle_decide
 from pathpack.preprocess import detect_trivial
 from pathpack.search import branch, solve
 
-from conftest import vid, vids
+from conftest import below_root, flow_value, min_total_paths, vid, vids
 from suite import build_suite
 
 EQUIV_CONFIGS = ("bare", "b-sp", "b-sp+b-fi", "b-sp+c", "b-sp+d-ms", "all")
@@ -183,8 +182,10 @@ def test_criterion_5_menger_transform():
             t = (t + 1) % n
         ans = oracle_decide(PackingInstance(g, s, t, 1, max(1, n - 1)),
                             want_max_packing=True)
-        if st_flow_value(g, s, t, g.n) != ans.max_packing:
-            bad.append((seed, st_flow_value(g, s, t, g.n), ans.max_packing))
+        # on a graph with an s-t edge, the flow runs on G - st, plus one
+        value = flow_value(g, s, t, g.n)
+        if value != ans.max_packing:
+            bad.append((seed, value, ans.max_packing))
     assert _report(5, "flow value equals max unbounded packing", not bad,
                    "100 graphs"), bad[:5]
 
@@ -199,7 +200,8 @@ def test_criterion_6_min_total_length():
         if s == t:
             t = (t + 1) % n
         k = 1 + (seed % 3)
-        got = min_total_length_disjoint_paths(g, s, t, k)
+        # with an s-t edge: k - 1 paths on G - st, and (s, t)
+        got = min_total_paths(g, s, t, k)
         best = _brute_min_total(g, s, t, k)
         if best is None:
             if got is not None:
@@ -229,9 +231,13 @@ def test_criterion_7_trivial_detector_soundness():
             resolved += 1
             if want != "no":
                 bad.append((case.label, "claimed no"))
-        out = detect_trivial(from_packing(case.instance))
+        # the detector runs below solve's direct-edge step (the suite's
+        # k >= 2 leaves it an instance), and its witness gets (s, t) back
+        below, front = below_root(case.instance)
+        out = detect_trivial(from_packing(below))
         if out.kind == "yes":
-            if not validate_solution(from_packing(case.instance), out.witness):
+            witness = Solution(front + out.witness.paths)
+            if not validate_solution(from_packing(case.instance), witness):
                 bad.append((case.label, "invalid witness"))
         elif out.kind == "no" and want != "no":
             bad.append((case.label, "detector no vs oracle yes"))

@@ -8,7 +8,7 @@ from pathpack import Graph, PackingInstance, random_gnp
 from pathpack.flows import min_total_length_disjoint_paths, st_flow_value
 from pathpack.oracle import enumerate_bounded_paths, oracle_decide
 
-from conftest import vid
+from conftest import flow_value, min_total_paths, vid
 
 
 # ---------------------------------------------------------------------------
@@ -43,9 +43,10 @@ def test_separator_complete_bipartite():
 
 def test_separator_adjacent_terminals_marker():
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
-    # no vertex separates adjacent terminals: the flow value counts the
-    # direct edge as one route
-    assert st_flow_value(g, 0, 2, g.n) == 2
+    # no vertex separates adjacent terminals: the flow on G - st counts the
+    # other route, and the direct edge is one more
+    assert st_flow_value(g.without_edge(0, 2), 0, 2, g.n) == 1
+    assert flow_value(g, 0, 2, g.n) == 2
 
 
 @pytest.mark.parametrize("seed", range(100))
@@ -56,7 +57,7 @@ def test_menger_flow_equals_max_unbounded_packing(seed):
     s, t = rng.sample(range(n), 2)
     ans = oracle_decide(PackingInstance(g, s, t, 1, max(1, n - 1)),
                         want_max_packing=True)
-    assert st_flow_value(g, s, t, g.n) == ans.max_packing
+    assert flow_value(g, s, t, g.n) == ans.max_packing
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +122,7 @@ def test_matches_brute_force_minimum(seed):
     s, t = rng.sample(range(n), 2)
     k = rng.randrange(1, 4)
     want = _brute_min_total(g, s, t, k)
-    got = min_total_length_disjoint_paths(g, s, t, k)
+    got = min_total_paths(g, s, t, k)
     if want is None:
         assert got is None
         return
@@ -315,15 +316,15 @@ def _assert_matches_reference(g, s, t, removed=()):
     the reference's arc order unchanged."""
     closed = _closed(g, removed) if removed else None
     value = _reference_max_flow(g, s, t, None, removed)
-    assert st_flow_value(g, s, t, g.n, closed) == value
+    assert flow_value(g, s, t, g.n, closed) == value
     for limit in range(value + 3):
-        assert (st_flow_value(g, s, t, limit, closed)
+        assert (flow_value(g, s, t, limit, closed)
                 == _reference_max_flow(g, s, t, limit, removed)
                 == min(limit, value))
     h, new = _delete(g, set(removed))
     old = {i: v for v, i in new.items()}
     for k in range(1, value + 2):
-        got = min_total_length_disjoint_paths(h, new[s], new[t], k)
+        got = min_total_paths(h, new[s], new[t], k)
         want = _reference_min_cost_paths(g, s, t, k, removed)
         assert (None if got is None else
                 tuple(tuple(old[v] for v in p) for p in got.paths)) == want
@@ -369,10 +370,10 @@ def test_closed_vertices_flow_like_deleted_ones(seed):
     others = [v for v in range(n) if v not in (s, t)]
     removed = set(rng.sample(others, rng.randrange(0, len(others) // 2 + 1)))
     h, new = _delete(g, removed)
-    want = st_flow_value(h, new[s], new[t], h.n)
-    assert st_flow_value(g, s, t, g.n, _closed(g, removed)) == want
+    want = flow_value(h, new[s], new[t], h.n)
+    assert flow_value(g, s, t, g.n, _closed(g, removed)) == want
     # a later call without the mask sees every vertex again
-    assert st_flow_value(g, s, t, g.n) == _reference_max_flow(g, s, t, None)
+    assert flow_value(g, s, t, g.n) == _reference_max_flow(g, s, t, None)
     _assert_matches_reference(g, s, t, sorted(removed))
 
 
@@ -382,9 +383,9 @@ def test_capped_max_flow_is_min_of_limit_and_value(seed):
     n = rng.randrange(6, 40)
     g = random_gnp(n, rng.choice([0.1, 0.25, 0.4]), seed + 700)
     s, t = rng.sample(range(n), 2)
-    value = st_flow_value(g, s, t, g.n)
+    value = flow_value(g, s, t, g.n)
     for limit in range(0, value + 3):
-        assert st_flow_value(g, s, t, limit) == min(limit, value)
+        assert flow_value(g, s, t, limit) == min(limit, value)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +432,7 @@ def test_flow_value_matches_networkx_connectivity(name, g, seed):
         else:
             want = nx.algorithms.connectivity.local_node_connectivity(
                 h, s, t)
-        assert st_flow_value(g, s, t, g.n) == want
+        assert flow_value(g, s, t, g.n) == want
 
 
 def _nx_min_total_length(g, s, t, k):
@@ -457,7 +458,7 @@ def test_min_total_length_matches_networkx_min_cost(name, g, seed):
     for _ in range(4):
         s, t = rng.sample(range(g.n), 2)
         k = rng.randrange(1, 5)
-        got = min_total_length_disjoint_paths(g, s, t, k)
+        got = min_total_paths(g, s, t, k)
         want = _nx_min_total_length(g, s, t, k)
         if want is None:
             assert got is None
@@ -496,5 +497,5 @@ _PINNED = [
 def test_min_total_length_witnesses_pinned(spec, s, t, k, paths):
     kind, a, b = spec
     g = random_gnp(a, 0.15, b) if kind == "gnp" else _grid(a, b)
-    got = min_total_length_disjoint_paths(g, s, t, k)
+    got = min_total_paths(g, s, t, k)
     assert (None if got is None else got.paths) == paths

@@ -4,7 +4,7 @@ import pytest
 
 from pathpack import (Graph, GraphFormatError, Workspace, format_graph,
                       parse_graph, random_gnp)
-from pathpack.graph import shortest_path_blocked
+from pathpack.graph import _FlatRows, shortest_path_blocked
 from pathpack.kernels import bfs_tree
 from pathpack.oracle import enumerate_bounded_paths
 
@@ -52,6 +52,32 @@ def test_rejects_self_loops_duplicates_and_range():
         Graph(3, [(0, 1), (1, 0)])
     with pytest.raises(ValueError):
         Graph(3, [(0, 3)])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_without_edge_keeps_the_layout_and_drops_only_that_edge(seed):
+    """Removing an edge from a parsed graph keeps its flat rows, and from
+    a built graph its tuple rows; either way every row is the parent's
+    row minus the edge, and m drops by one."""
+    rng = random.Random(seed + 700)
+    built = random_gnp(rng.randrange(2, 30), 0.3, seed + 700)
+    edges = list(built.edges())
+    if not edges:
+        built = Graph(2, [(0, 1)])
+        edges = [(0, 1)]
+    parsed = parse_graph(format_graph(built))
+    u, v = rng.choice(edges)
+    assert isinstance(parsed.adj, _FlatRows)
+    for g in (built, parsed):
+        h = g.without_edge(*rng.sample((u, v), 2))
+        assert type(h.adj) is type(g.adj)
+        assert h.n == g.n and h.m == g.m - 1
+        want = [[w for w in g.adj[x] if {x, w} != {u, v}]
+                for x in range(g.n)]
+        assert [list(row) for row in h.adj] == want
+        assert not h.has_edge(u, v) and g.has_edge(u, v)
+    with pytest.raises(ValueError):
+        built.without_edge(u, v).without_edge(u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +136,7 @@ def test_masked_view_excludes_removed_everywhere(gex):
     blocked = _blocked(gex.n, [vid(2)])
     # the kernel needs a dist list that reads -1 on entry
     dist, parent, queue = [-1] * gex.n, [-1] * gex.n, [0] * gex.n
-    bfs_tree(gex.adj, blocked, vid(1), -1, -1, -1, dist, parent, queue)
+    bfs_tree(gex.adj, blocked, vid(1), -1, dist, parent, queue)
     assert dist[vid(2)] == -1
     path = shortest_path_blocked(gex, blocked, vid(1), vid(5),
                                  Workspace(gex))
@@ -145,25 +171,22 @@ def test_shortest_path_matches_exhaustive_enumeration(seed):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_reused_workspace_matches_fresh_workspaces(seed):
-    """Consecutive searches on one Workspace, with different masks, bans and
+    """Consecutive searches on one Workspace, with different masks and
     endpoints, return what a fresh Workspace returns for each, and leave
     its dist list reading -1 everywhere, as the kernel requires."""
     rng = random.Random(seed + 500)
     n = rng.randrange(6, 40)
     g = random_gnp(n, rng.choice([0.08, 0.15, 0.3]), seed + 500)
-    edges = list(g.edges())
     ws = Workspace(g)
     found = 0
     for _ in range(60):
         blocked = _blocked(n, rng.sample(range(n), rng.randrange(0, n // 3)))
         a, b = rng.randrange(n), rng.randrange(n)
         blocked[a] = blocked[b] = 0
-        ban = rng.choice(edges) if edges and rng.random() < 0.3 else None
         if rng.random() < 0.2:
             ws.distance_row(rng.randrange(n))  # the cached rows share buffers
-        got = shortest_path_blocked(g, blocked, a, b, ws, ban_edge=ban)
-        assert got == shortest_path_blocked(g, blocked, a, b, Workspace(g),
-                                            ban_edge=ban)
+        got = shortest_path_blocked(g, blocked, a, b, ws)
+        assert got == shortest_path_blocked(g, blocked, a, b, Workspace(g))
         assert ws.dist == [-1] * n
         found += got is not None
     assert found > 0

@@ -2,14 +2,15 @@ import random
 
 import pytest
 
-from pathpack import (Graph, PackingInstance, SolverConfig, from_packing,
-                      random_gnp, validate_solution)
+from pathpack import (Graph, PackingInstance, Solution, SolverConfig,
+                      from_packing, random_gnp, validate_solution)
 from pathpack.greedy import (FailureCondition, GreedyFailure, GreedySuccess,
                              run_greedy)
 from pathpack.model import CheckpointInstance
 from pathpack.oracle import enumerate_bounded_paths
+from pathpack.search import solve
 
-from conftest import vid, vids
+from conftest import below_root, vid, vids
 
 NO_DMS = SolverConfig(d_ms=False)
 
@@ -124,14 +125,19 @@ def test_bare_lists_gate_for_separator_check(gex):
 
 
 def test_direct_edge_not_reused():
-    # triangle: second path must take the detour, not the edge again
+    # triangle: solve packs the direct edge once, at its root, and the
+    # greedy takes the detour on the graph without it
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
-    out = run_greedy(from_packing(PackingInstance(g, 0, 2, 2, 2)), NO_DMS)
-    assert isinstance(out, GreedySuccess)
-    assert out.paths == ((0, 2), (0, 1, 2))
+    plain = SolverConfig(trivial_detection=False, d_ms=False)
+    decision, witness, stats = solve(PackingInstance(g, 0, 2, 2, 2), plain)
+    assert decision == "yes" and stats.solved_by == "greedy"
+    assert witness.paths == ((0, 2), (0, 1, 2))
     # with ell = 1 the detour is overlong: failure, not a duplicate
-    out2 = run_greedy(from_packing(PackingInstance(g, 0, 2, 2, 1)), NO_DMS)
-    assert out2.condition is FailureCondition.OVERLONG
+    decision, witness, stats = solve(PackingInstance(g, 0, 2, 2, 1), plain)
+    assert (decision, witness, stats.nodes) == ("no", None, 1)
+    out = run_greedy(from_packing(
+        PackingInstance(g.without_edge(0, 2), 0, 2, 1, 1)), NO_DMS)
+    assert out.condition is FailureCondition.OVERLONG
 
 
 def test_determinism(gex):
@@ -150,12 +156,16 @@ def test_success_always_validates(seed):
     n = rng.randrange(5, 13)
     g = random_gnp(n, rng.choice([0.3, 0.5]), seed + 900)
     s, t = rng.sample(range(n), 2)
-    ci = from_packing(PackingInstance(g, s, t, rng.choice([1, 2, 3]),
-                                      rng.choice([3, 4, 5])))
-    out = run_greedy(ci, SolverConfig())
+    inst = PackingInstance(g, s, t, rng.choice([1, 2, 3]),
+                           rng.choice([3, 4, 5]))
+    # the greedy runs below solve's direct-edge step
+    below, front = below_root(inst)
+    if below is None:
+        return
+    out = run_greedy(from_packing(below), SolverConfig())
     if isinstance(out, GreedySuccess):
-        from pathpack.model import Solution
-        assert validate_solution(ci, Solution(out.paths))
+        assert validate_solution(from_packing(inst),
+                                 Solution(front + out.paths))
 
 
 def _greedy_used_pool(fail, ci, skip_subpath=None):
@@ -175,6 +185,8 @@ def test_break_lemmas_against_all_solutions(seed):
     n = rng.randrange(6, 12)
     g = random_gnp(n, rng.choice([0.25, 0.4]), seed + 300)
     s, t = rng.sample(range(n), 2)
+    if g.has_edge(s, t):
+        g = g.without_edge(s, t)  # the greedy never sees adjacent terminals
     k, ell = rng.choice([2, 3]), rng.choice([4, 5])
     ci = from_packing(PackingInstance(g, s, t, k, ell))
     out = run_greedy(ci, NO_DMS)
@@ -184,29 +196,15 @@ def test_break_lemmas_against_all_solutions(seed):
     if not sols:
         return
     entries = ci.lists[out.i_beta - 1]
-    direct = (ci.base.s, ci.base.t)
-    ban_active = direct in out.complete_paths
-
-    def degenerate(sol):
-        # the break-point claim is stated for the path at slot i_beta; when
-        # the greedy consumed the direct s-t edge earlier and a solution
-        # routes that same edge at slot i_beta (no internal vertices), the
-        # claim holds for the swapped assignment instead, and that swapped
-        # solution is also in the enumeration
-        return ban_active and sol[out.i_beta - 1] == direct
 
     if out.condition is FailureCondition.NO_SUBPATH:
         pool = _greedy_used_pool(out, ci)
         for sol in sols:
-            if degenerate(sol):
-                continue
             q_star = _subpath_split(sol[out.i_beta - 1], entries)[out.j_beta - 1]
             assert set(q_star) & pool, \
                 "a solution subpath avoided every greedily used vertex"
     elif out.condition is FailureCondition.OVERLONG:
         for sol in sols:
-            if degenerate(sol):
-                continue
             subs = _subpath_split(sol[out.i_beta - 1], entries)
             hit = False
             for j in range(1, out.j_beta + 1):
@@ -223,6 +221,8 @@ def test_separator_failure_refutes_prefix_extension(seed):
     n = rng.randrange(6, 13)
     g = random_gnp(n, rng.choice([0.2, 0.35]), seed + 700)
     s, t = rng.sample(range(n), 2)
+    if g.has_edge(s, t):
+        g = g.without_edge(s, t)  # the greedy never sees adjacent terminals
     k, ell = rng.choice([2, 3]), rng.choice([4, 5, 6])
     ci = from_packing(PackingInstance(g, s, t, k, ell))
     out = run_greedy(ci, SolverConfig(trivial_detection=False))

@@ -14,10 +14,9 @@ def _buffers(n):
     return [-1] * n, [-1] * n, [0] * n
 
 
-def _run(g, blocked, src, target=-1, ban=(-1, -1)):
+def _run(g, blocked, src, target=-1):
     dist, parent, queue = _buffers(g.n)
-    count = bfs_tree(g.adj, blocked, src, target, ban[0], ban[1],
-                     dist, parent, queue)
+    count = bfs_tree(g.adj, blocked, src, target, dist, parent, queue)
     return count, dist, parent, queue
 
 
@@ -86,12 +85,6 @@ def test_backends_agree_target_paths(seed):
     assert tuple(_chain(parent, src, target)) == want
 
 
-def test_ban_edge_skips_only_that_edge():
-    g = Graph(3, [(0, 1), (1, 2), (0, 2)])
-    _, dist, parent, _ = _run(g, bytearray(3), 0, ban=(0, 2))
-    assert dist[2] == 2 and parent[2] == 1
-
-
 def test_blocked_vertices_unreachable():
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     blocked = bytearray(4)
@@ -123,8 +116,8 @@ def test_depth_bound_reaches_exactly_the_ball(seed):
     full_count, full_dist, full_parent, full_queue = _run(g, blocked, src)
     for depth in range(0, 6):
         dist, parent, queue = _buffers(n)
-        count = bfs_tree(g.adj, blocked, src, -1, -1, -1,
-                         dist, parent, queue, depth)
+        count = bfs_tree(g.adj, blocked, src, -1, dist, parent, queue,
+                         depth)
         ball = [v for v in full_queue[:full_count] if full_dist[v] <= depth]
         assert queue[:count] == ball
         assert dist == [d if d <= depth else -1 for d in full_dist]

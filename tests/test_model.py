@@ -213,6 +213,24 @@ def test_validate_rejects_duplicate_paths():
     assert not report and "identical" in report.violation
 
 
+def test_validate_names_the_first_collision_of_three_paths(gex):
+    # paths 0 and 1 are disjoint; path 2 meets path 1 at v2 first, and
+    # path 0 at v4 later: the report names path 2's first shared vertex
+    ci = from_packing(_inst(gex, k=3, ell=9))
+    sol = Solution((vids(1, 6, 7, 8, 4, 5), vids(1, 2, 9, 10, 11, 5),
+                    vids(1, 2, 3, 4, 5)))
+    report = validate_solution(ci, sol)
+    assert report.violation == f"paths 1 and 2 share internal vertex {vid(2)}"
+    # a repeated path is named as identical, also without internal vertices
+    from pathpack import Graph
+    g = Graph(3, [(0, 1), (0, 2), (1, 2)])
+    ci = from_packing(PackingInstance(g, 0, 1, 3, 2))
+    report = validate_solution(ci, Solution(((0, 1), (0, 2, 1), (0, 1))))
+    assert report.violation == "paths 0 and 2 are identical"
+    report = validate_solution(ci, Solution(((0, 1), (0, 2, 1), (0, 2, 1))))
+    assert report.violation == "paths 1 and 2 are identical"
+
+
 def test_validate_checkpoint_order(gex):
     base = _inst(gex)
     ci = CheckpointInstance(base, ((vid(1), vid(4), vid(5)), (vid(1), vid(5))))

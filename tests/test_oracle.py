@@ -4,10 +4,9 @@ import random
 import pytest
 
 from pathpack import PackingInstance, from_packing, random_gnp, validate_solution
-from pathpack.flows import st_flow_value
 from pathpack.oracle import enumerate_bounded_paths, oracle_decide
 
-from conftest import vid, vids
+from conftest import flow_value, vid, vids
 
 
 def test_enumeration_on_fixture(gex):
@@ -70,7 +69,7 @@ def test_unbounded_max_packing_equals_flow_value(seed):
     s, t = rng.sample(range(n), 2)
     ans = oracle_decide(PackingInstance(g, s, t, 1, max(1, n - 1)),
                         want_max_packing=True)
-    assert ans.max_packing == st_flow_value(g, s, t, g.n)
+    assert ans.max_packing == flow_value(g, s, t, g.n)
 
 
 def test_direct_edge_used_at_most_once():

@@ -615,3 +615,86 @@ def test_candidate_order_neutral_on_no_instances():
         assert st1.nodes == st0.nodes
         checked += 1
     assert checked >= 5
+
+
+# ---------------------------------------------------------------------------
+# adjacent terminals: the direct s-t edge is handled once, at the root
+# ---------------------------------------------------------------------------
+
+_PIPELINES = {
+    "default": SolverConfig(),
+    "no-trivial": SolverConfig(trivial_detection=False),
+    "no-preprocess": SolverConfig(preprocess=False),
+    "both-off": SolverConfig(trivial_detection=False, preprocess=False),
+}
+
+
+def _adjacent_cases():
+    """Seeded G(n, p) instances whose terminals are the two ends of an
+    edge, with k from 1 to 4 and ell from 1 to 6, and their oracle
+    decisions."""
+    rng = random.Random(1717)
+    cases = []
+    while len(cases) < 80:
+        n = rng.randrange(5, 12)
+        g = random_gnp(n, rng.choice([0.25, 0.4, 0.55]), rng.randrange(10**6))
+        edges = list(g.edges())
+        if not edges:
+            continue
+        s, t = rng.sample(rng.choice(edges), 2)
+        inst = PackingInstance(g, s, t, rng.randrange(1, 5),
+                               rng.randrange(1, 7))
+        cases.append((inst, oracle_decide(inst).decision))
+    return cases
+
+
+_ADJACENT = _adjacent_cases()
+
+
+@pytest.mark.parametrize("name", list(_PIPELINES))
+def test_adjacent_terminals_never_reach_the_layers_below(name, monkeypatch):
+    import pathpack.greedy
+    import pathpack.preprocess
+    import pathpack.search
+    seen = set()
+
+    def spy(module, attr, terminals):
+        real = getattr(module, attr)
+
+        def wrapped(*args, **kwargs):
+            g, s, t = terminals(*args)
+            assert not g.has_edge(s, t), f"{attr} got adjacent terminals"
+            seen.add(attr)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, wrapped)
+
+    def of_instance(inst, *args):
+        return inst.base.graph, inst.base.s, inst.base.t
+
+    def of_graph(g, s, t, *args):
+        return g, s, t
+
+    spy(pathpack.search, "run_greedy", of_instance)
+    spy(pathpack.search, "detect_on_input", of_instance)
+    spy(pathpack.search, "detect_trivial", of_instance)
+    spy(pathpack.preprocess, "detect_trivial", of_instance)
+    spy(pathpack.preprocess, "min_total_length_disjoint_paths", of_graph)
+    spy(pathpack.greedy, "st_flow_value", of_graph)
+    cfg = _PIPELINES[name]
+    for inst, truth in _ADJACENT:
+        decision, witness, stats = solve(inst, cfg)
+        assert decision == truth
+        if inst.k == 1:
+            assert (stats.solved_by, stats.nodes) == ("trivial-yes", 0)
+        if witness is not None:
+            direct = (inst.s, inst.t)
+            assert witness.paths[0] == direct
+            assert witness.paths.count(direct) == 1
+            assert validate_solution(from_packing(inst), witness)
+    # the spies saw every layer the pipeline runs
+    if cfg.trivial_detection:
+        assert {"detect_on_input", "detect_trivial",
+                "min_total_length_disjoint_paths"} <= seen, seen
+    else:
+        assert {"run_greedy", "st_flow_value"} <= seen, seen
