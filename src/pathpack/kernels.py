@@ -8,7 +8,8 @@ the reduction, ``Workspace.distance_row`` and the CLI's pair sampling run
 it.  On reduced graphs the greedy's masked searches enqueue only about 22
 vertices per call (traced search-default) and stop early, so the
 one-sided loop wins there: with ``bidir_path`` over the same mask in
-``run_greedy`` instead, search-default ran 20-35% fewer solves per second.
+``run_greedy`` instead, search-default ran 21-36% fewer solves per second
+(two alternating pairs, 2-CPU host).
 
 ``bidir_path`` serves one caller, the input-graph step
 (``preprocess.detect_on_input``), whose k searches run on the whole input
@@ -16,8 +17,8 @@ graph.  On root-batch's G(n, p) graphs (200-400 vertices, average degree
 8) a one-sided search there swept about 230 vertices before it reached
 t.  ``bidir_path`` grows the smaller of two frontiers a level at a time
 with set operations, over a ``set`` of blocked vertices, so the step
-allocates nothing of graph size.  It cut the step from about 210-330 to
-45-70 us per root-batch op (seed 0, best of 7 passes, 2-CPU host).
+allocates nothing of graph size.  It cut the step from 207-327 to 43-71
+us per root-batch op (seed 0, best of 7 passes, 2-CPU host).
 
 BFS explores neighbors in ascending vertex id and fixes parent pointers on
 first discovery, which makes the extracted route the lexicographically
