@@ -28,9 +28,9 @@ from typing import Optional, Sequence
 
 from .config import (CONFIG_NAMES, HEURISTIC_CODES, SolverConfig, SolveStats,
                      config_from_name, with_heuristics)
-from .graph import (Graph, GraphFormatError, Workspace, format_graph,
-                    load_graph, random_gnp)
-from .kernels import bfs_tree
+from .graph import (Graph, GraphFormatError, format_graph, load_graph,
+                    random_gnp)
+from .kernels import bidir_path
 from .model import PackingInstance, Solution
 from .oracle import oracle_decide
 from .search import solve
@@ -212,10 +212,9 @@ def _cmd_gen(args, out) -> int:
 def _sample_pairs(g: Graph, count: int, rng: random.Random,
                   max_dist: int = 10) -> list[tuple[int, int]]:
     """Distinct unordered terminal pairs at distance <= max_dist, each tried
-    by a BFS from u within max_dist; none for fewer than two vertices."""
+    by ``bidir_path`` within max_dist; none for fewer than two vertices."""
     if g.n < 2:
         return []
-    ws = Workspace(g)
     pairs: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     attempts = 0
@@ -229,12 +228,7 @@ def _sample_pairs(g: Graph, count: int, rng: random.Random,
         key = (min(u, v), max(u, v))
         if key in seen:
             continue
-        reached = bfs_tree(g.adj, ws.blocked, u, v, ws.dist, ws.parent,
-                           ws.queue, max_dist)
-        d = ws.dist[v]
-        for x in ws.queue[:reached]:
-            ws.dist[x] = -1
-        if d > 0:
+        if bidir_path(g.adj, set(), u, v, max_dist) is not None:
             seen.add(key)
             pairs.append((u, v))
     return pairs

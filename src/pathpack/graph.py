@@ -11,17 +11,17 @@ reader goes through ``adj[v]``, ``len(adj)`` and iteration, which both
 layouts serve alike.  The graph itself is immutable and shareable; all
 BFS scratch state lives in a per-run :class:`Workspace` so concurrent
 solves on one graph never interfere; the flows of ``flows`` walk the same
-rows and keep their flow state per call.  The solver runs ``bfs_tree`` in
-three places: :func:`shortest_path_blocked` (a shortest path avoiding a
-``bytearray`` of blocked vertices, for the search's greedy),
-:meth:`Workspace.distance_row` (cached full-graph distances) and
-``preprocess.reduce_instance`` (a search from s stopped at distance
-floor(ell/2), then one from t stopped there too when that shows
-dist(s, t) + floor(ell/2) <= ell, else one from each terminal stopped at
-ell; all through ``graph.bfs_tree``).  The input-graph step
-(``preprocess.detect_on_input``) needs no workspace: it runs the other
-kernel, ``kernels.bidir_path``, over a ``set`` of blocked vertices and
-gets the same paths as :func:`shortest_path_blocked`.
+rows and keep their flow state per call.  This module is the only caller
+of ``bfs_tree`` and the only owner of its buffers, in two places:
+:func:`shortest_path_blocked` (a shortest path avoiding a ``bytearray`` of
+blocked vertices, for the search's greedy) and
+:meth:`Workspace.distance_row` (cached full-graph distances).  The
+searches on the whole input graph need no workspace: the input-graph step
+(``preprocess.detect_on_input``) and the CLI's pair sampling run
+``kernels.bidir_path`` over a ``set`` of blocked vertices, which gives the
+same paths as :func:`shortest_path_blocked`, and
+``preprocess.reduce_instance`` takes its balls as dicts from
+``kernels.ball``.
 
 :func:`parse_graph` checks the whole text with numpy in one pass; only a
 text that breaks a rule is read again line by line, to name the line.
@@ -181,16 +181,17 @@ class _FlatRows:
 
 
 class Workspace:
-    """Per-run scratch buffers for BFS and mask composition.
+    """Per-run scratch buffers for the search's BFS and mask composition.
 
     Single-owner state: one Workspace must not be shared across concurrent
-    solves.  ``dist`` reads -1 at every vertex between calls, as the kernel
-    requires; each search clears only the entries it set.  ``dist_cache``
-    memoizes unmasked full-graph distance rows as plain lists, which the
-    checkpoint-gap bounds and the candidate ordering index directly.
-    ``blocked_base`` is also the closed mask of the greedy separator check.
-    The flows keep no state here: each call walks ``adj`` with its own
-    per-vertex flow lists.
+    solves.  The search and its greedy build one; the root steps and the
+    CLI search with kernels that take no buffers.  ``dist`` reads -1 at
+    every vertex between calls, as ``bfs_tree`` requires; each search
+    clears only the entries it set.  ``dist_cache`` memoizes unmasked
+    full-graph distance rows as plain lists, which the checkpoint-gap
+    bounds and the candidate ordering index directly.  ``blocked_base`` is
+    also the closed mask of the greedy separator check.  The flows keep no
+    state here: each call walks ``adj`` with its own per-vertex flow lists.
     """
 
     def __init__(self, g: Graph):

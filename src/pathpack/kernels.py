@@ -1,24 +1,30 @@
-"""The two path kernels.
+"""The three search kernels.
 
 The solver spends nearly all of its time running breadth-first searches in
 small vertex-masked variants of one input graph.  ``bfs_tree`` is the
 kernel of that traffic: a scalar loop over the graph's sorted adjacency
-rows, from one source, over a ``bytearray`` mask.  The search's greedy,
-the reduction, ``Workspace.distance_row`` and the CLI's pair sampling run
-it.  On reduced graphs the greedy's masked searches enqueue only about 22
+rows, from one source, over a ``bytearray`` mask, into caller-owned
+buffers.  Only ``graph`` runs it, for the search's greedy
+(``shortest_path_blocked``) and for ``Workspace.distance_row``.  On
+reduced graphs the greedy's masked searches enqueue only about 22
 vertices per call (traced search-default) and stop early, so the
 one-sided loop wins there: with ``bidir_path`` over the same mask in
 ``run_greedy`` instead, search-default ran 21-36% fewer solves per second
 (two alternating pairs, 2-CPU host).
 
-``bidir_path`` serves one caller, the input-graph step
-(``preprocess.detect_on_input``), whose k searches run on the whole input
-graph.  On root-batch's G(n, p) graphs (200-400 vertices, average degree
-8) a one-sided search there swept about 230 vertices before it reached
-t.  ``bidir_path`` grows the smaller of two frontiers a level at a time
-with set operations, over a ``set`` of blocked vertices, so the step
-allocates nothing of graph size.  It cut the step from 207-327 to 43-71
-us per root-batch op (seed 0, best of 7 passes, 2-CPU host).
+``bidir_path`` serves the path searches on the whole input graph: the
+input-graph step (``preprocess.detect_on_input``) and the CLI's pair
+sampling.  On root-batch's G(n, p) graphs (200-400 vertices, average
+degree 8) a one-sided search there swept about 230 vertices before it
+reached t.  ``bidir_path`` grows the smaller of two frontiers a level at
+a time with set operations, over a ``set`` of blocked vertices, so its
+callers allocate nothing of graph size.  It cut the step from 207-327 to
+43-71 us per root-batch op (seed 0, best of 7 passes, 2-CPU host).
+
+``ball`` serves the reduction (``preprocess.reduce_instance``): a ball's
+distances as a dict, so a reduction costs what its balls hold.  It is a
+scalar loop too: on search-default's graphs (100-200 vertices) it ran
+about 40% faster than set operations per level.
 
 BFS explores neighbors in ascending vertex id and fixes parent pointers on
 first discovery, which makes the extracted route the lexicographically
@@ -30,10 +36,10 @@ counts, reproducible.  The kernels walk every edge of ``adj``:
 
 from __future__ import annotations
 
-__all__ = ["bfs_tree", "bidir_path"]
+__all__ = ["bfs_tree", "bidir_path", "ball"]
 
 
-def bfs_tree(adj, blocked, src, target, dist, parent, queue, depth=-1):
+def bfs_tree(adj, blocked, src, target, dist, parent, queue):
     """Masked BFS from ``src`` over the sorted adjacency rows ``adj``.
 
     ``dist`` must read -1 at every vertex on entry; the kernel does not
@@ -60,8 +66,6 @@ def bfs_tree(adj, blocked, src, target, dist, parent, queue, depth=-1):
     while head < tail:
         u = queue[head]
         du = dist[u]
-        if du == depth:
-            break
         head += 1
         for v in adj[u]:
             if blocked[v] or dist[v] >= 0:
@@ -139,3 +143,19 @@ def bidir_path(adj, blocked, a, b, depth):
         path.append(w)
         v = w
     return tuple(path)
+
+
+def ball(adj, src, depth):
+    """The distance from ``src`` of every vertex within ``depth`` (>= 0) of
+    it over the adjacency rows ``adj``, as a dict built level by level."""
+    dist = {src: 0}
+    level = [src]
+    for d in range(1, depth + 1):
+        after = []
+        for u in level:
+            for v in adj[u]:
+                if v not in dist:
+                    dist[v] = d
+                    after.append(v)
+        level = after
+    return dist

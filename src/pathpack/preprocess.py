@@ -18,7 +18,9 @@ at least one, followed by iterated removal of degree <= 1 vertices (the
 terminals are protected).  When dist(s, t) + floor(ell/2) <= ell, that set
 is the union of the two balls of radius floor(ell/2) around the terminals,
 and both searches stop there; otherwise they run to distance ell.  The
-reduced instance is decision-equivalent.
+balls are dicts from ``kernels.ball`` and the kept set is a ``set``, so
+nothing of graph size is allocated.  The reduced instance is
+decision-equivalent.
 
 Trivial detection then runs on the reduced instance: one min-cost flow for
 the k disjoint paths of minimum total length either refutes (fewer than k
@@ -34,7 +36,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from . import graph, kernels
+from . import kernels
 from .flows import min_total_length_disjoint_paths
 from .graph import Graph
 from .model import (CheckpointInstance, PackingInstance, Solution,
@@ -76,14 +78,15 @@ def reduce_instance(inst: CheckpointInstance,
     """Shrink the instance to the relevant neighborhood of the terminals.
 
     A vertex is kept when it lies within floor(ell/2) of one terminal and
-    within ell of the other.  The BFS from s first stops at floor(ell/2),
-    which shows whether dist(s, t) + floor(ell/2) <= ell.  If so, the
-    second condition follows from the first, the BFS from t stops at
-    floor(ell/2) too, and the kept set is the union of the two half-balls;
-    otherwise both BFS run to distance ell.  The filter, the peeling and
-    the relabelling visit only the vertices the searches reached, so the
-    work follows the size of those balls rather than the size of the
-    graph.
+    within ell of the other.  The ball of radius floor(ell/2) around s
+    comes first, and shows whether dist(s, t) + floor(ell/2) <= ell.  If
+    so, the second condition follows from the first, and the kept set is
+    the union of that ball and the one of the same radius around t;
+    otherwise the balls of radius ell around both terminals decide.  The
+    balls are dicts of distances and the kept set is a ``set``, so the
+    filter, the peeling and the relabelling touch only the vertices the
+    searches reached: the work and the memory follow the size of those
+    balls rather than the size of the graph.
 
     Runs at the root, on bare lists: the terminals are never peeled, so
     the reduced root is again bare.
@@ -92,68 +95,47 @@ def reduce_instance(inst: CheckpointInstance,
     g = inst.base.graph
     s, t, ell = inst.base.s, inst.base.t, inst.base.ell
     adj = g.adj
-    n = g.n
     half = ell // 2
-    unblocked = bytearray(n)
-    ds, dt, parent, queue = [-1] * n, [-1] * n, [-1] * n, [0] * n
-
-    def ball(src: int, depth: int, dist: list[int]) -> list[int]:
-        # the kernel is looked up as graph.bfs_tree at call time, so wrapping
-        # that one name (as perfbench's tracer does) sees these calls too
-        return queue[:graph.bfs_tree(adj, unblocked, src, -1, dist, parent,
-                                     queue, depth)]
-
-    near_s = ball(s, half, ds)
-    keep = bytearray(n)
+    # the kernel is looked up as kernels.ball at call time, so wrapping that
+    # one name sees these searches
+    ds = kernels.ball(adj, s, half)
     # dist(s, t) + half <= ell holds when t lies within half of s or, for
     # an odd ell, next to a vertex that does
-    if ds[t] >= 0 or (ell % 2 and any(ds[w] >= 0 for w in adj[t])):
+    if t in ds or (ell % 2 and any(w in ds for w in adj[t])):
         # a vertex within half of one terminal is then within ell of the
         # other, so the kept set is the union of the half-balls; it holds
         # both terminals
-        near_t = ball(t, half, dt)
-        candidates = near_s + [v for v in near_t if ds[v] < 0]
-        for v in candidates:
-            keep[v] = 1
+        keep = ds.keys() | kernels.ball(adj, t, half).keys()
     else:
-        for v in near_s:
-            ds[v] = -1
-        far_s = ball(s, ell, ds)
-        ball(t, ell, dt)
-        for v in far_s:
-            if dt[v] >= 0 and (ds[v] <= half or dt[v] <= half):
-                keep[v] = 1
+        ds = kernels.ball(adj, s, ell)
+        dt = kernels.ball(adj, t, ell)
+        keep = {v for v, d in ds.items()
+                if v in dt and (d <= half or dt[v] <= half)}
         # terminals always stay so the reduced instance remains well
         # formed, even when they cannot reach each other within ell
-        keep[s] = 1
-        keep[t] = 1
-        candidates = [v for v in far_s if keep[v]]
-        if ds[t] < 0:
-            candidates.append(t)
+        keep.update((s, t))
 
     # degree <= 1 peeling with a work queue over live degrees (Batagelj &
     # Zaversnik 2003): a vertex is queued once, when its live degree first
     # drops to 1 or below.  Removal only lowers degrees, so the kept set is
     # the same as that of any removal order.
-    live = keep.__getitem__
-    deg = {v: sum(map(live, adj[v])) for v in candidates}
-    peel = [v for v in candidates if deg[v] <= 1 and v != s and v != t]
-    for v in peel:
-        keep[v] = 0
+    deg = {v: len(keep.intersection(adj[v])) for v in keep}
+    peel = [v for v, dv in deg.items() if dv <= 1 and v != s and v != t]
+    keep.difference_update(peel)
     for v in peel:
         for w in adj[v]:
-            if keep[w]:
+            if w in keep:
                 deg[w] -= 1
                 if deg[w] == 1 and w != s and w != t:
-                    keep[w] = 0
+                    keep.discard(w)
                     peel.append(w)
 
     # ids are relabelled in ascending order, so each reduced row is the
     # kept part of the original row and stays sorted
-    kept_sorted = sorted(v for v in candidates if keep[v])
+    kept_sorted = sorted(keep)
     to_reduced = {v: i for i, v in enumerate(kept_sorted)}
     reduced_g = Graph.from_sorted_rows(
-        tuple([to_reduced[w] for w in adj[v] if keep[w]])
+        tuple([to_reduced[w] for w in adj[v] if w in keep])
         for v in kept_sorted)
     reduced = from_packing(PackingInstance(
         reduced_g, to_reduced[s], to_reduced[t], inst.base.k, ell))

@@ -533,6 +533,7 @@ def test_bench_samples_the_reference_pairs_without_full_rows(index,
         want = _reference_sample_pairs(g, count, want_rng, max_dist)
         with monkeypatch.context() as m:
             m.setattr(Workspace, "distance_row", _no_distance_row)
+            m.setattr(Workspace, "__init__", _no_workspace)
             got = cli._sample_pairs(g, count, got_rng, max_dist)
         assert got == want
         # bench draws its config orders from the same generator next
@@ -541,6 +542,10 @@ def test_bench_samples_the_reference_pairs_without_full_rows(index,
 
 def _no_distance_row(self, src):
     raise AssertionError("sampling must not build a full-graph row")
+
+
+def _no_workspace(self, g):
+    raise AssertionError("sampling must not build graph-sized buffers")
 
 
 @pytest.mark.parametrize("extra", [

@@ -6,7 +6,7 @@ import pytest
 
 from pathpack import Graph, Workspace, random_gnp
 from pathpack.graph import format_graph, parse_graph, shortest_path_blocked
-from pathpack.kernels import bfs_tree, bidir_path
+from pathpack.kernels import ball, bfs_tree, bidir_path
 from pathpack.oracle import enumerate_bounded_paths
 
 
@@ -104,27 +104,20 @@ def test_parent_is_first_discovery_lexicographic():
 
 @pytest.mark.parametrize("seed", range(20))
 def test_depth_bound_reaches_exactly_the_ball(seed):
-    """A search stopped at ``depth`` enqueues the vertices within ``depth``
-    of the source, in the order, with the distances and the parents of the
-    unbounded search."""
+    """``ball`` returns the distance of every vertex within ``depth`` of the
+    source and of no other, as networkx's cutoff search does, on tuple rows
+    and on a parsed graph's flat rows."""
     rng = random.Random(seed + 200)
     n = rng.randrange(2, 40)
     g = random_gnp(n, rng.choice([0.05, 0.1, 0.2]), seed + 200)
-    blocked = bytearray(n)
-    for v in rng.sample(range(n), rng.randrange(0, n // 4 + 1)):
-        blocked[v] = 1
+    ref = nx.Graph(list(g.edges()))
+    ref.add_nodes_from(range(n))
     src = rng.randrange(n)
-    blocked[src] = 0
-    full_count, full_dist, full_parent, full_queue = _run(g, blocked, src)
-    for depth in range(0, 6):
-        dist, parent, queue = _buffers(n)
-        count = bfs_tree(g.adj, blocked, src, -1, dist, parent, queue,
-                         depth)
-        ball = [v for v in full_queue[:full_count] if full_dist[v] <= depth]
-        assert queue[:count] == ball
-        assert dist == [d if d <= depth else -1 for d in full_dist]
-        assert parent == [p if full_dist[v] <= depth else -1
-                          for v, p in enumerate(full_parent)]
+    for rows in (g.adj, parse_graph(format_graph(g)).adj):
+        for depth in range(0, 6):
+            want = nx.single_source_shortest_path_length(ref, src,
+                                                         cutoff=depth)
+            assert ball(rows, src, depth) == want
 
 
 @pytest.mark.parametrize("parsed", [False, True])

@@ -2,10 +2,10 @@ import collections
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 
-import pathpack.graph
 import pathpack.kernels
 from pathpack import (Graph, PackingInstance, Solution, SolverConfig,
                       Workspace, config_from_name, from_packing, random_gnp,
@@ -171,14 +171,14 @@ def _half_ball_regime(d, ell):
 def test_reduce_matches_the_full_graph_reference(seed, monkeypatch):
     g, s, t, ell = _parity_case(seed)
     k = 1 + seed % 3
-    kernel = pathpack.graph.bfs_tree
+    kernel = pathpack.kernels.ball
     calls = []
 
     def spy(*args):
-        calls.append(args[2])
+        calls.append(args[1])
         return kernel(*args)
 
-    monkeypatch.setattr(pathpack.graph, "bfs_tree", spy)
+    monkeypatch.setattr(pathpack.kernels, "ball", spy)
     reduced, report = reduce_instance(
         from_packing(PackingInstance(g, s, t, k, ell)))
     monkeypatch.undo()
@@ -210,17 +210,25 @@ def test_parity_cases_cover_far_and_disconnected_terminals():
     assert boundary == {(e, side) for e in (1, 2, 3, 4) for side in (0, 1)}
 
 
-def test_reduce_bfs_enqueues_only_the_ell_ball(monkeypatch):
-    # a 250 x 400 grid (10^5 vertices) with the terminals at distance 3.
+# a 250 x 400 grid (10^5 vertices) with the terminals at distance 3
+_BIG_ROWS, _BIG_COLS = 250, 400
+_BIG_S = 125 * _BIG_COLS + 200
+_BIG_T = _BIG_S + 2 * _BIG_COLS + 1
+
+
+@pytest.fixture(scope="module")
+def big_grid():
+    return grid_graph(_BIG_ROWS, _BIG_COLS, 0.0, random.Random(0))
+
+
+def test_reduce_bfs_enqueues_only_the_ell_ball(big_grid, monkeypatch):
     # At ell = 6 (3 + 3 <= 6) both searches stop at the half-balls of
     # radius 3; at ell = 4 (3 + 2 > 4) the half-ball of radius 2 around s
     # shows that, and two searches to the Manhattan balls of radius ell
     # follow
-    rows, cols = 250, 400
-    g = grid_graph(rows, cols, 0.0, random.Random(0))
-    s = 125 * cols + 200
-    t = s + 2 * cols + 1
-    kernel = pathpack.graph.bfs_tree
+    g, s, t = big_grid, _BIG_S, _BIG_T
+    rows, cols = _BIG_ROWS, _BIG_COLS
+    kernel = pathpack.kernels.ball
 
     def ball(src, radius):
         r0, c0 = divmod(src, cols)
@@ -231,11 +239,11 @@ def test_reduce_bfs_enqueues_only_the_ell_ball(monkeypatch):
         calls = []
 
         def spy(*args):
-            enqueued = kernel(*args)
-            calls.append((args[2], enqueued))
-            return enqueued
+            dist = kernel(*args)
+            calls.append((args[1], len(dist)))
+            return dist
 
-        monkeypatch.setattr(pathpack.graph, "bfs_tree", spy)
+        monkeypatch.setattr(pathpack.kernels, "ball", spy)
         reduced, report = reduce_instance(
             from_packing(PackingInstance(g, s, t, 2, ell)))
         monkeypatch.undo()
@@ -249,6 +257,21 @@ def test_reduce_bfs_enqueues_only_the_ell_ball(monkeypatch):
     assert [src for src, _ in calls] == [s, s, t]
     assert sum(enqueued for _, enqueued in calls) <= (
         ball(s, 2) + ball(t, 2) + ball(s, 4) + ball(t, 4))
+
+
+@pytest.mark.parametrize("ell", [4, 6])
+def test_reduce_allocates_nothing_of_graph_size(big_grid, ell):
+    """Both regimes of the reduction on the 10^5-vertex grid: the balls
+    hold a few dozen vertices, and so does what the reduction allocates
+    (one n-sized list of ints alone would take 800 KB)."""
+    inst = from_packing(PackingInstance(big_grid, _BIG_S, _BIG_T, 2, ell))
+    tracemalloc.start()
+    try:
+        reduce_instance(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_reduce_kept_monotone_in_ell(gex):
