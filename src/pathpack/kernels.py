@@ -53,9 +53,7 @@ def bfs_tree(adj, blocked, src, target, dist, parent, queue):
     call set.  Vertices with a nonzero ``blocked`` entry are never entered.
     Returns early once ``target`` (negative = none) has been discovered, in
     which case only the target's ancestor chain is guaranteed to be filled.
-    A non-negative ``depth`` stops the search at the first dequeued vertex
-    at that distance, so only vertices within ``depth`` of ``src`` are
-    reached.  Returns the number of vertices enqueued.
+    Returns the number of vertices enqueued.
     """
     dist[src] = 0
     queue[0] = src

@@ -60,11 +60,9 @@ class ReductionReport:
     m_after: int
     to_original: tuple[int, ...]
 
-    def path_to_original(self, path: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(self.to_original[v] for v in path)
-
     def solution_to_original(self, sol: Solution) -> Solution:
-        return Solution(tuple(self.path_to_original(p) for p in sol.paths))
+        ids = self.to_original
+        return Solution(tuple(tuple(ids[v] for v in p) for p in sol.paths))
 
 
 def _require_bare(inst: CheckpointInstance) -> None:
@@ -171,19 +169,19 @@ def detect_on_input(inst: CheckpointInstance,
     searches.  Otherwise the step refutes (``min-separator``) when k exceeds
     the degree of s or of t, and then packs greedily: k successive shortest
     s-t paths, each avoiding the internal vertices of the earlier ones, and
-    each BFS stopped at depth ell.  All k found answer yes (``k1`` at k = 1,
-    else ``greedy``); a first BFS that finds nothing shows dist(s, t) > ell
-    and answers no (``k1``, or ``min-separator`` as the flow would say on
-    the reduced graph, which then has no s-t path).  The paths are those the
-    search's root greedy finds on the reduced graph: the reduction keeps
-    every vertex of every s-t path of length <= ell and preserves id order,
-    and both the step's ``kernels.bidir_path`` and the greedy's
-    ``bfs_tree`` return the lexicographically smallest shortest path.  The
-    earlier paths' internal vertices are kept in a ``set``, so the step
-    allocates nothing of graph size.  A later missing path leaves the
-    instance open, and so does a ``deadline`` (a ``time.perf_counter()``
-    value) found passed after a search; the caller then reads the clock
-    itself.
+    each found by a ``kernels.bidir_path`` search bounded by ell.  All k
+    found answer yes (``k1`` at k = 1, else ``greedy``); a first search
+    that finds nothing shows dist(s, t) > ell and answers no (``k1``, or
+    ``min-separator`` as the flow would say on the reduced graph, which
+    then has no s-t path).  The paths are those the search's root greedy
+    finds on the reduced graph: the reduction keeps every vertex of every
+    s-t path of length <= ell and preserves id order, and both the step's
+    ``kernels.bidir_path`` and the greedy's ``bfs_tree`` return the
+    lexicographically smallest shortest path.  The earlier paths' internal
+    vertices are kept in a ``set``, so the step allocates nothing of graph
+    size.  A later missing path leaves the instance open, and so does a
+    ``deadline`` (a ``time.perf_counter()`` value) found passed after a
+    search; the caller then reads the clock itself.
     """
     _require_bare(inst)
     g = inst.base.graph

@@ -317,24 +317,94 @@ class _TreeSearch:
         return self.store.forbids(cand.list_index, at, cand.pos, cand.vertex)
 
 
+def _decide(inst: PackingInstance, cfg: SolverConfig, stats: SolveStats,
+            deadline: Optional[float],
+            ) -> tuple[str, Optional[Solution], str]:
+    """The root steps of :func:`solve`, in order, each an early return of
+    (decision, witness, solved_by), the witness in ``inst``'s ids.  Raises
+    :class:`SolveTimeout` once the deadline has passed."""
+    g, s, t, k, ell = inst.graph, inst.s, inst.t, inst.k, inst.ell
+    if k >= g.n:
+        # k internally disjoint paths need k - 1 distinct internal vertices
+        # besides at most one direct s-t edge, and there are only n - 2;
+        # answered before anything of size k is built or the edge taken out
+        return "no", None, "trivial-no"
+    if g.has_edge(s, t):
+        # a packing holds (s, t) at most once, and one without it may drop
+        # any path: (G, k, ell) is yes exactly when (G - st, k - 1, ell) is
+        if k == 1:
+            return "yes", Solution(((s, t),)), "trivial-yes"
+        below = PackingInstance(g.without_edge(s, t), s, t, k - 1, ell)
+        decision, witness, solved_by = _decide(below, cfg, stats, deadline)
+        if witness is not None:
+            witness = Solution(((s, t),) + witness.paths)
+        return decision, witness, solved_by
+    bare = from_packing(inst)
+    if cfg.trivial_detection:
+        # decided on the input graph, before the reduction builds anything;
+        # the step stops early once the deadline has passed
+        outcome = detect_on_input(bare, deadline)
+        _check(deadline)
+        if outcome.kind != "unknown":
+            return outcome.kind, outcome.witness, f"trivial-{outcome.kind}"
+    report = None
+    if cfg.preprocess:
+        root, report = reduce_instance(bare)
+        stats.n_after, stats.m_after = report.n_after, report.m_after
+    else:
+        # the layers below read a row per dequeue: tuple rows of the whole
+        # graph, built once (a tuple row is its own tuple())
+        root = from_packing(PackingInstance(
+            Graph.from_sorted_rows(map(tuple, g.adj)), s, t, k, ell))
+    # either step may walk the whole graph, so the deadline bounds it
+    _check(deadline)
+    # the flow's witness and the search's are in the reduced ids
+    if cfg.trivial_detection:
+        outcome = detect_trivial(root)
+        if outcome.kind == "no":
+            return "no", None, "trivial-no"
+    if cfg.trivial_detection and outcome.kind == "yes":
+        witness, solved_by = outcome.witness, "trivial-yes"
+    else:
+        # one workspace for the whole search
+        paths = _TreeSearch(root, cfg, stats, deadline,
+                            Workspace(root.base.graph)).run()
+        if paths is None:
+            return "no", None, "search"
+        witness = Solution(paths)
+        solved_by = "greedy" if stats.nodes == 1 else "search"
+    if report is not None:
+        witness = report.solution_to_original(witness)
+    return "yes", witness, solved_by
+
+
 def solve(inst: PackingInstance,
           cfg: Optional[SolverConfig] = None,
           ) -> tuple[str, Optional[Solution], SolveStats]:
     """Decide an instance.
 
-    The pipeline: a direct s-t edge is taken out first, with one of the k
-    paths, so that no layer below sees adjacent terminals; then, with
-    trivial detection on, :func:`detect_on_input` decides what it can on
-    the input graph; an instance it leaves open is reduced (with
-    preprocessing on), passed to :func:`detect_trivial` (with trivial
-    detection on), and then searched.  ``timeout_ms`` is
-    checked after each BFS of the input-graph step, after the reduction
-    and throughout the search.
+    The root steps run in order, and the first that decides sets
+    ``stats.solved_by``:
 
-    Returns (decision, witness, stats) with decision one of 'yes', 'no',
-    'timeout'.  A 'yes' always carries a witness that validates against the
-    original instance; 'no' means exhaustive refutation; 'timeout' claims
-    neither.
+    - k >= n answers no (``trivial-no``);
+    - a direct s-t edge answers yes at k = 1 (``trivial-yes``); otherwise
+      it is taken out with one of the k paths and put first in the witness,
+      so that no step below sees adjacent terminals;
+    - with trivial detection on, :func:`detect_on_input` on the input graph
+      and then, after the reduction (with preprocessing on), the flow of
+      :func:`detect_trivial` answer yes or no (``trivial-yes``,
+      ``trivial-no``);
+    - the search answers yes (``greedy`` when its root greedy succeeds,
+      else ``search``) or no (``search``);
+    - ``timeout_ms`` is checked after each BFS of the input-graph step,
+      after the reduction and throughout the search, and a passed deadline
+      answers 'timeout' (``timeout``).
+
+    ``n_after == n_before`` and ``m_after == m_before`` whenever no
+    reduction ran.  Returns (decision, witness, stats) with decision one of
+    'yes', 'no', 'timeout'.  A 'yes' always carries a witness that validates
+    against the original instance; 'no' means exhaustive refutation;
+    'timeout' claims neither.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -344,80 +414,11 @@ def solve(inst: PackingInstance,
     stats.m_before = stats.m_after = inst.graph.m
     deadline = (t0 + cfg.timeout_ms / 1000.0
                 if cfg.timeout_ms is not None else None)
-    if inst.k >= inst.graph.n:
-        # k internally disjoint paths need k - 1 distinct internal vertices
-        # besides at most one direct s-t edge, and there are only n - 2;
-        # answered before anything of size k is built or the edge taken out
-        stats.solved_by = "trivial-no"
-        stats.wall_ms = (time.perf_counter() - t0) * 1000.0
-        return "no", None, stats
-
-    s, t = inst.s, inst.t
-    # a packing holds (s, t) at most once, and one without it may drop any
-    # path: (G, k, ell) is yes exactly when (G - st, k - 1, ell) is
-    direct = inst.graph.has_edge(s, t)
-    if direct and inst.k == 1:
-        stats.solved_by = "trivial-yes"
-        stats.wall_ms = (time.perf_counter() - t0) * 1000.0
-        return "yes", Solution(((s, t),)), stats
-    below = (PackingInstance(inst.graph.without_edge(s, t), s, t, inst.k - 1,
-                             inst.ell) if direct else inst)
-    bare = from_packing(below)
-
-    report = None
-    decision = "no"
-    witness: Optional[Solution] = None
     try:
-        outcome = None
-        if cfg.trivial_detection:
-            # decided on the input graph, before the reduction builds
-            # anything; the step stops early once the deadline has passed
-            outcome = detect_on_input(bare, deadline)
-            _check(deadline)
-        if outcome is None or outcome.kind == "unknown":
-            if cfg.preprocess:
-                root, report = reduce_instance(bare)
-                stats.n_after = report.n_after
-                stats.m_after = report.m_after
-            else:
-                # the layers below read a row per dequeue: tuple rows of
-                # the whole graph, built once (a tuple row is its own
-                # tuple())
-                g = Graph.from_sorted_rows(map(tuple, below.graph.adj))
-                root = from_packing(
-                    PackingInstance(g, s, t, below.k, below.ell))
-            # either step may walk the whole graph, so the deadline bounds it
-            _check(deadline)
-            if cfg.trivial_detection:
-                outcome = detect_trivial(root)
-        if outcome is not None and outcome.kind == "yes":
-            decision = "yes"
-            witness = outcome.witness
-            stats.solved_by = "trivial-yes"
-        elif outcome is not None and outcome.kind == "no":
-            decision = "no"
-            stats.solved_by = "trivial-no"
-        else:
-            # one workspace for the whole search
-            ws = Workspace(root.base.graph)
-            search = _TreeSearch(root, cfg, stats, deadline, ws)
-            paths = search.run()
-            if paths is not None:
-                decision = "yes"
-                witness = Solution(paths)
-                stats.solved_by = ("greedy" if stats.nodes == 1 else "search")
-            else:
-                decision = "no"
-                stats.solved_by = "search"
+        decision, witness, stats.solved_by = _decide(inst, cfg, stats,
+                                                     deadline)
     except SolveTimeout:
-        decision = "timeout"
-        witness = None
-        stats.solved_by = "timeout"
-
-    if witness is not None and report is not None:
-        witness = report.solution_to_original(witness)
-    if witness is not None and direct:
-        witness = Solution(((s, t),) + witness.paths)
+        decision, witness, stats.solved_by = "timeout", None, "timeout"
     if witness is not None:
         check = validate_solution(from_packing(inst), witness)
         if not check.ok:

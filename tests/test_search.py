@@ -529,6 +529,55 @@ def test_k_at_least_n_is_no_before_any_search(name, trivial):
     assert decision == "yes" and set(witness.paths) == {(0, 2), (0, 1, 2)}
 
 
+_TRIVIAL_OFF = SolverConfig(trivial_detection=False)
+
+# every exit of the root, on the walkthrough graph with a pendant vertex on
+# 7 (which a reduction peels): (s, t, k, ell, config) and the expected
+# (decision, solved_by, nodes, whether a reduction ran)
+_ROOT_EXITS = {
+    "k >= n": ((1, 5, 12, 5, SolverConfig()),
+               ("no", "trivial-no", 0, False)),
+    "direct edge, k = 1": ((1, 2, 1, 1, SolverConfig()),
+                           ("yes", "trivial-yes", 0, False)),
+    "direct edge, then the step": ((1, 2, 2, 6, SolverConfig()),
+                                   ("yes", "trivial-yes", 0, False)),
+    "direct edge, then the greedy": ((1, 2, 2, 6, _TRIVIAL_OFF),
+                                     ("yes", "greedy", 1, True)),
+    "step yes": ((1, 5, 1, 4, SolverConfig()),
+                 ("yes", "trivial-yes", 0, False)),
+    "step no": ((1, 5, 1, 3, SolverConfig()),
+                ("no", "trivial-no", 0, False)),
+    "flow yes": ((1, 5, 2, 5, SolverConfig()),
+                 ("yes", "trivial-yes", 0, True)),
+    "flow no": ((1, 5, 2, 4, SolverConfig()),
+                ("no", "trivial-no", 0, True)),
+    "greedy": ((1, 5, 1, 4, _TRIVIAL_OFF), ("yes", "greedy", 1, True)),
+    "search yes": ((1, 5, 2, 5, _TRIVIAL_OFF), ("yes", "search", 2, True)),
+    "search no": ((1, 5, 2, 4, _TRIVIAL_OFF), ("no", "search", 4, True)),
+    # the step's search already overruns a deadline of 0 ms
+    "timeout": ((1, 5, 2, 5, SolverConfig(timeout_ms=0)),
+                ("timeout", "timeout", 0, False)),
+}
+
+
+@pytest.mark.parametrize("name", list(_ROOT_EXITS))
+def test_every_root_exit_sets_its_stats(name):
+    (s, t, k, ell, cfg), expected = _ROOT_EXITS[name]
+    g = Graph(12, [(u - 1, v - 1) for u, v in GEX_EDGES_1BASED]
+              + [(vid(7), 11)])
+    inst = PackingInstance(g, vid(s), vid(t), k, ell)
+    decision, witness, stats = solve(inst, cfg)
+    assert (decision, stats.solved_by, stats.nodes,
+            stats.n_after != stats.n_before) == expected
+    assert (stats.n_before, stats.m_before) == (g.n, g.m)
+    if stats.n_after == stats.n_before:
+        assert stats.m_after == stats.m_before
+    assert stats.wall_ms > 0
+    assert (witness is not None) == (decision == "yes")
+    if witness is not None:
+        assert validate_solution(from_packing(inst), witness)
+
+
 _STUBBED_CHECK = """
 import sys
 import pathpack.search as search
