@@ -1,7 +1,8 @@
-"""Solver configuration toggles and run statistics."""
+"""Solver configuration toggles, run statistics and the deadline check."""
 
 from __future__ import annotations
 
+import time
 from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Optional
 
@@ -115,3 +116,13 @@ class SolveStats:
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+
+class SolveTimeout(Exception):
+    """Internal unwind signal; surfaces as the 'timeout' decision."""
+
+
+def _check(deadline: Optional[float]) -> None:
+    """Unwind once the ``time.perf_counter()`` deadline has passed."""
+    if deadline is not None and time.perf_counter() > deadline:
+        raise SolveTimeout

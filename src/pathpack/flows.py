@@ -148,12 +148,11 @@ def st_flow_value(g: Graph, s: int, t: int, limit: int,
 @dataclass(frozen=True)
 class DisjointPathsResult:
     """k pairwise internally vertex-disjoint s-t paths of minimum total
-    length; ``split_length`` is the corresponding arc count in the split
-    digraph, satisfying total_length = (split_length + k) / 2."""
+    length, in ascending order of their second vertex; ``total_length`` is
+    the sum of their edge counts."""
 
     paths: tuple[tuple[int, ...], ...]
     total_length: int
-    split_length: int
 
 
 _UNREACHED = 1 << 60
@@ -256,7 +255,6 @@ def _decompose(flow: _UnitFlow, k: int) -> DisjointPathsResult:
     """
     s, t, prv, nxt = flow.s, flow.t, flow.prv, flow.nxt
     paths: list[tuple[int, ...]] = []
-    split_total = 0
     for w in flow.adj[s]:
         if prv[w] != s:
             continue
@@ -265,15 +263,10 @@ def _decompose(flow: _UnitFlow, k: int) -> DisjointPathsResult:
             if w < 0 or len(path) > len(prv):
                 raise AssertionError("flow decomposition ran out of arcs")
             path.append(w)
-            split_total += 2
             w = nxt[w]
         path.append(t)
-        split_total += 1
         paths.append(tuple(path))
 
     if len(paths) != k:
         raise AssertionError("flow decomposition found the wrong path count")
-    total = sum(len(p) - 1 for p in paths)
-    if 2 * total != split_total + k:
-        raise AssertionError("length conversion identity violated")
-    return DisjointPathsResult(tuple(paths), total, split_total)
+    return DisjointPathsResult(tuple(paths), sum(len(p) - 1 for p in paths))

@@ -181,17 +181,18 @@ class _FlatRows:
 
 
 class Workspace:
-    """Per-run scratch buffers for the search's BFS and mask composition.
+    """Per-run scratch buffers for the search's BFS and the greedy's mask.
 
     Single-owner state: one Workspace must not be shared across concurrent
     solves.  The search and its greedy build one; the root steps and the
     CLI search with kernels that take no buffers.  ``dist`` reads -1 at
     every vertex between calls, as ``bfs_tree`` requires; each search
-    clears only the entries it set.  ``dist_cache`` memoizes unmasked
-    full-graph distance rows as plain lists, which the checkpoint-gap
-    bounds and the candidate ordering index directly.  ``blocked_base`` is
-    also the closed mask of the greedy separator check.  The flows keep no
-    state here: each call walks ``adj`` with its own per-vertex flow lists.
+    clears only the entries it set.  ``blocked`` is the greedy's working
+    graph, which each greedy run zeroes first.  ``dist_cache`` memoizes
+    unmasked full-graph distance rows as plain lists, which the
+    checkpoint-gap bounds and the candidate ordering index directly.  The
+    flows keep no state here: each call walks ``adj`` with its own
+    per-vertex flow lists.
     """
 
     def __init__(self, g: Graph):
@@ -201,7 +202,6 @@ class Workspace:
         self.parent = [-1] * n
         self.queue = [0] * n
         self.blocked = bytearray(n)
-        self.blocked_base = bytearray(n)
         self.dist_cache: dict[int, list[int]] = {}
 
     def distance_row(self, src: int) -> list[int]:

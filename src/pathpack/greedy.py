@@ -1,9 +1,11 @@
 """Checkpoint-aware greedy path construction.
 
 Paths are built one list at a time, each as a chain of shortest subpaths
-between consecutive checkpoints in a working graph that masks everything
-already consumed (the terminals are never adjacent, as ``search.solve``
-leaves them).  Failure is data, never an exception: the failure kind plus
+between consecutive checkpoints in a working graph that masks every
+checkpoint and everything already consumed (the terminals are never
+adjacent, as ``search.solve`` leaves them).  The working graph is one
+byte mask that only grows during a run, but for the one target each
+search opens.  Failure is data, never an exception: the failure kind plus
 the exact partial state at the break point drive the branching rules.
 """
 
@@ -74,15 +76,18 @@ def _join(subpaths: list[tuple[int, ...]]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def run_greedy(inst: CheckpointInstance, cfg: SolverConfig,
-               ws: Optional[Workspace] = None,
-               stats: Optional[SolveStats] = None) -> GreedyOutcome:
+def run_greedy(inst: CheckpointInstance, cfg: SolverConfig, ws: Workspace,
+               stats: SolveStats) -> GreedyOutcome:
     """One greedy attempt at the instance.
 
-    Working graph per path i: the input graph minus internal vertices of
-    the completed paths (terminals stay).  Per subpath j of list L: minus
-    the vertices of this path's earlier subpaths, minus every checkpoint of
-    every list, with the two subpath endpoints re-added.
+    Working graph of subpath j of path i: the input graph minus every
+    checkpoint of every list, minus the vertices of the completed paths and
+    of this path's earlier subpaths, with the two subpath endpoints added
+    back.  It lives in the one mask ``ws.blocked``, updated in place: every
+    checkpoint is marked at the start, the target is opened for its one
+    search and closed again (the source stays marked, which ``bfs_tree``
+    allows), and each accepted subpath's inner vertices are marked.  A
+    completed path is thereby marked as a whole.
 
     Forbidden intervals do not mask the working graph: the greedy outcome
     must depend on the checkpoint lists alone, so that enabling the
@@ -94,16 +99,12 @@ def run_greedy(inst: CheckpointInstance, cfg: SolverConfig,
     """
     g = inst.base.graph
     s, t, k, ell = inst.base.s, inst.base.t, inst.base.k, inst.base.ell
-    if ws is None:
-        ws = Workspace(g)
-    if stats is None:
-        stats = SolveStats()
     lists = inst.lists
-    cp_all = sorted(inst.checkpoint_union())
-
-    blocked_base = ws.blocked_base
     blocked = ws.blocked
-    blocked_base[:] = bytes(g.n)
+    blocked[:] = bytes(g.n)
+    for entries in lists:
+        for v in entries:
+            blocked[v] = 1
     completed: list[tuple[int, ...]] = []
 
     for i0 in range(k):
@@ -111,10 +112,12 @@ def run_greedy(inst: CheckpointInstance, cfg: SolverConfig,
         # than k - i0 disjoint routes past the consumed vertices refute the
         # node.  At the root it repeats trivial detection's flow, so it runs
         # there only when that is off.  The flow stops at the paths needed.
+        # With the pending lists bare, the mask holds the completed paths
+        # and the terminals, and no s-t route passes through a terminal.
         if (cfg.d_ms and (i0 > 0 or not cfg.trivial_detection)
                 and all(len(lists[x]) == 2 for x in range(i0, k))):
             need = k - i0
-            if st_flow_value(g, s, t, need, blocked_base) < need:
+            if st_flow_value(g, s, t, need, blocked) < need:
                 stats.dms_fired += 1
                 return GreedyFailure(FailureCondition.CUT_TOO_SMALL,
                                      i0 + 1, None, tuple(completed), ())
@@ -123,15 +126,9 @@ def run_greedy(inst: CheckpointInstance, cfg: SolverConfig,
         subpaths: list[tuple[int, ...]] = []
         for j0 in range(len(entries) - 1):
             u, u2 = entries[j0], entries[j0 + 1]
-            blocked[:] = blocked_base
-            for q in subpaths:
-                for v in q:
-                    blocked[v] = 1
-            for v in cp_all:
-                blocked[v] = 1
-            blocked[u] = 0
             blocked[u2] = 0
             q = shortest_path_blocked(g, blocked, u, u2, ws)
+            blocked[u2] = 1
             if q is None:
                 return GreedyFailure(FailureCondition.NO_SUBPATH,
                                      i0 + 1, j0 + 1,
@@ -144,8 +141,7 @@ def run_greedy(inst: CheckpointInstance, cfg: SolverConfig,
                                      overlong_len=q_len)
             ell_i += q_len
             subpaths.append(q)
-        path = _join(subpaths)
-        completed.append(path)
-        for v in path[1:-1]:
-            blocked_base[v] = 1
+            for v in q[1:-1]:
+                blocked[v] = 1
+        completed.append(_join(subpaths))
     return GreedySuccess(tuple(completed))

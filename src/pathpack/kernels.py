@@ -50,7 +50,9 @@ def bfs_tree(adj, blocked, src, target, dist, parent, queue):
     enqueued vertex back to ``src`` are ever read.  ``queue`` is scratch of
     the same length and holds the enqueued vertices in discovery order, so
     ``queue[:count]`` with the returned count lists every ``dist`` entry the
-    call set.  Vertices with a nonzero ``blocked`` entry are never entered.
+    call set.  Vertices with a nonzero ``blocked`` entry are never entered,
+    except ``src`` itself: it is enqueued without reading its entry, so a
+    search from a blocked source gives what it gives from an open one.
     Returns early once ``target`` (negative = none) has been discovered, in
     which case only the target's ancestor chain is guaranteed to be filled.
     Returns the number of vertices enqueued.

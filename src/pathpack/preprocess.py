@@ -32,11 +32,11 @@ and takes only bare checkpoint lists (s, t) of non-adjacent terminals, as
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
 from . import kernels
+from .config import _check
 from .flows import min_total_length_disjoint_paths
 from .graph import Graph
 from .model import (CheckpointInstance, PackingInstance, Solution,
@@ -179,9 +179,9 @@ def detect_on_input(inst: CheckpointInstance,
     ``kernels.bidir_path`` and the greedy's ``bfs_tree`` return the
     lexicographically smallest shortest path.  The earlier paths' internal
     vertices are kept in a ``set``, so the step allocates nothing of graph
-    size.  A later missing path leaves the instance open, and so does a
-    ``deadline`` (a ``time.perf_counter()`` value) found passed after a
-    search; the caller then reads the clock itself.
+    size.  A later missing path leaves the instance open.  A ``deadline``
+    (a ``time.perf_counter()`` value) found passed after a search raises
+    :class:`~pathpack.config.SolveTimeout`.
     """
     _require_bare(inst)
     g = inst.base.graph
@@ -198,8 +198,7 @@ def detect_on_input(inst: CheckpointInstance,
         # looked up at call time, so that wrapping kernels.bidir_path
         # sees these searches
         path = kernels.bidir_path(g.adj, blocked, s, t, ell)
-        if deadline is not None and time.perf_counter() > deadline:
-            return TrivialOutcome("unknown")
+        _check(deadline)
         if path is None:
             if paths:
                 return TrivialOutcome("unknown")

@@ -21,7 +21,7 @@ import time
 from operator import itemgetter
 from typing import Any, Callable, Generator, NamedTuple, Optional, Sequence
 
-from .config import SolverConfig, SolveStats
+from .config import SolverConfig, SolveStats, SolveTimeout, _check
 from .graph import Graph, Workspace
 from .greedy import GreedyFailure, GreedySuccess, run_greedy
 from .model import (CheckpointInstance, IntervalStore, PackingInstance,
@@ -46,16 +46,6 @@ class Candidate(NamedTuple):
     u: int
     u2: int
     gaps: int
-
-
-class SolveTimeout(Exception):
-    """Internal unwind signal; surfaces as the 'timeout' decision."""
-
-
-def _check(deadline: Optional[float]) -> None:
-    """Unwind once the ``time.perf_counter()`` deadline has passed."""
-    if deadline is not None and time.perf_counter() > deadline:
-        raise SolveTimeout
 
 
 # vertex -> its unmasked distance row (-1 = unreachable), such as
@@ -341,10 +331,8 @@ def _decide(inst: PackingInstance, cfg: SolverConfig, stats: SolveStats,
         return decision, witness, solved_by
     bare = from_packing(inst)
     if cfg.trivial_detection:
-        # decided on the input graph, before the reduction builds anything;
-        # the step stops early once the deadline has passed
+        # decided on the input graph, before the reduction builds anything
         outcome = detect_on_input(bare, deadline)
-        _check(deadline)
         if outcome.kind != "unknown":
             return outcome.kind, outcome.witness, f"trivial-{outcome.kind}"
     report = None
@@ -396,9 +384,9 @@ def solve(inst: PackingInstance,
       ``trivial-no``);
     - the search answers yes (``greedy`` when its root greedy succeeds,
       else ``search``) or no (``search``);
-    - ``timeout_ms`` is checked after each BFS of the input-graph step,
-      after the reduction and throughout the search, and a passed deadline
-      answers 'timeout' (``timeout``).
+    - ``timeout_ms`` is checked after each search of the input-graph
+      step, after the reduction and throughout the search, and a passed
+      deadline answers 'timeout' (``timeout``).
 
     ``n_after == n_before`` and ``m_after == m_before`` whenever no
     reduction ran.  Returns (decision, witness, stats) with decision one of

@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from pathpack import Graph, PackingInstance
+from pathpack import Graph, PackingInstance, SolveStats, Workspace
 from pathpack.flows import (DisjointPathsResult,
                             min_total_length_disjoint_paths, st_flow_value)
+from pathpack.greedy import run_greedy
 
 # Walkthrough fixture graph on eleven vertices: a short middle route from
 # vertex 1 to vertex 5, an upper detour through 6-7-8 rejoining at 4, and a
@@ -77,7 +78,12 @@ def min_total_paths(g: Graph, s: int, t: int, k: int):
     if rest is None:
         return None
     return DisjointPathsResult(tuple(sorted(((s, t),) + rest.paths)),
-                               rest.total_length + 1, rest.split_length + 1)
+                               rest.total_length + 1)
+
+
+def greedy(ci, cfg):
+    """``run_greedy`` with a fresh workspace and stats."""
+    return run_greedy(ci, cfg, Workspace(ci.base.graph), SolveStats())
 
 
 @pytest.fixture(scope="session")

@@ -16,12 +16,13 @@ import statistics
 from pathpack import (PackingInstance, Solution, SolverConfig, Workspace,
                       config_from_name, from_packing, random_gnp,
                       validate_solution)
-from pathpack.greedy import FailureCondition, run_greedy
+from pathpack.greedy import FailureCondition
 from pathpack.oracle import oracle_decide
 from pathpack.preprocess import detect_trivial
 from pathpack.search import branch, solve
 
-from conftest import below_root, flow_value, min_total_paths, vid, vids
+from conftest import (below_root, flow_value, greedy, min_total_paths, vid,
+                      vids)
 from suite import build_suite
 
 EQUIV_CONFIGS = ("bare", "b-sp", "b-sp+b-fi", "b-sp+c", "b-sp+d-ms", "all")
@@ -99,7 +100,7 @@ def test_criterion_2_worked_example_replay(gex):
     # plain rule set: the walkthrough predates the separator heuristic
     cfg = SolverConfig(trivial_detection=False, d_ms=False)
     ci = from_packing(inst)
-    fail = run_greedy(ci, cfg)
+    fail = greedy(ci, cfg)
     step_greedy = (fail.condition is FailureCondition.NO_SUBPATH
                    and fail.i_beta == 2
                    and fail.complete_paths == (vids(1, 2, 3, 4, 5),))
@@ -209,9 +210,8 @@ def test_criterion_6_min_total_length():
             continue
         if got is None or got.total_length != best:
             bad.append((seed, best, got and got.total_length))
-        elif 2 * got.total_length != got.split_length + k \
-                or got.split_length % 2 != k % 2:
-            bad.append((seed, "length conversion identity"))
+        elif got.total_length != sum(len(p) - 1 for p in got.paths):
+            bad.append((seed, "total length is not the paths' edge count"))
     assert _report(6, "minimum-total-length disjoint paths", not bad,
                    "100 graphs"), bad[:5]
 

@@ -15,11 +15,11 @@ from conftest import flow_value, min_total_paths, vid
 # split transformation
 # ---------------------------------------------------------------------------
 
-def test_split_length_conversion_identity():
-    # s-a-t: original length 2 maps to split length 3 = 2*2 - 1
+def test_total_length_counts_the_paths_edges():
+    # s-a-t: one path of length 2, found through the split digraph
     g = Graph(3, [(0, 1), (1, 2)])
     r = min_total_length_disjoint_paths(g, 0, 2, 1)
-    assert r.total_length == 2 and r.split_length == 3
+    assert r.paths == ((0, 1, 2),) and r.total_length == 2
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +128,7 @@ def test_matches_brute_force_minimum(seed):
         return
     assert got is not None
     assert got.total_length == want
-    # conversion identity and parity
-    assert 2 * got.total_length == got.split_length + k
-    assert got.split_length % 2 == k % 2
+    assert got.total_length == sum(len(p) - 1 for p in got.paths)
     # every path simple, endpoints right, pairwise internally disjoint
     seen = set()
     for p in got.paths:
@@ -465,7 +463,7 @@ def test_min_total_length_matches_networkx_min_cost(name, g, seed):
             continue
         assert got is not None
         assert got.total_length == want
-        assert 2 * got.total_length == got.split_length + k
+        assert got.total_length == sum(len(p) - 1 for p in got.paths)
 
 
 # ---------------------------------------------------------------------------

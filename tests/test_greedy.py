@@ -1,16 +1,20 @@
+import collections
 import random
 
 import pytest
 
 from pathpack import (Graph, PackingInstance, Solution, SolverConfig,
-                      from_packing, random_gnp, validate_solution)
+                      SolveStats, Workspace, from_packing, random_gnp,
+                      validate_solution)
+from pathpack.flows import st_flow_value
+from pathpack.graph import shortest_path_blocked
 from pathpack.greedy import (FailureCondition, GreedyFailure, GreedySuccess,
                              run_greedy)
 from pathpack.model import CheckpointInstance
 from pathpack.oracle import enumerate_bounded_paths
 from pathpack.search import solve
 
-from conftest import below_root, vid, vids
+from conftest import below_root, greedy, grid_graph, vid, vids
 
 NO_DMS = SolverConfig(d_ms=False)
 
@@ -68,7 +72,7 @@ def all_solutions(ci: CheckpointInstance):
 
 def test_fixture_break_after_first_path(gex):
     ci = from_packing(PackingInstance(gex, vid(1), vid(5), 2, 5))
-    out = run_greedy(ci, NO_DMS)
+    out = greedy(ci, NO_DMS)
     assert isinstance(out, GreedyFailure)
     assert out.condition is FailureCondition.NO_SUBPATH
     assert out.i_beta == 2 and out.j_beta == 1
@@ -79,7 +83,7 @@ def test_fixture_break_after_first_path(gex):
 def test_four_cycle_success_in_id_order():
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     ci = from_packing(PackingInstance(g, 0, 2, 2, 2))
-    out = run_greedy(ci, NO_DMS)
+    out = greedy(ci, NO_DMS)
     assert isinstance(out, GreedySuccess)
     assert out.paths == ((0, 1, 2), (0, 3, 2))
 
@@ -89,7 +93,7 @@ def test_overlong_fixture():
     # accumulated length to 6
     g = Graph(7, [(0, 1), (1, 2), (1, 5), (2, 3), (3, 4), (4, 5), (5, 6)])
     ci = CheckpointInstance(PackingInstance(g, 0, 6, 1, 5), ((0, 2, 5, 6),))
-    out = run_greedy(ci, NO_DMS)
+    out = greedy(ci, NO_DMS)
     assert out.condition is FailureCondition.OVERLONG
     assert out.i_beta == 1 and out.j_beta == 3
     assert out.partial_subpaths == ((0, 1, 2), (2, 3, 4, 5))
@@ -98,7 +102,7 @@ def test_overlong_fixture():
 
 def test_separator_check_fires_on_fixture(gex):
     ci = from_packing(PackingInstance(gex, vid(1), vid(5), 3, 9))
-    out = run_greedy(ci, SolverConfig())
+    out = greedy(ci, SolverConfig())
     assert out.condition is FailureCondition.CUT_TOO_SMALL
     assert out.i_beta == 2 and out.j_beta is None
     assert out.complete_paths == (vids(1, 2, 3, 4, 5),)
@@ -107,11 +111,11 @@ def test_separator_check_fires_on_fixture(gex):
 def test_separator_precheck_only_without_trivial_detection():
     g = Graph(3, [(0, 1), (1, 2)])
     ci = from_packing(PackingInstance(g, 0, 2, 2, 5))
-    out = run_greedy(ci, SolverConfig(trivial_detection=False))
+    out = greedy(ci, SolverConfig(trivial_detection=False))
     assert out.condition is FailureCondition.CUT_TOO_SMALL
     assert out.i_beta == 1 and out.complete_paths == ()
     # with trivial detection claimed handled, the first path completes first
-    out2 = run_greedy(ci, SolverConfig())
+    out2 = greedy(ci, SolverConfig())
     assert out2.condition is FailureCondition.CUT_TOO_SMALL
     assert out2.i_beta == 2
 
@@ -120,7 +124,7 @@ def test_bare_lists_gate_for_separator_check(gex):
     base = PackingInstance(gex, vid(1), vid(5), 3, 9)
     lists = ((vid(1), vid(5)), (vid(1), vid(5)), (vid(1), vid(9), vid(5)))
     ci = CheckpointInstance(base, lists)
-    gated = run_greedy(ci, SolverConfig())
+    gated = greedy(ci, SolverConfig())
     assert gated.condition is not FailureCondition.CUT_TOO_SMALL
 
 
@@ -135,14 +139,14 @@ def test_direct_edge_not_reused():
     # with ell = 1 the detour is overlong: failure, not a duplicate
     decision, witness, stats = solve(PackingInstance(g, 0, 2, 2, 1), plain)
     assert (decision, witness, stats.nodes) == ("no", None, 1)
-    out = run_greedy(from_packing(
+    out = greedy(from_packing(
         PackingInstance(g.without_edge(0, 2), 0, 2, 1, 1)), NO_DMS)
     assert out.condition is FailureCondition.OVERLONG
 
 
 def test_determinism(gex):
     ci = from_packing(PackingInstance(gex, vid(1), vid(5), 2, 5))
-    runs = [run_greedy(ci, NO_DMS) for _ in range(3)]
+    runs = [greedy(ci, NO_DMS) for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]
 
 
@@ -162,7 +166,7 @@ def test_success_always_validates(seed):
     below, front = below_root(inst)
     if below is None:
         return
-    out = run_greedy(from_packing(below), SolverConfig())
+    out = greedy(from_packing(below), SolverConfig())
     if isinstance(out, GreedySuccess):
         assert validate_solution(from_packing(inst),
                                  Solution(front + out.paths))
@@ -189,7 +193,7 @@ def test_break_lemmas_against_all_solutions(seed):
         g = g.without_edge(s, t)  # the greedy never sees adjacent terminals
     k, ell = rng.choice([2, 3]), rng.choice([4, 5])
     ci = from_packing(PackingInstance(g, s, t, k, ell))
-    out = run_greedy(ci, NO_DMS)
+    out = greedy(ci, NO_DMS)
     if not isinstance(out, GreedyFailure):
         return
     sols = all_solutions(ci)
@@ -225,7 +229,7 @@ def test_separator_failure_refutes_prefix_extension(seed):
         g = g.without_edge(s, t)  # the greedy never sees adjacent terminals
     k, ell = rng.choice([2, 3]), rng.choice([4, 5, 6])
     ci = from_packing(PackingInstance(g, s, t, k, ell))
-    out = run_greedy(ci, SolverConfig(trivial_detection=False))
+    out = greedy(ci, SolverConfig(trivial_detection=False))
     if not (isinstance(out, GreedyFailure)
             and out.condition is FailureCondition.CUT_TOO_SMALL):
         return
@@ -240,3 +244,106 @@ def test_separator_failure_refutes_prefix_extension(seed):
     from pathpack.oracle import oracle_decide
     rest = oracle_decide(PackingInstance(masked, s, t, need, ell))
     assert rest.decision == "no"
+
+
+# ---------------------------------------------------------------------------
+# the greedy against its definition
+# ---------------------------------------------------------------------------
+
+def _reference_greedy(ci: CheckpointInstance, cfg: SolverConfig):
+    """The greedy with every mask built afresh from its definition: a
+    subpath's search avoids the completed paths' internal vertices, this
+    path's earlier subpaths and every checkpoint, but for the subpath's two
+    endpoints; the separator check closes the completed paths' internal
+    vertices.  Returns the outcome and the number of separator refutations.
+    """
+    base = ci.base
+    g, s, t, k, ell = base.graph, base.s, base.t, base.k, base.ell
+    ws = Workspace(g)
+    checkpoints = ci.checkpoint_union()
+    completed = []
+    for i0 in range(k):
+        used = {v for p in completed for v in p[1:-1]}
+        if (cfg.d_ms and (i0 > 0 or not cfg.trivial_detection)
+                and all(len(entries) == 2 for entries in ci.lists[i0:])):
+            closed = bytearray(g.n)
+            for v in used:
+                closed[v] = 1
+            if st_flow_value(g, s, t, k - i0, closed) < k - i0:
+                return GreedyFailure(FailureCondition.CUT_TOO_SMALL, i0 + 1,
+                                     None, tuple(completed), ()), 1
+        entries = ci.lists[i0]
+        subpaths = []
+        length = 0
+        for j0, (u, u2) in enumerate(zip(entries, entries[1:])):
+            mask = bytearray(g.n)
+            for v in used | checkpoints | {v for q in subpaths for v in q}:
+                mask[v] = 1
+            mask[u] = mask[u2] = 0
+            q = shortest_path_blocked(g, mask, u, u2, ws)
+            if q is None:
+                return GreedyFailure(FailureCondition.NO_SUBPATH, i0 + 1,
+                                     j0 + 1, tuple(completed),
+                                     tuple(subpaths)), 0
+            if length + len(q) - 1 > ell:
+                return GreedyFailure(FailureCondition.OVERLONG, i0 + 1,
+                                     j0 + 1, tuple(completed),
+                                     tuple(subpaths),
+                                     overlong_len=len(q) - 1), 0
+            length += len(q) - 1
+            subpaths.append(q)
+        completed.append(tuple(v for q in subpaths for v in q[:-1]) + (t,))
+    return GreedySuccess(tuple(completed)), 0
+
+
+def _checkpoint_instance(rng, g, s, t, k, ell):
+    """k lists for (s, t): the leading ones get up to three interior
+    checkpoints each, distinct across lists, and the rest stay bare."""
+    free = [v for v in range(g.n) if v not in (s, t)]
+    rng.shuffle(free)
+    leading = rng.randrange(k + 1)
+    lists = []
+    for i in range(k):
+        interior = []
+        if i < leading:
+            size = min(rng.randrange(1, 4), ell - 1, len(free))
+            interior = [free.pop() for _ in range(size)]
+        lists.append((s, *interior, t))
+    return CheckpointInstance(PackingInstance(g, s, t, k, ell), tuple(lists))
+
+
+def test_greedy_matches_its_definition():
+    """``run_greedy``'s one growing mask gives the whole outcome, and the
+    separator count, of the greedy whose masks are built from the
+    definition, on seeded grids and G(n, p) graphs with interior
+    checkpoints in several lists and bare tails, with d-ms and trivial
+    detection each on and off.  The runs on one graph share a workspace,
+    as the nodes of one search do."""
+    configs = [SolverConfig(d_ms=d_ms, trivial_detection=trivial)
+               for d_ms in (True, False) for trivial in (True, False)]
+    seen = collections.Counter()
+    for seed in range(150):
+        rng = random.Random(seed + 1100)
+        if seed % 2:
+            g = grid_graph(rng.randrange(3, 7), rng.randrange(3, 7),
+                           rng.choice([0.0, 0.1, 0.25]), rng)
+        else:
+            g = random_gnp(rng.randrange(6, 20), rng.choice([0.2, 0.35]),
+                           seed + 1100)
+        s, t = rng.sample(range(g.n), 2)
+        if g.has_edge(s, t):
+            g = g.without_edge(s, t)  # the greedy never sees adjacent ones
+        ws = Workspace(g)
+        for _ in range(4):
+            ci = _checkpoint_instance(rng, g, s, t, rng.randrange(1, 5),
+                                      rng.randrange(2, 9))
+            for cfg in configs:
+                want, fired = _reference_greedy(ci, cfg)
+                stats = SolveStats()
+                assert run_greedy(ci, cfg, ws, stats) == want, (seed, ci, cfg)
+                assert stats.dms_fired == fired
+                seen[getattr(want, "condition", "success")] += 1
+                if sum(len(entries) > 2 for entries in ci.lists) > 1:
+                    seen["several lists with interior checkpoints"] += 1
+    # every outcome kind, and lists with interior checkpoints, took part
+    assert min(seen.values()) >= 20, seen

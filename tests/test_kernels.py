@@ -64,6 +64,32 @@ def test_backends_agree_full_bfs(seed):
             assert parent[v] == -1
 
 
+@pytest.mark.parametrize("parsed", [False, True])
+@pytest.mark.parametrize("seed", range(25))
+def test_blocked_source_searches_as_if_open(seed, parsed):
+    """``src`` is enqueued without reading its mask entry, so a search from
+    a blocked source sets the same count, ``dist``, ``parent`` and queue
+    order as from the same source unblocked, on tuple rows and on a parsed
+    graph's flat rows; the greedy searches from blocked sources."""
+    rng = random.Random(seed + 400)
+    n = rng.randrange(2, 16)
+    g = random_gnp(n, rng.choice([0.1, 0.3, 0.6]), seed + 400)
+    if parsed:
+        g = parse_graph(format_graph(g))
+        assert type(g.adj) is not tuple
+    blocked = bytearray(n)
+    for v in rng.sample(range(n), rng.randrange(0, n // 2 + 1)):
+        blocked[v] = 1
+    src = rng.randrange(n)
+    for target in (-1, rng.randrange(n)):
+        runs = []
+        for mark in (0, 1):
+            blocked[src] = mark
+            count, dist, parent, queue = _run(g, blocked, src, target)
+            runs.append((count, dist, parent, queue[:count]))
+        assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_backends_agree_target_paths(seed):
     """The route to the target is the lexicographically smallest shortest

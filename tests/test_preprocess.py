@@ -10,6 +10,7 @@ import pathpack.kernels
 from pathpack import (Graph, PackingInstance, Solution, SolverConfig,
                       Workspace, config_from_name, from_packing, random_gnp,
                       validate_solution)
+from pathpack.config import SolveTimeout
 from pathpack.oracle import oracle_decide
 from pathpack.graph import shortest_path_blocked
 from pathpack.preprocess import (TrivialOutcome, detect_on_input,
@@ -452,10 +453,11 @@ def test_input_step_uses_the_direct_edge_once():
 
 
 def test_input_step_stops_at_the_deadline(gex):
-    # a deadline already passed ends the step after its first BFS
+    # a deadline already passed ends the step after its first search
     inst = from_packing(PackingInstance(gex, vid(1), vid(5), 1, 4))
     assert detect_on_input(inst).kind == "yes"
-    assert detect_on_input(inst, deadline=0.0).kind == "unknown"
+    with pytest.raises(SolveTimeout):
+        detect_on_input(inst, deadline=0.0)
 
 
 def _reference_step(inst):

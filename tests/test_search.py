@@ -11,14 +11,14 @@ import pytest
 from pathpack import (Graph, PackingInstance, SolverConfig, Workspace,
                       config_from_name, from_packing, parse_graph, random_gnp,
                       validate_solution)
-from pathpack.greedy import FailureCondition, GreedyFailure, run_greedy
+from pathpack.greedy import FailureCondition, GreedyFailure
 from pathpack.model import CheckpointInstance
 from pathpack.oracle import oracle_decide
 from pathpack.preprocess import detect_on_input
 from pathpack.search import (_position_candidates, branch,
                              node_infeasible, solve)
 
-from conftest import GEX_EDGES_1BASED, grid_graph, vid, vids
+from conftest import GEX_EDGES_1BASED, greedy, grid_graph, vid, vids
 
 PLAIN = SolverConfig(trivial_detection=False, d_ms=False,
                      b_fi=False, c_dist=False, c_pl=False)
@@ -124,7 +124,7 @@ def test_infeasible_check_order(gex):
 
 def test_branch_after_missing_subpath_fixture(gex):
     ci = from_packing(PackingInstance(gex, vid(1), vid(5), 2, 5))
-    fail = run_greedy(ci, PLAIN)
+    fail = greedy(ci, PLAIN)
     cands = branch(fail, ci, PLAIN, _dist_fn(gex))
     assert [c.vertex for c in cands] == list(vids(2, 3, 4))
     assert all(c.list_index == 1 and c.pos == 1 for c in cands)
@@ -138,10 +138,10 @@ def test_branch_after_missing_subpath_fixture(gex):
 def test_branch_empty_pool_refutes():
     g = Graph(3, [(0, 1), (1, 2)])
     ci = from_packing(PackingInstance(g, 0, 2, 2, 5))
-    fail = run_greedy(ci, PLAIN)
+    fail = greedy(ci, PLAIN)
     assert fail.condition is FailureCondition.NO_SUBPATH
     child = ci.with_insertion(1, 1, 1)  # list (s, a, t)
-    inner = run_greedy(child, PLAIN)
+    inner = greedy(child, PLAIN)
     assert inner.condition is FailureCondition.NO_SUBPATH
     assert inner.i_beta == 1
     assert branch(inner, child, PLAIN, _dist_fn(g)) == []
@@ -151,7 +151,7 @@ def test_branch_overlong_empty_pool_at_first_subpath():
     # first and only subpath already too long: nothing to branch over
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     ci = from_packing(PackingInstance(g, 0, 3, 1, 2))
-    fail = run_greedy(ci, PLAIN)
+    fail = greedy(ci, PLAIN)
     assert fail.condition is FailureCondition.OVERLONG
     assert (fail.i_beta, fail.j_beta) == (1, 1)
     assert branch(fail, ci, PLAIN, _dist_fn(g)) == []
@@ -173,7 +173,7 @@ def overlong_state():
     # s,m,v1,x,y,v2,t = 0..6
     g = Graph(7, [(0, 1), (1, 2), (1, 5), (2, 3), (3, 4), (4, 5), (5, 6)])
     ci = CheckpointInstance(PackingInstance(g, 0, 6, 1, 5), ((0, 2, 5, 6),))
-    fail = run_greedy(ci, PLAIN)
+    fail = greedy(ci, PLAIN)
     assert fail.condition is FailureCondition.OVERLONG
     return g, ci, fail
 
@@ -209,7 +209,7 @@ def test_branch_overlong_cdist_orders_within_position(overlong_state):
 
 def test_branch_after_cut_failure_counts(gex):
     ci = from_packing(PackingInstance(gex, vid(1), vid(5), 3, 9))
-    fail = run_greedy(ci, SolverConfig())
+    fail = greedy(ci, SolverConfig())
     assert fail.condition is FailureCondition.CUT_TOO_SMALL
     cands = branch(fail, ci, SolverConfig(), _dist_fn(gex))
     # pool {v2,v3,v4} x pending lists {2,3} x one gap each
@@ -221,7 +221,7 @@ def test_branch_after_cut_failure_counts(gex):
 def test_branch_candidates_never_listed_vertices(gex):
     ci = from_packing(PackingInstance(gex, vid(1), vid(5), 2, 5))
     child = ci.with_insertion(1, 1, vid(3))
-    fail = run_greedy(child, PLAIN)
+    fail = greedy(child, PLAIN)
     if isinstance(fail, GreedyFailure) \
             and fail.condition is FailureCondition.NO_SUBPATH:
         cands = branch(fail, child, PLAIN, _dist_fn(gex))
