@@ -10,27 +10,31 @@ disjointness into arc disjointness; an original s-t path of length L becomes
 an s_out -> t_in path of length 2L - 1.  Node 2v is v_in and 2v + 1 is
 v_out.
 
-The split is implicit: both flows walk the graph's own sorted rows, and a
+The split is implicit: the flow walks the graph's own sorted rows, and a
 unit flow is kept per vertex.  ``prv[v]`` is the vertex whose out-node sends
 v its unit of flow and ``nxt[v]`` the vertex it sends it on to (-1: none),
 so v carries flow exactly when ``prv[v] >= 0``; s sends to every w with
 ``prv[w] == s``.  The terminals must not be adjacent (``search.solve`` sees
-to that), so every unit passes an internal vertex.  The residual arcs of a
-node are visited in a fixed order, the arc order of the explicit split
-digraph (internal arcs first, then cross arcs in ascending neighbour order):
+to that), so every unit passes an internal vertex.
 
-* v_in: the internal arc to v_out while v carries no flow (and, in the max
-  flow, is not closed), otherwise the reverse cross arc to ``prv[v]``'s
-  out-node;
+Both flows are one augmenting loop (``_augment``): successive shortest
+s_out -> t_in paths under reduced costs, each pushed one unit, until
+``limit`` units flow or no path is left.  Every arc costs 1 and every
+reverse arc -1.  Successive shortest paths finds a path whenever the
+residual digraph has one, so the loop stops short of ``limit`` exactly at
+the max flow value: the max flow is the number of rounds it makes, and the
+min-cost flow is the flow its k rounds leave.  The residual arcs of a node
+are visited in a fixed order, the arc order of the explicit split digraph
+(internal arcs first, then cross arcs in ascending neighbour order):
+
+* v_in: the internal arc to v_out while v carries no flow and is not
+  closed, otherwise the reverse cross arc to ``prv[v]``'s out-node;
 * v_out: the reverse internal arc to v_in while v carries flow, then the
   cross arc to w_in for every neighbour w in ascending order but the one v
-  already sends its flow to.
+  already sends its flow to; s_out skips every neighbour it already sends
+  to.
 
-A closed vertex is shut out of the max flow, as if it were deleted.  Each
-flow does only the work its caller needs: the max flow stops after
-``limit`` augmentations (the separator test only compares the value with a
-target), and each shortest-path round of the min-cost flow stops once the
-sink is settled.
+A closed vertex is shut out of the flow, as if it were deleted.
 """
 
 from __future__ import annotations
@@ -86,65 +90,6 @@ class _UnitFlow:
             y = x
 
 
-def st_flow_value(g: Graph, s: int, t: int, limit: int,
-                  closed: Optional[bytearray] = None) -> int:
-    """Edmonds-Karp from s_out to t_in, with the vertices marked in
-    ``closed`` (a byte per vertex, or None) shut out; the flow value, or
-    ``limit`` if it reaches that.
-
-    The value is the maximum number of internally vertex-disjoint s-t paths,
-    so a ``limit`` of ``g.n`` never caps it.
-    """
-    flow = _UnitFlow(g, s, t)
-    adj, prv, nxt = flow.adj, flow.prv, flow.nxt
-    nn = 2 * g.n
-    source, sink = 2 * s + 1, 2 * t
-    value = 0
-    while value < limit:
-        parent = [-1] * nn
-        parent[source] = -2
-        queue = [source]
-        reached = False
-        for x in queue:
-            v = x >> 1
-            p = prv[v]
-            if not x & 1:
-                # v_in has one residual arc at most, and not to the sink
-                if p >= 0:
-                    y = 2 * p + 1
-                elif closed is not None and closed[v]:
-                    continue
-                else:
-                    y = x + 1
-                if parent[y] == -1:
-                    parent[y] = x
-                    queue.append(y)
-                continue
-            if x == source:
-                row, q = [w for w in adj[v] if prv[w] != v], -1
-            else:
-                row, q = adj[v], nxt[v]
-                if p >= 0 and parent[x - 1] == -1:
-                    parent[x - 1] = x
-                    queue.append(x - 1)
-            for w in row:
-                if w != q:
-                    w += w
-                    if parent[w] == -1:
-                        parent[w] = x
-                        if w == sink:
-                            reached = True
-                            break
-                        queue.append(w)
-            if reached:
-                break
-        if not reached:
-            break
-        flow.augment(parent, source, sink)
-        value += 1
-    return value
-
-
 @dataclass(frozen=True)
 class DisjointPathsResult:
     """k pairwise internally vertex-disjoint s-t paths of minimum total
@@ -159,14 +104,15 @@ _UNREACHED = 1 << 60
 
 
 def _dijkstra_reduced(flow: _UnitFlow, source: int, sink: int,
-                      potential: list[int]) -> tuple[list[int], list[int]]:
-    """Shortest paths under reduced costs, stopped when the sink is settled:
-    the distances and parents.
+                      potential: list[int], closed: Optional[bytearray],
+                      ) -> tuple[list[int], list[int]]:
+    """Shortest paths under reduced costs, with the vertices marked in
+    ``closed`` (a byte per vertex, or None) shut out, stopped when the sink
+    is settled: the distances and parents.
 
-    Every arc costs 1 and every reverse arc -1.  Every node still unsettled
-    then has ``dist >= dist[sink]``, and the caller caps potentials at
-    ``dist[sink]``, so stopping early gives the same potentials and the
-    same sink path as settling every node.
+    Every node still unsettled then has ``dist >= dist[sink]``, and the
+    caller caps potentials at ``dist[sink]``, so stopping early gives the
+    same potentials and the same sink path as settling every node.
     """
     adj, prv, nxt = flow.adj, flow.prv, flow.nxt
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -188,6 +134,8 @@ def _dijkstra_reduced(flow: _UnitFlow, source: int, sink: int,
             if p >= 0:
                 y = 2 * p + 1
                 nd = base - 1 - potential[y]
+            elif closed is not None and closed[v]:
+                continue
             else:
                 y = x + 1
                 nd = base + 1 - potential[y]
@@ -220,29 +168,57 @@ def _dijkstra_reduced(flow: _UnitFlow, source: int, sink: int,
     return dist, parent
 
 
+def _augment(flow: _UnitFlow, limit: int,
+             closed: Optional[bytearray]) -> int:
+    """Push up to ``limit`` units along successive shortest paths, with the
+    vertices marked in ``closed`` shut out: the number of rounds made.
+
+    Potentials keep every intermediate flow cost-optimal and reduced costs
+    non-negative; unit costs keep everything integral.
+    """
+    source, sink = 2 * flow.s + 1, 2 * flow.t
+    potential = [0] * (2 * len(flow.prv))
+    rounds = 0
+    while rounds < limit:
+        dist, parent = _dijkstra_reduced(flow, source, sink, potential,
+                                         closed)
+        cap_at = dist[sink]
+        if cap_at >= _UNREACHED:
+            break
+        flow.augment(parent, source, sink)
+        rounds += 1
+        if rounds < limit:
+            # capping at dist[sink] keeps reduced costs non-negative even
+            # for nodes this round could not reach (or did not settle)
+            potential = [p + (d if d < cap_at else cap_at)
+                         for p, d in zip(potential, dist)]
+    return rounds
+
+
+def st_flow_value(g: Graph, s: int, t: int, limit: int,
+                  closed: Optional[bytearray] = None) -> int:
+    """The s_out -> t_in max flow value, with the vertices marked in
+    ``closed`` (a byte per vertex, or None) shut out, or ``limit`` if it
+    reaches that.
+
+    The value is the maximum number of internally vertex-disjoint s-t paths,
+    so a ``limit`` of ``g.n`` never caps it.
+    """
+    return _augment(_UnitFlow(g, s, t), limit, closed)
+
+
 def min_total_length_disjoint_paths(g: Graph, s: int, t: int, k: int,
                                     ) -> Optional[DisjointPathsResult]:
     """k internally vertex-disjoint s-t paths minimizing total length, or
-    None when fewer than k disjoint paths exist.
+    None when fewer than k disjoint paths exist: the flow of k augmenting
+    rounds, split into its paths.
 
-    Successive shortest-path augmentations with potentials keep every
-    intermediate flow cost-optimal; unit costs keep everything integral.
-    They find k paths exactly when the max flow is at least k, so None also
-    refutes a separator bound of k.
+    The rounds fall short of k exactly when the max flow is below k, so
+    None also refutes a separator bound of k.
     """
     flow = _UnitFlow(g, s, t)
-    source, sink = 2 * s + 1, 2 * t
-    potential = [0] * (2 * g.n)
-    for _ in range(k):
-        dist, parent = _dijkstra_reduced(flow, source, sink, potential)
-        cap_at = dist[sink]
-        if cap_at >= _UNREACHED:
-            return None
-        # capping at dist[sink] keeps reduced costs non-negative even for
-        # nodes this round could not reach (or did not settle)
-        potential = [p + (d if d < cap_at else cap_at)
-                     for p, d in zip(potential, dist)]
-        flow.augment(parent, source, sink)
+    if _augment(flow, k, None) < k:
+        return None
     return _decompose(flow, k)
 
 

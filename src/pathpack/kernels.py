@@ -22,7 +22,8 @@ callers allocate nothing of graph size.  It cut the step from 207-327 to
 43-71 us per root-batch op (seed 0, best of 7 passes, 2-CPU host).
 
 ``ball`` serves the reduction (``preprocess.reduce_instance``): a ball's
-distances as a dict, so a reduction costs what its balls hold.  It is a
+distances as a dict, so a reduction costs what its balls hold, at any
+depth: a ball stops at its first empty level.  It is a
 scalar loop too: on search-default's graphs (100-200 vertices) it ran
 about 40% faster than set operations per level.
 
@@ -147,7 +148,10 @@ def bidir_path(adj, blocked, a, b, depth):
 
 def ball(adj, src, depth):
     """The distance from ``src`` of every vertex within ``depth`` (>= 0) of
-    it over the adjacency rows ``adj``, as a dict built level by level."""
+    it over the adjacency rows ``adj``, as a dict built level by level.
+
+    The walk stops at its first empty level, so a ball costs what it holds
+    at any ``depth``, however far beyond the eccentricity of ``src``."""
     dist = {src: 0}
     level = [src]
     for d in range(1, depth + 1):
@@ -157,5 +161,7 @@ def ball(adj, src, depth):
                 if v not in dist:
                     dist[v] = d
                     after.append(v)
+        if not after:
+            break
         level = after
     return dist

@@ -58,12 +58,12 @@ def test_solve_no_exit_one(tmp_path):
     assert "decision: no" in out
 
 
-def _python_m(*argv):
+def _python_m(*argv, timeout=120):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run([sys.executable, "-m", "pathpack", *argv],
                           capture_output=True, text=True, env=env,
-                          timeout=120)
+                          timeout=timeout)
 
 
 def test_python_m_pathpack_runs_solve(gex_file, tmp_path):
@@ -218,6 +218,21 @@ def test_solve_huge_ell_without_trivial_detection(square_file):
                       "--k", "2", "--ell", "1000000000", "--no-trivial"])
     assert code == 0 and "decision: yes" in out
     assert sys.getrecursionlimit() == limit
+
+
+def test_solve_huge_ell_costs_what_the_balls_hold(square_file):
+    """An ell far beyond the graph's diameter gives the answer of an ell
+    that admits every path, within a timeout: the reduction's balls stop
+    at their first empty level rather than walking to ell."""
+    def answer(ell, timeout):
+        proc = _python_m("solve", square_file, "--s", "1", "--t", "4",
+                         "--k", "2", "--ell", ell, "--no-trivial",
+                         timeout=timeout)
+        assert proc.returncode == 0, proc.stderr
+        return [line for line in proc.stdout.splitlines()
+                if line.startswith(("decision", "path", "solved by"))]
+
+    assert answer("1000000000", 20) == answer("2", 120)
 
 
 @pytest.mark.parametrize("extra", [[], ["--no-trivial"]])

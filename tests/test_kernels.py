@@ -132,7 +132,8 @@ def test_parent_is_first_discovery_lexicographic():
 def test_depth_bound_reaches_exactly_the_ball(seed):
     """``ball`` returns the distance of every vertex within ``depth`` of the
     source and of no other, as networkx's cutoff search does, on tuple rows
-    and on a parsed graph's flat rows."""
+    and on a parsed graph's flat rows, also at a depth beyond the graph's
+    diameter."""
     rng = random.Random(seed + 200)
     n = rng.randrange(2, 40)
     g = random_gnp(n, rng.choice([0.05, 0.1, 0.2]), seed + 200)
@@ -140,7 +141,7 @@ def test_depth_bound_reaches_exactly_the_ball(seed):
     ref.add_nodes_from(range(n))
     src = rng.randrange(n)
     for rows in (g.adj, parse_graph(format_graph(g)).adj):
-        for depth in range(0, 6):
+        for depth in (*range(0, 6), n):
             want = nx.single_source_shortest_path_length(ref, src,
                                                          cutoff=depth)
             assert ball(rows, src, depth) == want
