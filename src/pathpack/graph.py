@@ -25,6 +25,11 @@ same paths as :func:`shortest_path_blocked`, and
 
 :func:`parse_graph` checks the whole text with numpy in one pass; only a
 text that breaks a rule is read again line by line, to name the line.
+numpy is loaded only when graph text is parsed or when an edge is removed
+from parsed rows (and by :meth:`Workspace.distances_unmasked`, which
+returns a numpy array), never at import: most of the package's import time
+would otherwise be numpy's, and building, generating and solving a graph
+from edges do not need it.
 """
 
 from __future__ import annotations
@@ -33,11 +38,13 @@ import random
 import re
 from array import array
 from bisect import bisect_left
-from typing import Iterable, Iterator, NoReturn, Optional, Sequence, Union
-
-import numpy as np
+from typing import (TYPE_CHECKING, Iterable, Iterator, NoReturn, Optional,
+                    Sequence, Union)
 
 from .kernels import bfs_tree
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Graph",
@@ -125,6 +132,7 @@ class Graph:
         a, b = sorted((u, v))
         adj = self.adj
         if isinstance(adj, _FlatRows):
+            import numpy as np
             # both entries leave nbr, and the offsets past them move down
             nbr, off = adj.nbr[:], adj.off[:]
             del nbr[adj.off[b] + bisect_left(adj[b], a)]
@@ -217,6 +225,7 @@ class Workspace:
 
     def distances_unmasked(self, src: int) -> np.ndarray:
         """:meth:`distance_row` as a new int32 array, for vectorized use."""
+        import numpy as np
         return np.array(self.distance_row(src), dtype=np.int32)
 
 
@@ -279,38 +288,39 @@ def parse_graph(text: Union[str, bytes]) -> Graph:
     ``bytes`` are decoded as UTF-8; bytes that are not UTF-8 count as
     non-ASCII characters.
 
-    The whole text is checked in bulk; only a text that breaks a rule is
-    read again line by line, to report the first offending line.
+    The whole text is checked in bulk with numpy, which is loaded only
+    here and when an edge is removed from parsed rows.  Only a text that
+    breaks a rule is read again line by line, to report the first
+    offending line.
     """
+    import numpy as np
     if isinstance(text, bytes):
         text = text.decode("utf-8", "surrogateescape")
     scanned = _scan(text)
     if scanned is None:
         _raise_first_error(text)
-    n, heads, tails = scanned
-    # both directions of every edge, grouped by source by a stable sort.
-    # The edges come in ascending (head, tail) order with head < tail, so
-    # every row comes out sorted: row v gets its smaller neighbors (edges
-    # (w, v), from the first half) before its larger ones (edges (v, w)),
-    # each in ascending order
-    src = np.concatenate((tails, heads))
-    dst = np.concatenate((heads, tails))
-    nbr = array("i", dst[np.argsort(src, kind="stable")].tobytes())
+    n, key = scanned
+    # key = src * n + dst over both directions of every edge, sorted: the
+    # rows come out grouped by source, each in ascending order (with n = 0
+    # the key is empty, and dividing it by 0 divides nothing)
     off = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=off[1:])
+    np.cumsum(np.bincount(key // n, minlength=n), out=off[1:])
     g = Graph.__new__(Graph)
     g.n = n
-    g.m = len(heads)
-    g.adj = _FlatRows(nbr, array("q", off.tobytes()))
+    g.m = len(key) // 2
+    g.adj = _FlatRows(array("i", (key % n).astype(np.int32).tobytes()),
+                      array("q", off.tobytes()))
     return g
 
 
-def _scan(text: str) -> Optional[tuple[int, np.ndarray, np.ndarray]]:
+def _scan(text: str) -> Optional[tuple[int, np.ndarray]]:
     """Check every rule of the format on the whole of ``text`` at once.
 
-    Returns (n, heads, tails), the 0-based endpoints (head < tail) of the
-    edges in ascending order as int32 arrays, or None if a rule fails.
+    Returns (n, key), where ``key`` holds ``u * n + v`` in ascending order
+    for both directions (u, v) and (v, u) of every edge, 0-based, as an
+    int64 array; or None if a rule fails.
     """
+    import numpy as np
     if not text.isascii():
         lines = text.splitlines()
         if not all(line.isascii() or _is_comment(line) for line in lines):
@@ -325,16 +335,18 @@ def _scan(text: str) -> Optional[tuple[int, np.ndarray, np.ndarray]]:
     # line, the first too, starts right after a b"\n"
     b = np.frombuffer(b"\n" + raw + b" ", dtype=np.uint8)
     in_token = b > 32              # digits and signs; ' ' is 32, '\n' 10
-    starts = np.flatnonzero(in_token[1:] > in_token[:-1]) + 1
-    tokens = len(starts)
+    # the events, in text order: line ends and token starts.  The gaps
+    # between line ends count the tokens of each line, from arrays with
+    # one entry per event rather than per byte
+    event = b == 10
+    event[1:] |= in_token[1:] > in_token[:-1]
+    kinds = b[np.flatnonzero(event)]
+    line_ends = np.flatnonzero(kinds == 10)
+    tokens = len(kinds) - len(line_ends)
     if tokens < 2:
         return None
-    # the number of tokens before each newline: its differences are the
-    # token counts of the lines, from arrays with one entry per token or
-    # per line rather than per byte
-    per_line = np.diff(np.searchsorted(starts, np.flatnonzero(b == 10)),
-                       append=tokens)
     # two tokens per line, or none
+    per_line = np.diff(line_ends, append=len(kinds)) - 1
     if ((per_line != 0) & (per_line != 2)).any():
         return None
     if b"+" in raw or b"-" in raw:
@@ -342,10 +354,10 @@ def _scan(text: str) -> Optional[tuple[int, np.ndarray, np.ndarray]]:
         signs = np.flatnonzero((b == 43) | (b == 45))
         if in_token[signs - 1].any() or (b[signs + 1] < 48).any():
             return None
-    # free the arrays with one entry per byte or token before fromstring
+    # free the arrays with one entry per byte or event before fromstring
     # allocates its own; that lowers a parse's peak memory by about 1.4 MB
     # on a 20k-vertex file
-    del b, in_token, starts, per_line
+    del b, in_token, event, kinds, line_ends, per_line
     try:
         values = np.fromstring(raw, dtype=np.int64, sep=" ")
     except ValueError:
@@ -362,20 +374,25 @@ def _scan(text: str) -> Optional[tuple[int, np.ndarray, np.ndarray]]:
     if len(values) != 2 + 2 * m:
         return None
     if m == 0:
-        return n, np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32)
-    # elementwise over the two column views: a reduction along axis 1 of
-    # the (m, 2) endpoint array costs about forty times as much
-    low = np.minimum(values[2::2], values[3::2])
-    high = np.maximum(values[2::2], values[3::2])
-    del values
-    if low.min() < 1 or high.max() > n or (low == high).any():
+        return n, np.zeros(0, dtype=np.int64)
+    ends = values[2:]
+    if ends.min() < 1 or ends.max() > n:
         return None
-    key = (low - 1) * n + (high - 1)   # below 2**62, since n < 2**31
+    ends -= 1
+    u, v = ends[0::2], ends[1::2]
+    if (u == v).any():
+        return None
+    # both directions, below 2**62 since n < 2**31; a repeated edge gives
+    # two pairs of equal keys, which the sort makes adjacent
+    key = np.empty(2 * m, dtype=np.int64)
+    np.multiply(u, n, out=key[:m])
+    key[:m] += v
+    np.multiply(v, n, out=key[m:])
+    key[m:] += u
     key.sort()
     if (key[1:] == key[:-1]).any():
         return None
-    heads, tails = np.divmod(key, n)
-    return n, heads.astype(np.int32), tails.astype(np.int32)
+    return n, key
 
 
 def _is_comment(line: str) -> bool:

@@ -15,7 +15,7 @@ from pathpack import (SolverConfig, Workspace, config_from_name,
 from pathpack import cli
 from pathpack.cli import main
 
-from conftest import grid_graph
+from conftest import GEX_EDGES_1BASED, grid_graph
 
 # the bench CSV header as documented in the README; the first seven columns
 # describe the run, the rest are the solve statistics
@@ -58,12 +58,15 @@ def test_solve_no_exit_one(tmp_path):
     assert "decision: no" in out
 
 
-def _python_m(*argv, timeout=120):
+def _python(*args, timeout=120):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    return subprocess.run([sys.executable, "-m", "pathpack", *argv],
-                          capture_output=True, text=True, env=env,
-                          timeout=timeout)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=timeout)
+
+
+def _python_m(*argv, timeout=120):
+    return _python("-m", "pathpack", *argv, timeout=timeout)
 
 
 def test_python_m_pathpack_runs_solve(gex_file, tmp_path):
@@ -411,6 +414,56 @@ def test_gen_deterministic(tmp_path):
 def test_gen_usage_errors():
     assert _run(["gen", "--n", "1", "--p", "0.5"])[0] == 64
     assert _run(["gen", "--n", "5", "--p", "1.5"])[0] == 64
+
+
+# ---------------------------------------------------------------------------
+# numpy is loaded only to parse graph text
+# ---------------------------------------------------------------------------
+
+# run in a fresh interpreter: after each stage, whether numpy is loaded
+_NUMPY_STAGES = """
+import json, sys
+seen = {}
+import pathpack, pathpack.cli
+seen["import"] = "numpy" in sys.modules
+from pathpack import (Graph, PackingInstance, SolverConfig, format_graph,
+                      parse_graph, random_gnp, solve)
+g = Graph(11, [(u - 1, v - 1) for u, v in EDGES])
+for trivial in (True, False):
+    _, _, stats = solve(PackingInstance(g, 0, 4, 2, 5),
+                        SolverConfig(trivial_detection=trivial))
+    seen[stats.solved_by] = "numpy" in sys.modules
+text = format_graph(random_gnp(30, 0.2, 1))
+seen["gen"] = "numpy" in sys.modules
+parse_graph(text)
+seen["parse"] = "numpy" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_numpy_is_loaded_only_to_parse_graph_text():
+    # numpy is most of the package's import time, and only the text parser
+    # needs it: the walkthrough instance, decided once at the root and once
+    # by the search, must not load it
+    proc = _python("-c", _NUMPY_STAGES.replace("EDGES",
+                                               repr(GEX_EDGES_1BASED)))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "import": False, "trivial-yes": False, "search": False,
+        "gen": False, "parse": True}
+
+
+def test_python_m_pathpack_gen_imports_no_numpy(tmp_path):
+    target = tmp_path / "g40.txt"
+    proc = _python("-X", "importtime", "-m", "pathpack", "gen", "--n", "40",
+                   "--p", "0.15", "--seed", "7", "-o", str(target))
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "pathpack.cli" in imported
+    assert not [name for name in imported if "numpy" in name]
+    assert parse_graph(target.read_text()).n == 40
 
 
 # ---------------------------------------------------------------------------
