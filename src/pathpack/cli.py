@@ -212,9 +212,11 @@ def _cmd_gen(args, out) -> int:
 def _sample_pairs(g: Graph, count: int, rng: random.Random,
                   max_dist: int = 10) -> list[tuple[int, int]]:
     """Distinct unordered terminal pairs at distance <= max_dist, each tried
-    by ``bidir_path`` within max_dist; none for fewer than two vertices."""
+    by ``bidir_path`` within max_dist; none for fewer than two vertices, and
+    at most the graph's n(n - 1)/2 pairs, whatever ``count`` asks for."""
     if g.n < 2:
         return []
+    count = min(count, g.n * (g.n - 1) // 2)
     pairs: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     attempts = 0

@@ -12,16 +12,17 @@ layouts serve alike.  The graph itself is immutable and shareable; all
 BFS scratch state lives in a per-run :class:`Workspace` so concurrent
 solves on one graph never interfere; the flows of ``flows`` walk the same
 rows and keep their flow state per call.  This module is the only caller
-of ``bfs_tree`` and the only owner of its buffers, in two places:
+of ``bfs_tree`` and the only owner of its buffers, in
 :func:`shortest_path_blocked` (a shortest path avoiding a ``bytearray`` of
-blocked vertices, for the search's greedy) and
-:meth:`Workspace.distance_row` (cached full-graph distances).  The
+blocked vertices, for the search's greedy): the kernel records its visits
+in that mask and leaves it as it found it.  :meth:`Workspace.distance_row`
+(cached full-graph distances) fills its rows from ``kernels.ball``.  The
 searches on the whole input graph need no workspace: the input-graph step
 (``preprocess.detect_on_input``) and the CLI's pair sampling run
 ``kernels.bidir_path`` over a ``set`` of blocked vertices, which gives the
 same paths as :func:`shortest_path_blocked`, and
 ``preprocess.reduce_instance`` takes its balls as dicts from
-``kernels.ball``.
+``kernels.ball`` too.
 
 :func:`parse_graph` checks the whole text with numpy in one pass; only a
 text that breaks a rule is read again line by line, to name the line.
@@ -41,7 +42,7 @@ from bisect import bisect_left
 from typing import (TYPE_CHECKING, Iterable, Iterator, NoReturn, Optional,
                     Sequence, Union)
 
-from .kernels import bfs_tree
+from .kernels import ball, bfs_tree
 
 if TYPE_CHECKING:
     import numpy as np
@@ -193,11 +194,13 @@ class Workspace:
 
     Single-owner state: one Workspace must not be shared across concurrent
     solves.  The search and its greedy build one; the root steps and the
-    CLI search with kernels that take no buffers.  ``dist`` reads -1 at
-    every vertex between calls, as ``bfs_tree`` requires; each search
-    clears only the entries it set.  ``blocked`` is the greedy's working
-    graph, which each greedy run zeroes first.  ``dist_cache`` memoizes
-    unmasked full-graph distance rows as plain lists, which the
+    CLI search with kernels that take no buffers.  ``blocked`` is the
+    greedy's working graph, which each greedy run zeroes first; a path
+    search marks its visits there and clears them before it returns, so
+    the mask is unchanged after each search and is the only state carried
+    from one search to the next.  ``parent`` and ``queue`` are the
+    kernel's scratch, read only within one search.  ``dist_cache``
+    memoizes unmasked full-graph distance rows as plain lists, which the
     checkpoint-gap bounds and the candidate ordering index directly.  The
     flows keep no state here: each call walks ``adj`` with its own
     per-vertex flow lists.
@@ -206,7 +209,6 @@ class Workspace:
     def __init__(self, g: Graph):
         n = g.n
         self.g = g
-        self.dist = [-1] * n
         self.parent = [-1] * n
         self.queue = [0] * n
         self.blocked = bytearray(n)
@@ -218,8 +220,8 @@ class Workspace:
         row = self.dist_cache.get(src)
         if row is None:
             row = [-1] * self.g.n
-            bfs_tree(self.g.adj, bytearray(self.g.n), src, -1, row,
-                     self.parent, self.queue)
+            for v, d in ball(self.g.adj, src, self.g.n).items():
+                row[v] = d
             self.dist_cache[src] = row
         return row
 
@@ -246,17 +248,11 @@ def shortest_path_blocked(g: Graph, blocked: bytearray, a: int, b: int,
 
     Deterministic: among equal-length routes the lexicographically smallest
     vertex sequence is returned (ascending-id BFS, parents fixed on first
-    discovery).
+    discovery).  ``blocked`` reads as before when the call returns.
     """
-    if a == b:
-        return (a,)
-    dist, queue = ws.dist, ws.queue
-    count = bfs_tree(g.adj, blocked, a, b, dist, ws.parent, queue)
-    found = dist[b] >= 0
-    # the next call needs dist at -1 again: clear only what this one set
-    for v in queue[:count]:
-        dist[v] = -1
-    return _extract_path(ws.parent, a, b) if found else None
+    queue = ws.queue
+    count = bfs_tree(g.adj, blocked, a, b, ws.parent, queue)
+    return _extract_path(ws.parent, a, b) if queue[count - 1] == b else None
 
 
 # ---------------------------------------------------------------------------

@@ -85,9 +85,11 @@ def run_greedy(inst: CheckpointInstance, cfg: SolverConfig, ws: Workspace,
     of this path's earlier subpaths, with the two subpath endpoints added
     back.  It lives in the one mask ``ws.blocked``, updated in place: every
     checkpoint is marked at the start, the target is opened for its one
-    search and closed again (the source stays marked, which ``bfs_tree``
-    allows), and each accepted subpath's inner vertices are marked.  A
-    completed path is thereby marked as a whole.
+    search and closed again (the source stays marked: ``bfs_tree`` enters
+    it without reading its entry), and each accepted subpath's inner
+    vertices are marked.  A completed path is thereby marked as a whole.
+    The search itself marks the vertices it visits in the same mask and
+    clears them before it returns, so it leaves the mask as it found it.
 
     Forbidden intervals do not mask the working graph: the greedy outcome
     must depend on the checkpoint lists alone, so that enabling the

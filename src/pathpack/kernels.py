@@ -3,14 +3,14 @@
 The solver spends nearly all of its time running breadth-first searches in
 small vertex-masked variants of one input graph.  ``bfs_tree`` is the
 kernel of that traffic: a scalar loop over the graph's sorted adjacency
-rows, from one source, over a ``bytearray`` mask, into caller-owned
-buffers.  Only ``graph`` runs it, for the search's greedy
-(``shortest_path_blocked``) and for ``Workspace.distance_row``.  On
-reduced graphs the greedy's masked searches enqueue only about 22
-vertices per call (traced search-default) and stop early, so the
-one-sided loop wins there: with ``bidir_path`` over the same mask in
-``run_greedy`` instead, search-default ran 21-36% fewer solves per second
-(two alternating pairs, 2-CPU host).
+rows, from one source, over a ``bytearray`` mask that it also uses to
+record its visits and leaves as it found it.  It serves only the greedy's
+path searches, through ``graph.shortest_path_blocked``.  On reduced graphs
+the greedy's masked searches enqueue only about 22 vertices per call
+(traced search-default) and stop early, so the one-sided loop wins there:
+with ``bidir_path`` over the same mask in ``run_greedy`` instead,
+search-default ran 21-36% fewer solves per second (two alternating pairs,
+2-CPU host).
 
 ``bidir_path`` serves the path searches on the whole input graph: the
 input-graph step (``preprocess.detect_on_input``) and the CLI's pair
@@ -21,11 +21,13 @@ a time with set operations, over a ``set`` of blocked vertices, so its
 callers allocate nothing of graph size.  It cut the step from 207-327 to
 43-71 us per root-batch op (seed 0, best of 7 passes, 2-CPU host).
 
-``ball`` serves the reduction (``preprocess.reduce_instance``): a ball's
-distances as a dict, so a reduction costs what its balls hold, at any
-depth: a ball stops at its first empty level.  It is a
-scalar loop too: on search-default's graphs (100-200 vertices) it ran
-about 40% faster than set operations per level.
+``ball`` gives every distance row: the reduction's balls
+(``preprocess.reduce_instance``) and the search's full rows
+(``graph.Workspace.distance_row``).  It returns a ball's distances as a
+dict, so a reduction costs what its balls hold, at any depth: a ball stops
+at its first empty level.  It is a scalar loop too: on search-default's
+graphs (100-200 vertices) it ran about 40% faster than set operations per
+level.
 
 BFS explores neighbors in ascending vertex id and fixes parent pointers on
 first discovery, which makes the extracted route the lexicographically
@@ -40,51 +42,56 @@ from __future__ import annotations
 __all__ = ["bfs_tree", "bidir_path", "ball"]
 
 
-def bfs_tree(adj, blocked, src, target, dist, parent, queue):
-    """Masked BFS from ``src`` over the sorted adjacency rows ``adj``.
+def bfs_tree(adj, blocked, src, target, parent, queue):
+    """Masked BFS from ``src`` towards ``target`` over the sorted adjacency
+    rows ``adj``.
 
-    ``dist`` must read -1 at every vertex on entry; the kernel does not
-    reset it, so that a call costs what it enqueues rather than the size of
-    the graph.  It sets ``dist`` of each vertex it enqueues, and ``parent``
-    of each enqueued vertex but ``src``; other ``parent`` entries keep
-    whatever they held, which is safe because only ancestor chains from an
-    enqueued vertex back to ``src`` are ever read.  ``queue`` is scratch of
-    the same length and holds the enqueued vertices in discovery order, so
-    ``queue[:count]`` with the returned count lists every ``dist`` entry the
-    call set.  Vertices with a nonzero ``blocked`` entry are never entered,
-    except ``src`` itself: it is enqueued without reading its entry, so a
-    search from a blocked source gives what it gives from an open one.
-    Returns early once ``target`` (negative = none) has been discovered, in
-    which case only the target's ancestor chain is guaranteed to be filled.
-    Returns the number of vertices enqueued.
+    Vertices with a nonzero ``blocked`` entry are never entered, except
+    ``src`` itself: its entry is not read, so a search from a blocked source
+    gives what it gives from an open one.  The kernel marks each vertex it
+    enqueues in ``blocked`` as its visit record, and before it returns it
+    clears those marks and restores the entry of ``src``: the mask reads as
+    it did on entry, and a call costs what it enqueues rather than the size
+    of the graph.  ``queue`` is scratch of the graph's length and holds the
+    enqueued vertices in discovery order.  ``parent`` is set for each
+    enqueued vertex but ``src``; other entries keep whatever they held,
+    which is safe because only ancestor chains from an enqueued vertex back
+    to ``src`` are ever read.  The search stops once ``target`` has been
+    discovered.  Returns the number ``count`` of vertices enqueued; the
+    target was reached exactly when ``queue[count - 1] == target``.
     """
-    dist[src] = 0
     queue[0] = src
     if src == target:
         return 1
+    was = blocked[src]
+    blocked[src] = 1
     head = 0
     tail = 1
     while head < tail:
         u = queue[head]
-        du = dist[u]
         head += 1
         for v in adj[u]:
-            if blocked[v] or dist[v] >= 0:
+            if blocked[v]:
                 continue
-            dist[v] = du + 1
+            blocked[v] = 1
             parent[v] = u
             queue[tail] = v
             tail += 1
             if v == target:
-                return tail
+                head = tail  # ends the outer loop too
+                break
+    # every enqueued vertex read 0 on entry, but src
+    for v in queue[:tail]:
+        blocked[v] = 0
+    blocked[src] = was
     return tail
 
 
 def bidir_path(adj, blocked, a, b, depth):
     """Lexicographically smallest shortest a-b path over the sorted
     adjacency rows ``adj`` that avoids the ``set`` ``blocked``, as a tuple,
-    or None when there is none of length at most ``depth`` (negative =
-    unbounded).  The path and the rules are those of :func:`bfs_tree` from
+    or None when there is none of length at most ``depth`` (>= 0).  The
+    path and the rules are those of :func:`bfs_tree` from
     ``a`` with target ``b`` and parents followed back: ``a`` itself may be
     blocked, a blocked ``b`` is never reached, and a == b gives ``(a,)``.
 
@@ -105,8 +112,7 @@ def bidir_path(adj, blocked, a, b, depth):
     if b in blocked:
         return None
     levels_a, levels_b = [{a}], [{b}]
-    radius = 0
-    while radius != depth:
+    for _ in range(depth):
         if len(levels_a[-1]) <= len(levels_b[-1]):
             levels, other = levels_a, levels_b[-1]
         else:
@@ -118,7 +124,6 @@ def bidir_path(adj, blocked, a, b, depth):
         if not level:
             return None
         levels.append(level)
-        radius += 1
         meet = level & other
         if meet:
             break

@@ -57,9 +57,9 @@ class IntervalStore:
     pops and reads it.  A search node takes a mark on entry, pushes one
     interval after each refuted child, and truncates back to its mark on
     exit, so an interval is visible exactly to the later siblings of the
-    refuted child and to their subtrees.  The intervals are plain tuples on a stack, indexed by
-    (list_index, x) so that a lookup reads only the intervals that can
-    match.
+    refuted child and to their subtrees.  The intervals are plain tuples
+    on a stack, indexed by (list_index, x) so that a lookup reads only the
+    intervals that can match, against the checked list itself.
     """
 
     def __init__(self):
@@ -87,23 +87,20 @@ class IntervalStore:
             if not ends:
                 del self._ends[key]
 
-    def forbids(self, list_index: int, positions: dict[int, int], gap: int,
+    def forbids(self, list_index: int, entries: Sequence[int], gap: int,
                 x: int) -> bool:
-        """True if some stored interval (a, b, x) for this list has ``a`` at
-        position <= gap and ``b`` at position >= gap + 1.
+        """True if some stored interval (a, b, x) for this list has ``a``
+        among ``entries[:gap]`` and ``b`` among ``entries[gap:]``.
 
-        ``positions`` maps vertex -> 1-based position in the checkpoint list
-        under consideration; ``gap`` is the 1-based index of the subpath slot
-        between positions gap and gap + 1.
+        ``entries`` is the checkpoint list under consideration, whose
+        entries are distinct; ``gap`` is the 1-based index of the subpath
+        slot between ``entries[gap - 1]`` and ``entries[gap]``.
         """
         ends = self._ends.get((list_index, x))
-        if ends is not None:
-            for a, b in ends:
-                pa = positions.get(a)
-                pb = positions.get(b)
-                if pa is not None and pb is not None and pa <= gap < pb:
-                    return True
-        return False
+        if ends is None:
+            return False
+        before, after = entries[:gap], entries[gap:]
+        return any(a in before and b in after for a, b in ends)
 
 
 def check_checkpoint_list(entries: Sequence[int], s: int, t: int) -> None:

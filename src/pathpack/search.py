@@ -258,13 +258,15 @@ class _TreeSearch:
 
         gaps = self.gaps
         ell = self.ell
-        positions: dict[int, dict[int, int]] = {}  # per list, for b-fi
         mark = self.store.mark()
         try:
             for cand in candidates:
                 self._tick()
                 li, pos, v, u, u2, new_gaps = cand
-                if cfg.b_fi and self._skip(inst, cand, positions):
+                # an active forbidden interval refutes the insertion: the
+                # vertex between its endpoints forces a refuted order
+                if cfg.b_fi and self.store.forbids(li, inst.lists[li], pos,
+                                                   v):
                     stats.bfi_masked += 1
                     continue
                 self._enter(depth + 1)
@@ -292,19 +294,6 @@ class _TreeSearch:
             return None
         finally:
             self.store.pop_to(mark)
-
-    def _skip(self, inst: CheckpointInstance, cand: Candidate,
-              positions: dict[int, dict[int, int]]) -> bool:
-        """Skip insertions refuted by an active forbidden interval: placing
-        the vertex anywhere between the interval endpoints would force the
-        already-refuted visiting order.  ``positions`` caches each list's
-        vertex -> 1-based position map for the node."""
-        at = positions.get(cand.list_index)
-        if at is None:
-            entries = inst.lists[cand.list_index]
-            at = positions[cand.list_index] = {
-                v: idx for idx, v in enumerate(entries, start=1)}
-        return self.store.forbids(cand.list_index, at, cand.pos, cand.vertex)
 
 
 def _decide(inst: PackingInstance, cfg: SolverConfig, stats: SolveStats,

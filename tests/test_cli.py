@@ -554,6 +554,23 @@ def test_bench_goes_on_past_a_graph_without_a_pair(text, gex_file, tmp_path,
             in capsys.readouterr().err)
 
 
+def test_bench_asking_past_every_pair_takes_what_there_is(tmp_path):
+    # a path on 4 vertices has 6 pairs; asking for far more must not spin
+    # through 200 attempts per requested pair once all of them are drawn
+    path = tmp_path / "p4.txt"
+    path.write_text("4 3\n1 2\n2 3\n3 4\n")
+    proc = _python_m("bench", str(path), "--pairs", "1000000", "--k-min",
+                     "1", "--k-max", "1", "--ell-min", "3", "--ell-max",
+                     "3", "--configs", "all", "--seed", "1", timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+    drawn = [frozenset((int(r["s"]), int(r["t"]))) for r in rows]
+    assert sorted(map(sorted, drawn)) == [[1, 2], [1, 3], [1, 4], [2, 3],
+                                          [2, 4], [3, 4]]
+    assert ("only 6 usable terminal pairs of 1000000 requested"
+            in proc.stderr)
+
+
 def _reference_sample_pairs(g, count, rng, max_dist=10):
     """The sampler as it was before it bounded each attempt's BFS: a cached
     full-graph distance row per u."""

@@ -5,7 +5,6 @@ import pytest
 from pathpack import (Graph, GraphFormatError, Workspace, format_graph,
                       parse_graph, random_gnp)
 from pathpack.graph import _FlatRows, shortest_path_blocked
-from pathpack.kernels import bfs_tree
 from pathpack.oracle import enumerate_bounded_paths
 
 from conftest import vid, vids
@@ -134,13 +133,11 @@ def test_neighborhood_zero_and_monotone(gex):
 
 def test_masked_view_excludes_removed_everywhere(gex):
     blocked = _blocked(gex.n, [vid(2)])
-    # the kernel needs a dist list that reads -1 on entry
-    dist, parent, queue = [-1] * gex.n, [-1] * gex.n, [0] * gex.n
-    bfs_tree(gex.adj, blocked, vid(1), -1, dist, parent, queue)
-    assert dist[vid(2)] == -1
-    path = shortest_path_blocked(gex, blocked, vid(1), vid(5),
-                                 Workspace(gex))
+    ws = Workspace(gex)
+    assert shortest_path_blocked(gex, blocked, vid(1), vid(2), ws) is None
+    path = shortest_path_blocked(gex, blocked, vid(1), vid(5), ws)
     assert vid(2) not in path
+    assert blocked == _blocked(gex.n, [vid(2)])
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +170,7 @@ def test_shortest_path_matches_exhaustive_enumeration(seed):
 def test_reused_workspace_matches_fresh_workspaces(seed):
     """Consecutive searches on one Workspace, with different masks and
     endpoints, return what a fresh Workspace returns for each, and leave
-    its dist list reading -1 everywhere, as the kernel requires."""
+    the caller's mask as it was before the search."""
     rng = random.Random(seed + 500)
     n = rng.randrange(6, 40)
     g = random_gnp(n, rng.choice([0.08, 0.15, 0.3]), seed + 500)
@@ -184,10 +181,11 @@ def test_reused_workspace_matches_fresh_workspaces(seed):
         a, b = rng.randrange(n), rng.randrange(n)
         blocked[a] = blocked[b] = 0
         if rng.random() < 0.2:
-            ws.distance_row(rng.randrange(n))  # the cached rows share buffers
+            ws.distance_row(rng.randrange(n))  # interleaved cached rows
+        mask = bytes(blocked)
         got = shortest_path_blocked(g, blocked, a, b, ws)
+        assert blocked == mask
         assert got == shortest_path_blocked(g, blocked, a, b, Workspace(g))
-        assert ws.dist == [-1] * n
         found += got is not None
     assert found > 0
 
@@ -202,7 +200,6 @@ def test_distance_row_and_array_agree(gex):
     arr[0] = 99  # a fresh array each call: the cached row is untouched
     assert ws.distance_row(vid(1))[0] == 0
     assert ws.distances_unmasked(vid(1))[0] == 0
-    assert ws.dist == [-1] * gex.n
 
 
 # ---------------------------------------------------------------------------

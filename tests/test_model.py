@@ -102,19 +102,22 @@ def test_interval_store_scoped_stack():
 def test_interval_matching_spans_positions():
     store = IntervalStore()
     store.push(0, 10, 20, 7)
-    positions = {10: 1, 30: 2, 20: 3}  # list (10, 30, 20)
-    assert store.forbids(0, positions, 1, 7)
-    assert store.forbids(0, positions, 2, 7)
-    assert not store.forbids(0, positions, 1, 8)
+    entries = (10, 30, 20)
+    assert store.forbids(0, entries, 1, 7)
+    assert store.forbids(0, entries, 2, 7)
+    assert not store.forbids(0, entries, 1, 8)
     # same vertices, different list: not matched
-    assert not store.forbids(1, positions, 1, 7)
+    assert not store.forbids(1, entries, 1, 7)
     # b before the gap: not spanned
-    positions2 = {10: 2, 20: 1}
-    assert not store.forbids(0, positions2, 1, 7)
+    assert not store.forbids(0, (20, 10), 1, 7)
+    # an endpoint missing from the list: not spanned
+    assert not store.forbids(0, (10, 30), 1, 7)
 
 
-def _forbids_by_scan(items, list_index, positions, gap, x):
-    """The definition of IntervalStore.forbids, read over every interval."""
+def _forbids_by_scan(items, list_index, entries, gap, x):
+    """The definition of IntervalStore.forbids, read over every interval:
+    ``a`` at a 1-based position <= gap of ``entries``, ``b`` after it."""
+    positions = {v: i for i, v in enumerate(entries, start=1)}
     for li, a, b, y in items:
         pa, pb = positions.get(a), positions.get(b)
         if (li == list_index and y == x and pa is not None and pb is not None
@@ -148,13 +151,12 @@ def test_interval_store_index_matches_scan(seed):
             store.pop_to(mark)
             del live[mark:]
         else:
-            entries = rng.sample(range(nv), rng.randrange(2, nv + 1))
-            positions = {v: i for i, v in enumerate(entries, start=1)}
+            entries = tuple(rng.sample(range(nv), rng.randrange(2, nv + 1)))
             li = rng.randrange(lists)
             gap = rng.randrange(1, len(entries))
             x = rng.randrange(nv)
-            want = _forbids_by_scan(live, li, positions, gap, x)
-            assert store.forbids(li, positions, gap, x) == want
+            want = _forbids_by_scan(live, li, entries, gap, x)
+            assert store.forbids(li, entries, gap, x) == want
             queries += 1
             hits += want
         assert store.mark() == len(live)
