@@ -30,7 +30,7 @@ from .config import (CONFIG_NAMES, HEURISTIC_CODES, SolverConfig, SolveStats,
                      config_from_name, with_heuristics)
 from .graph import (Graph, GraphFormatError, format_graph, load_graph,
                     random_gnp)
-from .kernels import bidir_path
+from .kernels import ball, bidir_path
 from .model import PackingInstance, Solution
 from .oracle import oracle_decide
 from .search import solve
@@ -213,10 +213,17 @@ def _sample_pairs(g: Graph, count: int, rng: random.Random,
                   max_dist: int = 10) -> list[tuple[int, int]]:
     """Distinct unordered terminal pairs at distance <= max_dist, each tried
     by ``bidir_path`` within max_dist; none for fewer than two vertices, and
-    at most the graph's n(n - 1)/2 pairs, whatever ``count`` asks for."""
+    at most the graph's n(n - 1)/2 pairs, whatever ``count`` asks for.  A
+    pair from two connected components is rejected by their labels, with
+    no search."""
     if g.n < 2:
         return []
     count = min(count, g.n * (g.n - 1) // 2)
+    component = [-1] * g.n
+    for root in range(g.n):
+        if component[root] < 0:
+            for v in ball(g.adj, root, g.n):
+                component[v] = root
     pairs: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     attempts = 0
@@ -228,7 +235,7 @@ def _sample_pairs(g: Graph, count: int, rng: random.Random,
         if u == v:
             continue
         key = (min(u, v), max(u, v))
-        if key in seen:
+        if key in seen or component[u] != component[v]:
             continue
         if bidir_path(g.adj, set(), u, v, max_dist) is not None:
             seen.add(key)

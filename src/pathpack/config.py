@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Optional
 
 __all__ = ["SolverConfig", "SolveStats", "config_from_name",
@@ -115,7 +115,12 @@ class SolveStats:
     wall_ms: float = 0.0
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """The fields in order, as ``dataclasses.asdict`` gives them: every
+        field is a scalar, so a shallow copy is the whole of it."""
+        return {name: getattr(self, name) for name in _STATS_FIELDS}
+
+
+_STATS_FIELDS = tuple(f.name for f in fields(SolveStats))
 
 
 class SolveTimeout(Exception):

@@ -26,6 +26,11 @@ same paths as :func:`shortest_path_blocked`, and
 
 :func:`parse_graph` checks the whole text with numpy in one pass; only a
 text that breaks a rule is read again line by line, to name the line.
+A file's ASCII bytes are checked as read: bytes are decoded only when one
+is not ASCII, and whitespace and comment lines are rewritten only when
+the text holds a byte other than a digit, a sign, a space or a newline.
+The parse sorts its edges as 32-bit keys when ``n * n < 2**31`` (n <=
+46340) and as 64-bit keys above.
 numpy is loaded only when graph text is parsed or when an edge is removed
 from parsed rows (and by :meth:`Workspace.distances_unmasked`, which
 returns a numpy array), never at import: most of the package's import time
@@ -269,6 +274,8 @@ _MAX_ISOLATED = 2**20
 # b"\n", and the other ASCII whitespace of str.split becomes b" ".
 _WHITESPACE = bytes.maketrans(b"\r\x0b\x0c\x1c\x1d\x1e\t\x1f",
                               b"\n\n\n\n\n\n  ")
+# The bytes of a text with nothing to rewrite: digits, signs, b" ", b"\n".
+_PLAIN = b"0123456789+- \n"
 _TOKEN = re.compile(r"[+-]?[0-9]+")
 
 
@@ -281,52 +288,68 @@ def parse_graph(text: Union[str, bytes]) -> Graph:
     rejected.  Tokens are signed ASCII decimal integers, lines end where
     ``str.splitlines`` ends them, and non-ASCII characters may appear only
     on comment lines.
-    ``bytes`` are decoded as UTF-8; bytes that are not UTF-8 count as
+    ``bytes`` are read as UTF-8; bytes that are not UTF-8 count as
     non-ASCII characters.
 
     The whole text is checked in bulk with numpy, which is loaded only
-    here and when an edge is removed from parsed rows.  Only a text that
-    breaks a rule is read again line by line, to report the first
+    here and when an edge is removed from parsed rows.  ASCII ``bytes``,
+    as :func:`load_graph` reads a file, are checked as they are; only
+    bytes with a non-ASCII byte are decoded, to find their comment lines,
+    and a ``str`` is encoded once.  Whitespace other than ``b" "`` and
+    ``b"\n"``, and comment lines, are rewritten only in a text that holds
+    some byte other than a digit, a sign, ``b" "`` or ``b"\n"``.  The
+    edges are sorted as keys ``u * n + v``: int32 keys when ``n * n <
+    2**31`` (n <= 46340), int64 keys otherwise.  Only a text that breaks
+    a rule is read again line by line, decoded, to report the first
     offending line.
     """
     import numpy as np
-    if isinstance(text, bytes):
-        text = text.decode("utf-8", "surrogateescape")
     scanned = _scan(text)
     if scanned is None:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8", "surrogateescape")
         _raise_first_error(text)
     n, key = scanned
     # key = src * n + dst over both directions of every edge, sorted: the
-    # rows come out grouped by source, each in ascending order (with n = 0
-    # the key is empty, and dividing it by 0 divides nothing)
+    # rows come out grouped by source, each in ascending order, and one
+    # division gives both (with n = 0 the key is empty, and dividing it by
+    # 0 divides nothing)
+    src = key // n
     off = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(key // n, minlength=n), out=off[1:])
+    np.cumsum(np.bincount(src, minlength=n), out=off[1:])
+    nbr = (key - src * n).astype(np.int32, copy=False)
     g = Graph.__new__(Graph)
     g.n = n
     g.m = len(key) // 2
-    g.adj = _FlatRows(array("i", (key % n).astype(np.int32).tobytes()),
-                      array("q", off.tobytes()))
+    g.adj = _FlatRows(array("i", nbr.tobytes()), array("q", off.tobytes()))
     return g
 
 
-def _scan(text: str) -> Optional[tuple[int, np.ndarray]]:
+def _scan(text: Union[str, bytes]) -> Optional[tuple[int, np.ndarray]]:
     """Check every rule of the format on the whole of ``text`` at once.
 
     Returns (n, key), where ``key`` holds ``u * n + v`` in ascending order
     for both directions (u, v) and (v, u) of every edge, 0-based, as an
-    int64 array; or None if a rule fails.
+    int32 array when every key fits in one (n * n < 2**31) and as an int64
+    array otherwise; or None if a rule fails.
     """
     import numpy as np
     if not text.isascii():
+        if isinstance(text, bytes):
+            text = text.decode("utf-8", "surrogateescape")
         lines = text.splitlines()
         if not all(line.isascii() or _is_comment(line) for line in lines):
             return None
         text = "\n".join(line if line.isascii() else "#" for line in lines)
-    raw = text.encode("ascii").translate(_WHITESPACE)
-    if b"#" in raw:
-        raw = _drop_comment_lines(raw)
-    if raw.translate(None, b"0123456789+- \n"):
-        return None
+    raw = text.encode("ascii") if isinstance(text, str) else text
+    # a plain text, as format_graph writes it, skips the rewrite and its
+    # copies, which would leave it as it is
+    if raw.translate(None, _PLAIN):
+        raw = raw.translate(_WHITESPACE)
+        if b"#" in raw:
+            raw = _drop_comment_lines(raw)
+        if raw.translate(None, _PLAIN):
+            return None
     # framed so that every token has a byte before and after it, and every
     # line, the first too, starts right after a b"\n"
     b = np.frombuffer(b"\n" + raw + b" ", dtype=np.uint8)
@@ -378,9 +401,11 @@ def _scan(text: str) -> Optional[tuple[int, np.ndarray]]:
     u, v = ends[0::2], ends[1::2]
     if (u == v).any():
         return None
-    # both directions, below 2**62 since n < 2**31; a repeated edge gives
-    # two pairs of equal keys, which the sort makes adjacent
-    key = np.empty(2 * m, dtype=np.int64)
+    # both directions, below n * n: as int32 up to n = 46340, which sorts
+    # and divides in half the bytes, and as int64 above (n * n < 2**62).
+    # A repeated edge gives two pairs of equal keys, which the sort makes
+    # adjacent
+    key = np.empty(2 * m, dtype=np.int32 if n * n < 2**31 else np.int64)
     np.multiply(u, n, out=key[:m])
     key[:m] += v
     np.multiply(v, n, out=key[m:])

@@ -8,12 +8,14 @@ import sys
 import time
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 from pathpack import (SolverConfig, Workspace, config_from_name,
                       format_graph, parse_graph, random_gnp)
 from pathpack import cli
 from pathpack.cli import main
+from pathpack.kernels import bidir_path
 
 from conftest import GEX_EDGES_1BASED, grid_graph
 
@@ -623,6 +625,62 @@ def test_bench_samples_the_reference_pairs_without_full_rows(index,
         assert got == want
         # bench draws its config orders from the same generator next
         assert got_rng.getstate() == want_rng.getstate()
+
+
+def _bidir_sample_pairs(g, count, rng, max_dist=10):
+    """The sampler before it labelled components: one bounded search per
+    draw, whichever components the two vertices lie in."""
+    if g.n < 2:
+        return []
+    count = min(count, g.n * (g.n - 1) // 2)
+    pairs, seen = [], set()
+    attempts = 0
+    limit = max(1000, 200 * count)
+    while len(pairs) < count and attempts < limit:
+        attempts += 1
+        u = rng.randrange(g.n)
+        v = rng.randrange(g.n)
+        if u == v:
+            continue
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            continue
+        if bidir_path(g.adj, set(), u, v, max_dist) is not None:
+            seen.add(key)
+            pairs.append((u, v))
+    return pairs
+
+
+# the graph of `gen --n 2000 --p 0.0005 --seed 1`: 968 edges, so most
+# draws fall in two components and the attempt limit ends the sampling
+_SPARSE = random_gnp(2000, 0.0005, 1)
+
+
+@pytest.mark.parametrize("index", range(len(_SAMPLING) + 1))
+def test_bench_component_labels_keep_the_searched_pairs(index):
+    g = _SAMPLING[index] if index < len(_SAMPLING) else _SPARSE
+    for seed, count, max_dist in ((index, 10, 10), (index + 50, 40, 3),
+                                  (index + 100, 120, 10)):
+        want_rng, got_rng = random.Random(seed), random.Random(seed)
+        want = _bidir_sample_pairs(g, count, want_rng, max_dist)
+        assert cli._sample_pairs(g, count, got_rng, max_dist) == want
+        assert got_rng.getstate() == want_rng.getstate()
+
+
+def test_bench_rejects_pairs_across_components_without_a_search(
+        monkeypatch):
+    calls = []
+
+    def counting_bidir(*args):
+        calls.append(args[2:4])
+        return bidir_path(*args)
+
+    monkeypatch.setattr(cli, "bidir_path", counting_bidir)
+    pairs = cli._sample_pairs(_SPARSE, 100, random.Random(3))
+    assert pairs == _bidir_sample_pairs(_SPARSE, 100, random.Random(3))
+    nxg = nx.Graph(_SPARSE.edges())
+    nxg.add_nodes_from(range(_SPARSE.n))
+    assert calls and all(nx.has_path(nxg, u, v) for u, v in calls)
 
 
 def _no_distance_row(self, src):

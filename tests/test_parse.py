@@ -13,6 +13,7 @@ from array import array
 import pytest
 
 from pathpack import Graph, GraphFormatError, parse_graph, random_gnp
+from pathpack.graph import _scan
 
 
 def rows(g):
@@ -331,3 +332,68 @@ def test_parsed_rows_live_in_one_flat_buffer_of_4_byte_ids():
     # a row is made when it is read, as a slice of the buffer
     assert g.adj[0] == array("i", [1, n - 1])
     assert g.adj[n - 1] == array("i", [0, n - 2])
+
+
+# ---------------------------------------------------------------------------
+# key widths and the bytes path
+# ---------------------------------------------------------------------------
+
+# the largest n whose keys u * n + v fit in int32, and the next
+KEY_WIDTHS = [(46340, "int32"), (46341, "int64")]
+
+
+def _edges_at_the_corners(n):
+    """Edges that touch both ends of the id range, where the keys are
+    smallest and largest; the header's other vertices are isolated."""
+    return [(0, 1), (0, n - 1), (n - 2, n - 1), (1, n - 2), (n // 2, n - 1)]
+
+
+@pytest.mark.parametrize("n,width", KEY_WIDTHS)
+def test_rows_at_the_key_width_boundary_match_the_constructor(n, width):
+    edges = _edges_at_the_corners(n)
+    text = f"{n} {len(edges)}\n" + "".join(f"{v + 1} {u + 1}\n"
+                                           for u, v in edges)
+    assert str(_scan(text.encode())[1].dtype) == width
+    g = parse_graph(text)
+    assert (g.n, g.m) == (n, len(edges))
+    assert rows(g) == Graph(n, edges).adj
+
+
+@pytest.mark.parametrize("n", [n for n, _ in KEY_WIDTHS])
+@pytest.mark.parametrize("bad,line,message", [
+    ("{a} {b}", 4, "duplicate edge {a} {b}"),
+    ("{n} {n}", 4, "self-loop not allowed"),
+    ("{a} {over}", 4, "endpoint out of range 1..{n}"),
+])
+def test_each_key_width_names_the_same_error_line(n, bad, line, message):
+    a, b, over = n - 1, n, n + 1
+    text = (f"{n} 3\n{a} {b}\n1 {n}\n"
+            + bad.format(a=a, b=b, n=n, over=over) + "\n")
+    for given in (text, text.encode()):
+        with pytest.raises(GraphFormatError) as err:
+            parse_graph(given)
+        assert err.value.line_no == line
+        assert str(err.value) == (f"line {line}: "
+                                  + message.format(a=a, b=b, n=n))
+    assert outcome(text) == reference_parse(text)
+
+
+def _buffers(g):
+    return g.adj.nbr.tobytes(), g.adj.off.tobytes()
+
+
+@pytest.mark.parametrize("n", [40, 46341])
+def test_rewritten_whitespace_and_comments_give_the_same_buffers(n):
+    rng = random.Random(n)
+    edges = sorted({tuple(sorted(rng.sample(range(1, 41), 2)))
+                    for _ in range(60)})
+    canonical = f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n"
+                                                for u, v in edges)
+    variant = ("# made by hand\r\n" + f"{n}\t{len(edges)}\r\n"
+               + "".join(f"{u}\t {v}\r\n" + ("  # a comment\r\n" if u % 3
+                                             else "")
+                         for u, v in edges))
+    want = _buffers(parse_graph(canonical.encode()))
+    for text in (canonical, variant, variant.encode(),
+                 ("# café\n" + canonical).encode()):
+        assert _buffers(parse_graph(text)) == want

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import random
@@ -433,6 +434,19 @@ def test_solve_deterministic(gex):
         a, b = st.as_dict(), runs[0][2].as_dict()
         a.pop("wall_ms"), b.pop("wall_ms")
         assert a == b
+
+
+def test_stats_as_dict_is_dataclasses_asdict(gex):
+    # a search-decided solve fills most counters and the reduction sizes
+    inst = PackingInstance(gex, vid(1), vid(5), 2, 5)
+    _, _, stats = solve(inst, SolverConfig(trivial_detection=False))
+    assert stats.nodes > 0 and stats.n_before > 0 and stats.solved_by
+    got = stats.as_dict()
+    want = dataclasses.asdict(stats)
+    assert got == want and list(got) == list(want)
+    # a copy: the dict does not write through to the stats
+    got["nodes"] = -1
+    assert stats.nodes == want["nodes"]
 
 
 def test_solve_timeout_reports():
