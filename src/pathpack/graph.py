@@ -16,7 +16,8 @@ of ``bfs_tree`` and the only owner of its buffers, in
 :func:`shortest_path_blocked` (a shortest path avoiding a ``bytearray`` of
 blocked vertices, for the search's greedy): the kernel records its visits
 in that mask and leaves it as it found it.  :meth:`Workspace.distance_row`
-(cached full-graph distances) fills its rows from ``kernels.ball``.  The
+(cached full-graph distances) fills its rows from ``kernels.ball``, with
+:data:`FAR` for every vertex the ball does not reach.  The
 searches on the whole input graph need no workspace: the input-graph step
 (``preprocess.detect_on_input``) and the CLI's pair sampling run
 ``kernels.bidir_path`` over a ``set`` of blocked vertices, which gives the
@@ -61,6 +62,10 @@ __all__ = [
     "format_graph",
     "random_gnp",
 ]
+
+# The distance of an unreachable vertex: past any path length of a graph
+# that fits in memory, and an int32 value.
+FAR = 1 << 30
 
 
 class GraphFormatError(ValueError):
@@ -206,7 +211,8 @@ class Workspace:
     from one search to the next.  ``parent`` and ``queue`` are the
     kernel's scratch, read only within one search.  ``dist_cache``
     memoizes unmasked full-graph distance rows as plain lists, which the
-    checkpoint-gap bounds and the candidate ordering index directly.  The
+    checkpoint-gap bounds and the candidate ordering index and add
+    directly, an unreachable vertex reading :data:`FAR`.  The
     flows keep no state here: each call walks ``adj`` with its own
     per-vertex flow lists.
     """
@@ -220,18 +226,19 @@ class Workspace:
         self.dist_cache: dict[int, list[int]] = {}
 
     def distance_row(self, src: int) -> list[int]:
-        """Cached full-graph BFS distances from ``src`` (-1 = unreachable),
-        as a list that callers index and must not modify."""
+        """Cached full-graph BFS distances from ``src`` (:data:`FAR` =
+        unreachable), as a list that callers index and must not modify."""
         row = self.dist_cache.get(src)
         if row is None:
-            row = [-1] * self.g.n
+            row = [FAR] * self.g.n
             for v, d in ball(self.g.adj, src, self.g.n).items():
                 row[v] = d
             self.dist_cache[src] = row
         return row
 
     def distances_unmasked(self, src: int) -> np.ndarray:
-        """:meth:`distance_row` as a new int32 array, for vectorized use."""
+        """:meth:`distance_row` as a new int32 array, for vectorized use
+        (:data:`FAR` fits in int32)."""
         import numpy as np
         return np.array(self.distance_row(src), dtype=np.int32)
 

@@ -30,15 +30,14 @@ from .preprocess import detect_on_input, detect_trivial, reduce_instance
 
 __all__ = ["solve", "node_infeasible"]
 
-_FAR = 1 << 30  # distance placeholder for unreachable pairs
 _RULES = ("len", "bsp")  # entry checks, in the order they apply
 
 
 class Candidate(NamedTuple):
     """One child insertion: splice ``vertex`` into list ``list_index`` at
     0-based position ``pos``, splitting the consecutive pair (u, u2).
-    ``gaps`` is gap(u, vertex) + gap(vertex, u2), the unmasked distances
-    with an unreachable side counted as far."""
+    ``gaps`` is gap(u, vertex) + gap(vertex, u2), the unmasked distances,
+    an unreachable side counting ``graph.FAR``."""
 
     list_index: int
     pos: int
@@ -48,7 +47,7 @@ class Candidate(NamedTuple):
     gaps: int
 
 
-# vertex -> its unmasked distance row (-1 = unreachable), such as
+# vertex -> its unmasked distance row (graph.FAR = unreachable), such as
 # Workspace.distance_row; branch ranks candidates by it (c-dist) and
 # node_infeasible bounds lists by it (b-sp)
 DistFn = Callable[[int], Sequence[int]]
@@ -59,13 +58,10 @@ def _position_candidates(list_index: int, pos: int, u: int, u2: int,
                          pool: list[int], cfg: SolverConfig,
                          dist_fn: DistFn) -> list[Candidate]:
     """The candidates splicing each pool vertex between u and u2, in
-    branching order: with c-dist by ascending gap sum, ties by vertex id;
-    otherwise by vertex id."""
+    branching order: with c-dist by ascending gap sum (an unreachable gap
+    counting ``graph.FAR``), ties by vertex id; otherwise by vertex id."""
     du, du2 = dist_fn(u), dist_fn(u2)
-    keyed = []
-    for v in pool:
-        a, b = du[v], du2[v]
-        keyed.append(((a if a >= 0 else _FAR) + (b if b >= 0 else _FAR), v))
+    keyed = [(du[v] + du2[v], v) for v in pool]
     keyed.sort(key=None if cfg.c_dist else itemgetter(1))
     return [Candidate(list_index, pos, v, u, u2, gaps) for gaps, v in keyed]
 
@@ -126,16 +122,10 @@ def branch(fail: GreedyFailure, inst: CheckpointInstance, cfg: SolverConfig,
     return out
 
 
-def _gap_sum(entries: tuple[int, ...], cfg: SolverConfig,
-             dist_fn: DistFn) -> int:
+def _gap_sum(entries: tuple[int, ...], dist_fn: DistFn) -> int:
     """The sum of one list's unmasked gap distances, an unreachable gap
-    counted as far; 0 when b-sp, the check that reads it, is off."""
-    gaps = 0
-    if cfg.b_sp:
-        for a, b in zip(entries, entries[1:]):
-            d = dist_fn(a)[b]
-            gaps += d if d >= 0 else _FAR
-    return gaps
+    counting ``graph.FAR``."""
+    return sum(dist_fn(a)[b] for a, b in zip(entries, entries[1:]))
 
 
 def _list_verdict(size: int, gaps: int, ell: int,
@@ -155,8 +145,8 @@ def node_infeasible(inst: CheckpointInstance, cfg: SolverConfig,
     """Cheap refutations checked at node entry, in order.
 
     Two rules.  'len': some list has more than ell + 1 entries.  'bsp': the
-    shortest-path lengths between consecutive entries (unmasked graph)
-    already sum past ell.
+    shortest-path lengths between consecutive entries (unmasked graph, an
+    unreachable gap counting ``graph.FAR``) already sum past ell.
 
     Each rule reads one list at a time, and 'bsp' reads one count per list,
     its gap sum; so a child, which differs from its parent in one list,
@@ -164,7 +154,7 @@ def node_infeasible(inst: CheckpointInstance, cfg: SolverConfig,
     sum down the tree and applies them there through :func:`_list_verdict`.
     """
     ell = inst.base.ell
-    verdicts = [_list_verdict(len(entries), _gap_sum(entries, cfg, dist_fn),
+    verdicts = [_list_verdict(len(entries), _gap_sum(entries, dist_fn),
                               ell, cfg)
                 for entries in inst.lists]
     return min(filter(None, verdicts), key=_RULES.index, default=None)
@@ -215,8 +205,7 @@ class _TreeSearch:
             return None
         # each list's gap sum (see _gap_sum) at the current node; a
         # surviving child changes one entry and restores it on return
-        self.gaps = [_gap_sum(entries, self.cfg, self.row)
-                     for entries in root.lists]
+        self.gaps = [_gap_sum(entries, self.row) for entries in root.lists]
         # depth first from an explicit stack, so the tree's depth (up to
         # k*ell) never meets the interpreter's recursion limit: each node
         # yields a surviving child's expansion and is sent back its result
@@ -273,11 +262,7 @@ class _TreeSearch:
                 # the child's gap sum on the one list it changes
                 size = len(inst.lists[li]) + 1
                 old_gaps = gaps[li]
-                if cfg.b_sp:
-                    d = self.row(u)[u2]
-                    child_gaps = old_gaps - (d if d >= 0 else _FAR) + new_gaps
-                else:
-                    child_gaps = 0
+                child_gaps = old_gaps - self.row(u)[u2] + new_gaps
                 reason = _list_verdict(size, child_gaps, ell, cfg)
                 if reason is not None:
                     self._prune(reason)

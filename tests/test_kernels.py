@@ -5,7 +5,8 @@ import networkx as nx
 import pytest
 
 from pathpack import Graph, Workspace, random_gnp
-from pathpack.graph import format_graph, parse_graph, shortest_path_blocked
+from pathpack.graph import (FAR, format_graph, parse_graph,
+                            shortest_path_blocked)
 from pathpack.kernels import ball, bfs_tree, bidir_path
 from pathpack.oracle import enumerate_bounded_paths
 
@@ -60,7 +61,7 @@ def test_backends_agree_full_bfs(seed):
     whole = nx.Graph(list(g.edges()))
     whole.add_nodes_from(range(n))
     want = nx.single_source_shortest_path_length(whole, src)
-    assert Workspace(g).distance_row(src) == [want.get(v, -1)
+    assert Workspace(g).distance_row(src) == [want.get(v, FAR)
                                               for v in range(n)]
 
     blocked[src] = 0
@@ -223,7 +224,7 @@ def test_bidir_path_is_the_masked_bfs_path(depth, parsed):
         seen["found" if want else "none"] += 1
         seen["blocked source"] += a in blocked and a != b
         seen["blocked target"] += b in blocked and a != b
-        seen["disconnected"] += Workspace(g).distance_row(a)[b] < 0
+        seen["disconnected"] += Workspace(g).distance_row(a)[b] == FAR
     assert all(seen[c] >= 5 for c in ("none", "blocked source",
                                       "blocked target", "disconnected"))
     assert seen["found"] >= (5 if depth else 1)

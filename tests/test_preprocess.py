@@ -12,7 +12,7 @@ from pathpack import (Graph, PackingInstance, Solution, SolverConfig,
                       validate_solution)
 from pathpack.config import SolveTimeout
 from pathpack.oracle import oracle_decide
-from pathpack.graph import shortest_path_blocked
+from pathpack.graph import FAR, shortest_path_blocked
 from pathpack.preprocess import (TrivialOutcome, detect_on_input,
                                  detect_trivial, reduce_instance)
 from pathpack.search import solve
@@ -200,8 +200,8 @@ def test_parity_cases_cover_far_and_disconnected_terminals():
     for seed in range(PARITY_SEEDS):
         g, s, t, ell = _parity_case(seed)
         d = int(Workspace(g).distances_unmasked(s)[t])
-        disconnected += d < 0
-        far += d > ell
+        disconnected += d == FAR
+        far += ell < d < FAR
         half_balls += _half_ball_regime(d, ell)
         if d - (ell - ell // 2) in (0, 1):
             boundary.add((min(ell, 4), d - (ell - ell // 2)))

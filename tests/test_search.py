@@ -12,6 +12,7 @@ import pytest
 from pathpack import (Graph, PackingInstance, SolverConfig, Workspace,
                       config_from_name, from_packing, parse_graph, random_gnp,
                       validate_solution)
+from pathpack.graph import FAR
 from pathpack.greedy import FailureCondition, GreedyFailure
 from pathpack.model import CheckpointInstance
 from pathpack.oracle import oracle_decide
@@ -117,6 +118,37 @@ def test_infeasible_check_order(gex):
     ci = CheckpointInstance(base, (vids(1, 7, 10, 5),))
     assert node_infeasible(ci, SolverConfig(b_sp=True),
                            _dist_fn(gex)) == "len"
+
+
+# terminals 0 and 5 in different components: the root list's one gap is
+# unreachable
+_SPLIT = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+
+
+def test_unreachable_distance_reads_far():
+    ws = Workspace(_SPLIT)
+    assert ws.distance_row(0) == [0, 1, 2, FAR, FAR, FAR]
+    assert ws.distances_unmasked(5).tolist() == [FAR, FAR, FAR, 2, 1, 0]
+
+
+@pytest.mark.parametrize("preprocess", [True, False])
+@pytest.mark.parametrize("name,ell,bsp", [
+    ("all", 3, 1), ("bare", 3, 0),
+    # the far gap is not above ell, so b-sp lets the root through
+    ("all", FAR, 0), ("all", 2 * FAR, 0),
+])
+def test_terminals_in_two_components_reach_the_search(name, ell, bsp,
+                                                      preprocess):
+    cfg = config_from_name(name, SolverConfig(trivial_detection=False,
+                                              preprocess=preprocess))
+    decision, witness, stats = solve(PackingInstance(_SPLIT, 0, 5, 1, ell),
+                                     cfg)
+    assert (decision, witness, stats.solved_by) == ("no", None, "search")
+    assert (stats.nodes, stats.prunes_bsp, stats.prunes_len) == (1, bsp, 0)
+    # the root's gap sum is the far value itself
+    root = from_packing(PackingInstance(_SPLIT, 0, 5, 1, ell))
+    assert node_infeasible(root, cfg, _dist_fn(_SPLIT)) == (
+        "bsp" if bsp else None)
 
 
 # ---------------------------------------------------------------------------
