@@ -5,8 +5,10 @@ between consecutive checkpoints in a working graph that masks every
 checkpoint and everything already consumed (the terminals are never
 adjacent, as ``search.solve`` leaves them).  The working graph is one
 byte mask that only grows during a run, but for the one target each
-search opens.  Failure is data, never an exception: the failure kind plus
-the exact partial state at the break point drive the branching rules.
+search opens.  A success is the k paths themselves, one tuple of vertex
+ids per list.  Failure is data, never an exception: a
+:class:`GreedyFailure` holds the failure kind plus the exact partial state
+at the break point, which drive the branching rules.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from .flows import st_flow_value
 from .graph import Workspace, shortest_path_blocked
 from .model import CheckpointInstance
 
-__all__ = ["FailureCondition", "GreedySuccess", "GreedyFailure",
-           "run_greedy"]
+__all__ = ["FailureCondition", "GreedyFailure", "run_greedy"]
 
 
 class FailureCondition(enum.Enum):
@@ -36,15 +37,6 @@ class FailureCondition(enum.Enum):
     NO_SUBPATH = 1
     OVERLONG = 2
     CUT_TOO_SMALL = 3
-
-    @property
-    def rule(self) -> int:
-        return self.value
-
-
-@dataclass(frozen=True)
-class GreedySuccess:
-    paths: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -66,14 +58,8 @@ class GreedyFailure:
     overlong_len: Optional[int] = None
 
 
-GreedyOutcome = Union[GreedySuccess, GreedyFailure]
-
-
-def _join(subpaths: list[tuple[int, ...]]) -> tuple[int, ...]:
-    out = list(subpaths[0])
-    for q in subpaths[1:]:
-        out.extend(q[1:])
-    return tuple(out)
+# the k paths on success
+GreedyOutcome = Union[tuple[tuple[int, ...], ...], GreedyFailure]
 
 
 def run_greedy(inst: CheckpointInstance, cfg: SolverConfig, ws: Workspace,
@@ -124,7 +110,7 @@ def run_greedy(inst: CheckpointInstance, cfg: SolverConfig, ws: Workspace,
                 return GreedyFailure(FailureCondition.CUT_TOO_SMALL,
                                      i0 + 1, None, tuple(completed), ())
         entries = lists[i0]
-        ell_i = 0
+        path = [s]
         subpaths: list[tuple[int, ...]] = []
         for j0 in range(len(entries) - 1):
             u, u2 = entries[j0], entries[j0 + 1]
@@ -136,14 +122,14 @@ def run_greedy(inst: CheckpointInstance, cfg: SolverConfig, ws: Workspace,
                                      i0 + 1, j0 + 1,
                                      tuple(completed), tuple(subpaths))
             q_len = len(q) - 1
-            if ell_i + q_len > ell:
+            if len(path) - 1 + q_len > ell:
                 return GreedyFailure(FailureCondition.OVERLONG,
                                      i0 + 1, j0 + 1,
                                      tuple(completed), tuple(subpaths),
                                      overlong_len=q_len)
-            ell_i += q_len
             subpaths.append(q)
+            path.extend(q[1:])
             for v in q[1:-1]:
                 blocked[v] = 1
-        completed.append(_join(subpaths))
-    return GreedySuccess(tuple(completed))
+        completed.append(tuple(path))
+    return tuple(completed)

@@ -10,7 +10,9 @@ unmasked gap distances.  A refuted child is counted as entered and pruned
 without being built, and only a surviving child is built and expanded.  The
 root's entry checks cover every list.  A refuted child optionally records a
 forbidden interval visible to its later siblings, in the one interval store
-that the search owns.
+that the search owns; a node drops its children's intervals when it fails.
+The deadline is checked at every node entered, the root included, and so
+also at every child refuted by the entry rules.
 Everything is deterministic for a fixed (instance, config) pair;
 tie-breaking is ascending vertex id throughout.
 """
@@ -23,7 +25,7 @@ from typing import Any, Callable, Generator, NamedTuple, Optional, Sequence
 
 from .config import SolverConfig, SolveStats, SolveTimeout, _check
 from .graph import Graph, Workspace
-from .greedy import GreedyFailure, GreedySuccess, run_greedy
+from .greedy import GreedyFailure, run_greedy
 from .model import (CheckpointInstance, IntervalStore, PackingInstance,
                     Solution, from_packing, validate_solution)
 from .preprocess import detect_on_input, detect_trivial, reduce_instance
@@ -98,7 +100,7 @@ def branch(fail: GreedyFailure, inst: CheckpointInstance, cfg: SolverConfig,
     """
     cp_union = inst.checkpoint_union()
     li, j_b = fail.i_beta - 1, fail.j_beta
-    rule = fail.condition.rule
+    rule = fail.condition.value
     if rule == 1:
         slots = [(li, j_b, _pool_base(fail, cp_union))]
     elif rule == 2:
@@ -174,14 +176,12 @@ class _TreeSearch:
         self.store = IntervalStore()
         self.row = ws.distance_row
 
-    def _tick(self) -> None:
-        # _check's test written out: this runs at every node
+    def _enter(self, depth: int) -> None:
+        """A node's bookkeeping on entry, before its checks: the deadline
+        is checked here, once per node entered (_check's test written
+        out)."""
         if self.deadline is not None and time.perf_counter() > self.deadline:
             raise SolveTimeout
-
-    def _enter(self, depth: int) -> None:
-        """A node's bookkeeping on entry, before its checks."""
-        self._tick()
         stats = self.stats
         stats.nodes += 1
         if depth > stats.max_depth:
@@ -223,15 +223,17 @@ class _TreeSearch:
 
     def _node(self, inst: CheckpointInstance, depth: int,
               ) -> Generator[Any, Optional[Paths], Optional[Paths]]:
-        """Expand a node that passed its entry checks."""
+        """Expand a node that passed its entry checks: the k paths when a
+        greedy below succeeds, else None, after popping the intervals its
+        children recorded."""
         stats = self.stats
         cfg = self.cfg
         outcome = run_greedy(inst, cfg, self.ws, stats)
-        if isinstance(outcome, GreedySuccess):
-            return outcome.paths
+        if not isinstance(outcome, GreedyFailure):
+            return outcome
 
         candidates = branch(outcome, inst, cfg, self.row)
-        rule = outcome.condition.rule
+        rule = outcome.condition.value
         if rule == 1:
             stats.br1 += 1
             bound = self.k * self.ell
@@ -248,37 +250,36 @@ class _TreeSearch:
         gaps = self.gaps
         ell = self.ell
         mark = self.store.mark()
-        try:
-            for cand in candidates:
-                self._tick()
-                li, pos, v, u, u2, new_gaps = cand
-                # an active forbidden interval refutes the insertion: the
-                # vertex between its endpoints forces a refuted order
-                if cfg.b_fi and self.store.forbids(li, inst.lists[li], pos,
-                                                   v):
-                    stats.bfi_masked += 1
-                    continue
-                self._enter(depth + 1)
-                # the child's gap sum on the one list it changes
-                size = len(inst.lists[li]) + 1
-                old_gaps = gaps[li]
-                child_gaps = old_gaps - self.row(u)[u2] + new_gaps
-                reason = _list_verdict(size, child_gaps, ell, cfg)
-                if reason is not None:
-                    self._prune(reason)
-                else:
-                    child = inst.with_insertion(li, pos, v)
-                    gaps[li] = child_gaps
-                    result = yield self._node(child, depth + 1)
-                    gaps[li] = old_gaps
-                    if result is not None:
-                        return result
-                if cfg.b_fi:
-                    self.store.push(li, u, u2, v)
-                    stats.bfi_recorded += 1
-            return None
-        finally:
-            self.store.pop_to(mark)
+        for cand in candidates:
+            li, pos, v, u, u2, new_gaps = cand
+            # an active forbidden interval refutes the insertion: the
+            # vertex between its endpoints forces a refuted order
+            if cfg.b_fi and self.store.forbids(li, inst.lists[li], pos, v):
+                stats.bfi_masked += 1
+                continue
+            self._enter(depth + 1)
+            # the child's gap sum on the one list it changes
+            size = len(inst.lists[li]) + 1
+            old_gaps = gaps[li]
+            child_gaps = old_gaps - self.row(u)[u2] + new_gaps
+            reason = _list_verdict(size, child_gaps, ell, cfg)
+            if reason is not None:
+                self._prune(reason)
+            else:
+                child = inst.with_insertion(li, pos, v)
+                gaps[li] = child_gaps
+                result = yield self._node(child, depth + 1)
+                gaps[li] = old_gaps
+                if result is not None:
+                    return result
+            if cfg.b_fi:
+                self.store.push(li, u, u2, v)
+                stats.bfi_recorded += 1
+        # the intervals this node's children recorded are scoped to them;
+        # a found packing ends the search, and so does a timeout, so only
+        # this exit drops them
+        self.store.pop_to(mark)
+        return None
 
 
 def _decide(inst: PackingInstance, cfg: SolverConfig, stats: SolveStats,
@@ -359,8 +360,8 @@ def solve(inst: PackingInstance,
     - the search answers yes (``greedy`` when its root greedy succeeds,
       else ``search``) or no (``search``);
     - ``timeout_ms`` is checked after each search of the input-graph
-      step, after the reduction and throughout the search, and a passed
-      deadline answers 'timeout' (``timeout``).
+      step, after the reduction and at every search node entered, and a
+      passed deadline answers 'timeout' (``timeout``).
 
     ``n_after == n_before`` and ``m_after == m_before`` whenever no
     reduction ran.  Returns (decision, witness, stats) with decision one of

@@ -8,11 +8,10 @@ from pathpack import (Graph, PackingInstance, Solution, SolverConfig,
                       validate_solution)
 from pathpack.flows import st_flow_value
 from pathpack.graph import shortest_path_blocked
-from pathpack.greedy import (FailureCondition, GreedyFailure, GreedySuccess,
-                             run_greedy)
+from pathpack.greedy import FailureCondition, GreedyFailure, run_greedy
 from pathpack.model import CheckpointInstance
 from pathpack.oracle import enumerate_bounded_paths
-from pathpack.search import solve
+from pathpack.search import branch, node_infeasible, solve
 
 from conftest import below_root, greedy, grid_graph, vid, vids
 
@@ -84,8 +83,7 @@ def test_four_cycle_success_in_id_order():
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     ci = from_packing(PackingInstance(g, 0, 2, 2, 2))
     out = greedy(ci, NO_DMS)
-    assert isinstance(out, GreedySuccess)
-    assert out.paths == ((0, 1, 2), (0, 3, 2))
+    assert out == ((0, 1, 2), (0, 3, 2))
 
 
 def test_overlong_fixture():
@@ -167,9 +165,9 @@ def test_success_always_validates(seed):
     if below is None:
         return
     out = greedy(from_packing(below), SolverConfig())
-    if isinstance(out, GreedySuccess):
+    if not isinstance(out, GreedyFailure):
         assert validate_solution(from_packing(inst),
-                                 Solution(front + out.paths))
+                                 Solution(front + out))
 
 
 def _greedy_used_pool(fail, ci, skip_subpath=None):
@@ -246,6 +244,79 @@ def test_separator_failure_refutes_prefix_extension(seed):
     assert rest.decision == "no"
 
 
+def _conforming(sols, ci):
+    """The solutions of a node's ancestor that are solutions of the node:
+    a child only adds checkpoints, so this is ``all_solutions(ci)``."""
+    ell = ci.base.ell
+    return [sol for sol in sols
+            if all(_conforms(p, entries, ell)
+                   for p, entries in zip(sol, ci.lists))]
+
+
+def test_branch_covers_every_solution_at_depth():
+    """The branching lemma, checked below the root: at every node of a
+    walk where the greedy fails, each solution of the node has some
+    candidate (li, pos, v) of ``branch`` with v interior to the solution's
+    subpath between entries pos - 1 and pos of list li, so the children
+    together keep every solution.  The walk starts at the bare root,
+    expands every candidate depth first and visits up to 60 nodes; a node
+    without solutions has children without any, so it is not expanded.
+    Seeded G(n, p) graphs and small grids, with d-ms on and off."""
+    configs = {"d-ms": SolverConfig(trivial_detection=False),
+               "no d-ms": SolverConfig(trivial_detection=False, d_ms=False)}
+    checked = collections.Counter()
+    for seed in range(4000):
+        rng = random.Random(seed)
+        if seed % 3 == 2:
+            g = grid_graph(rng.randrange(2, 4), rng.randrange(3, 5),
+                           rng.choice([0.0, 0.15]), rng)
+        else:
+            g = random_gnp(rng.randrange(7, 12), rng.uniform(0.25, 0.5),
+                           seed)
+        s, t = rng.sample(range(g.n), 2)
+        if g.has_edge(s, t):
+            g = g.without_edge(s, t)  # the greedy never sees adjacent ones
+        root = from_packing(PackingInstance(g, s, t, rng.choice([2, 3]),
+                                            rng.randrange(3, 7)))
+        root_sols = None  # enumerated once a root greedy fails
+        ws = Workspace(g)
+        for name, cfg in configs.items():
+            stack = [(root, None)]
+            for _ in range(60):
+                if not stack:
+                    break
+                ci, sols = stack.pop()
+                if node_infeasible(ci, cfg, ws.distance_row) is not None:
+                    continue
+                out = run_greedy(ci, cfg, ws, SolveStats())
+                if not isinstance(out, GreedyFailure):
+                    continue
+                if sols is None:
+                    if root_sols is None:
+                        root_sols = all_solutions(root)
+                    sols = root_sols
+                cands = branch(out, ci, cfg, ws.distance_row)
+                for sol in sols:
+                    assert any(
+                        c.vertex in _subpath_split(
+                            sol[c.list_index],
+                            ci.lists[c.list_index])[c.pos - 1][1:-1]
+                        for c in cands), (seed, name, ci.lists, sol, out)
+                    checked[name, out.condition] += 1
+                for c in reversed(cands):
+                    child = ci.with_insertion(c.list_index, c.pos, c.vertex)
+                    child_sols = _conforming(sols, child)
+                    if child_sols:
+                        stack.append((child, child_sols))
+    # no check passes vacuously: each configuration checked enough
+    # solutions, and under each of its branching rules
+    for name, cfg in configs.items():
+        rules = [c for c in FailureCondition
+                 if cfg.d_ms or c is not FailureCondition.CUT_TOO_SMALL]
+        assert all(checked[name, c] > 0 for c in rules), checked
+        assert sum(checked[name, c] for c in rules) >= 150, checked
+
+
 # ---------------------------------------------------------------------------
 # the greedy against its definition
 # ---------------------------------------------------------------------------
@@ -293,7 +364,7 @@ def _reference_greedy(ci: CheckpointInstance, cfg: SolverConfig):
             length += len(q) - 1
             subpaths.append(q)
         completed.append(tuple(v for q in subpaths for v in q[:-1]) + (t,))
-    return GreedySuccess(tuple(completed)), 0
+    return tuple(completed), 0
 
 
 def _checkpoint_instance(rng, g, s, t, k, ell):
@@ -340,8 +411,12 @@ def test_greedy_matches_its_definition():
             for cfg in configs:
                 want, fired = _reference_greedy(ci, cfg)
                 stats = SolveStats()
-                assert run_greedy(ci, cfg, ws, stats) == want, (seed, ci, cfg)
+                got = run_greedy(ci, cfg, ws, stats)
+                assert got == want, (seed, ci, cfg)
                 assert stats.dms_fired == fired
+                if not isinstance(got, GreedyFailure):
+                    # the k paths pass through their own checkpoint lists
+                    assert validate_solution(ci, Solution(got)).ok, (seed, ci)
                 seen[getattr(want, "condition", "success")] += 1
                 if sum(len(entries) > 2 for entries in ci.lists) > 1:
                     seen["several lists with interior checkpoints"] += 1
