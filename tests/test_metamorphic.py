@@ -42,7 +42,7 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
                     database=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
-_open = functools.lru_cache(maxsize=None)(open_candidate)
+_open = functools.cache(open_candidate)
 
 
 @st.composite
