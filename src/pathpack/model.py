@@ -3,6 +3,7 @@ solver-independent solution validation."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -122,6 +123,10 @@ class CheckpointInstance:
 
     Interior checkpoints are globally distinct across lists: the branching
     rules exclude already-listed vertices, so no vertex is inserted twice.
+
+    Calling the class checks the lists.  :func:`from_packing` and
+    :meth:`with_insertion` build through :meth:`_trusted` and skip the
+    checks, because their lists are valid by construction.
     """
 
     base: PackingInstance
@@ -140,6 +145,16 @@ class CheckpointInstance:
                         f"checkpoint {v} appears in more than one list")
                 seen.add(v)
 
+    @classmethod
+    def _trusted(cls, base: PackingInstance,
+                 lists: tuple[tuple[int, ...], ...]) -> "CheckpointInstance":
+        """The instance of ``lists`` as given, without the checks of
+        ``__post_init__``, for lists that are valid by construction."""
+        inst = object.__new__(cls)
+        object.__setattr__(inst, "base", base)
+        object.__setattr__(inst, "lists", lists)
+        return inst
+
     def checkpoint_union(self) -> set[int]:
         """All list entries across lists, terminals included."""
         out: set[int] = set()
@@ -157,16 +172,17 @@ class CheckpointInstance:
                      + self.lists[list_index + 1:])
         # the parent passed the checks and the branching rules only insert
         # unlisted non-terminal vertices, so the child skips __post_init__
-        child = object.__new__(CheckpointInstance)
-        object.__setattr__(child, "base", self.base)
-        object.__setattr__(child, "lists", new_lists)
-        return child
+        return CheckpointInstance._trusted(self.base, new_lists)
 
 
 def from_packing(inst: PackingInstance) -> CheckpointInstance:
-    """Wrap a plain instance: k bare lists (s, t)."""
-    bare = (inst.s, inst.t)
-    return CheckpointInstance(inst, tuple(bare for _ in range(inst.k)))
+    """Wrap a plain instance: k bare lists (s, t).
+
+    The lists are not checked again: ``PackingInstance`` has proved s and
+    t in range and distinct and k >= 1, and a bare list has no interior
+    entries, so the result equals the checked
+    ``CheckpointInstance(inst, ((s, t),) * k)``."""
+    return CheckpointInstance._trusted(inst, ((inst.s, inst.t),) * inst.k)
 
 
 @dataclass(frozen=True)
@@ -186,6 +202,9 @@ class ValidationReport:
         return self.ok
 
 
+_OK = ValidationReport(True)
+
+
 def _bad(reason: str) -> ValidationReport:
     return ValidationReport(False, reason)
 
@@ -193,12 +212,18 @@ def _bad(reason: str) -> ValidationReport:
 def validate_solution(inst: CheckpointInstance, sol: Solution) -> ValidationReport:
     """Check a claimed witness against the instance definition only.
 
-    Edge existence is checked against the original graph; no solver state
-    (masks, intervals, statistics) is consulted.  Never raises on
-    well-formed inputs; returns the first violation found.
+    Edge existence is checked against the original graph's rows; no solver
+    state (masks, intervals, statistics) is consulted.  Never raises on
+    well-formed inputs; returns the first violation found, checking each
+    path in turn (count, endpoints, revisits, range, edges, length,
+    checkpoint order) and then the paths' disjointness.  A bare list (s, t)
+    needs no order walk: a path from s to t that revisits nothing visits s
+    first and t last.  The walk also puts each interior checkpoint strictly
+    between two list entries, so never at a terminal of its path.
     """
-    g = inst.base.graph
-    s, t, k, ell = inst.base.s, inst.base.t, inst.base.k, inst.base.ell
+    base = inst.base
+    n, adj = base.graph.n, base.graph.adj
+    s, t, k, ell = base.s, base.t, base.k, base.ell
     if len(sol.paths) != k:
         return _bad(f"expected {k} paths, got {len(sol.paths)}")
     for i, path in enumerate(sol.paths):
@@ -208,28 +233,28 @@ def validate_solution(inst: CheckpointInstance, sol: Solution) -> ValidationRepo
             return _bad(f"path {i}: endpoints are not (s, t)")
         if len(set(path)) != len(path):
             return _bad(f"path {i} revisits a vertex")
-        for v in path:
-            if not (0 <= v < g.n):
-                return _bad(f"path {i}: vertex {v} out of range")
+        if min(path) < 0 or max(path) >= n:
+            v = next(v for v in path if not 0 <= v < n)
+            return _bad(f"path {i}: vertex {v} out of range")
         for a, b in zip(path, path[1:]):
-            if not g.has_edge(a, b):
+            row = adj[a]
+            j = bisect_left(row, b)
+            if j == len(row) or row[j] != b:
                 return _bad(f"path {i}: ({a},{b}) is not an edge")
         if len(path) - 1 > ell:
             return _bad(f"path {i}: length {len(path) - 1} exceeds {ell}")
-        # the path must visit its list's entries in order, interior
-        # checkpoints at interior positions
-        pos = {v: j for j, v in enumerate(path)}
-        prev = -1
-        for entry in inst.lists[i]:
-            at = pos.get(entry)
-            if at is None:
-                return _bad(f"path {i}: checkpoint {entry} missing")
-            if at <= prev:
-                return _bad(f"path {i}: checkpoint {entry} out of order")
-            prev = at
-        for entry in inst.lists[i][1:-1]:
-            if pos[entry] in (0, len(path) - 1):
-                return _bad(f"path {i}: checkpoint {entry} at a terminal")
+        entries = inst.lists[i]
+        if len(entries) > 2:
+            # the path must visit its list's entries in order
+            pos = {v: j for j, v in enumerate(path)}
+            prev = -1
+            for entry in entries:
+                at = pos.get(entry)
+                if at is None:
+                    return _bad(f"path {i}: checkpoint {entry} missing")
+                if at <= prev:
+                    return _bad(f"path {i}: checkpoint {entry} out of order")
+                prev = at
     # one pass; whole paths are keyed too: a repeated (s, t) shares no vertex
     owner: dict = {}
     for j, path in enumerate(sol.paths):
@@ -240,4 +265,4 @@ def validate_solution(inst: CheckpointInstance, sol: Solution) -> ValidationRepo
             i = owner.setdefault(v, j)
             if i != j:
                 return _bad(f"paths {i} and {j} share internal vertex {v}")
-    return ValidationReport(True)
+    return _OK

@@ -7,7 +7,7 @@ from pathpack import (Graph, PackingInstance, Solution, SolverConfig,
                       SolveStats, Workspace, from_packing, random_gnp,
                       validate_solution)
 from pathpack.flows import st_flow_value
-from pathpack.graph import shortest_path_blocked
+from pathpack.graph import FAR, shortest_path_blocked
 from pathpack.greedy import FailureCondition, GreedyFailure, run_greedy
 from pathpack.model import CheckpointInstance
 from pathpack.oracle import enumerate_bounded_paths
@@ -253,18 +253,19 @@ def _conforming(sols, ci):
                    for p, entries in zip(sol, ci.lists))]
 
 
-def test_branch_covers_every_solution_at_depth():
-    """The branching lemma, checked below the root: at every node of a
-    walk where the greedy fails, each solution of the node has some
-    candidate (li, pos, v) of ``branch`` with v interior to the solution's
-    subpath between entries pos - 1 and pos of list li, so the children
-    together keep every solution.  The walk starts at the bare root,
-    expands every candidate depth first and visits up to 60 nodes; a node
-    without solutions has children without any, so it is not expanded.
-    Seeded G(n, p) graphs and small grids, with d-ms on and off."""
-    configs = {"d-ms": SolverConfig(trivial_detection=False),
-               "no d-ms": SolverConfig(trivial_detection=False, d_ms=False)}
-    checked = collections.Counter()
+def _apart(g: Graph, rng: random.Random):
+    """The graph and two random terminals, minus their edge if they are
+    adjacent: the greedy never sees adjacent terminals."""
+    s, t = rng.sample(range(g.n), 2)
+    if g.has_edge(s, t):
+        g = g.without_edge(s, t)
+    return g, s, t
+
+
+def _lemma_roots():
+    """The bare roots of the walks below, as (seed, root): one per seed,
+    and for each odd seed a second whose ell is at most one past
+    dist(s, t), where subpaths run overlong (rule 2) most often."""
     for seed in range(4000):
         rng = random.Random(seed)
         if seed % 3 == 2:
@@ -273,13 +274,40 @@ def test_branch_covers_every_solution_at_depth():
         else:
             g = random_gnp(rng.randrange(7, 12), rng.uniform(0.25, 0.5),
                            seed)
-        s, t = rng.sample(range(g.n), 2)
-        if g.has_edge(s, t):
-            g = g.without_edge(s, t)  # the greedy never sees adjacent ones
-        root = from_packing(PackingInstance(g, s, t, rng.choice([2, 3]),
-                                            rng.randrange(3, 7)))
+        g, s, t = _apart(g, rng)
+        yield seed, from_packing(PackingInstance(
+            g, s, t, rng.choice([2, 3]), rng.randrange(3, 7)))
+        if seed % 2 == 0:
+            continue
+        if seed % 4 == 3:
+            g = grid_graph(rng.randrange(3, 5), rng.randrange(3, 5),
+                           rng.choice([0.0, 0.15]), rng)
+        else:
+            g = random_gnp(rng.randrange(10, 15), rng.uniform(0.2, 0.35),
+                           rng.randrange(1 << 16))
+        g, s, t = _apart(g, rng)
+        dist = Workspace(g).distance_row(s)[t]
+        if dist != FAR:
+            yield seed, from_packing(PackingInstance(
+                g, s, t, rng.choice([2, 3]), dist + rng.randrange(0, 2)))
+
+
+def test_branch_covers_every_solution_at_depth():
+    """The branching lemma, checked below the root: at every node of a
+    walk where the greedy fails, each solution of the node has some
+    candidate (li, pos, v) of ``branch`` with v interior to the solution's
+    subpath between entries pos - 1 and pos of list li, so the children
+    together keep every solution.  The walk starts at the bare root,
+    expands every candidate depth first and visits up to 60 nodes; a node
+    without solutions has children without any, so it is not expanded.
+    Seeded G(n, p) graphs and small grids (see :func:`_lemma_roots`), with
+    d-ms on and off."""
+    configs = {"d-ms": SolverConfig(trivial_detection=False),
+               "no d-ms": SolverConfig(trivial_detection=False, d_ms=False)}
+    checked = collections.Counter()
+    for seed, root in _lemma_roots():
         root_sols = None  # enumerated once a root greedy fails
-        ws = Workspace(g)
+        ws = Workspace(root.base.graph)
         for name, cfg in configs.items():
             stack = [(root, None)]
             for _ in range(60):
@@ -309,12 +337,14 @@ def test_branch_covers_every_solution_at_depth():
                     if child_sols:
                         stack.append((child, child_sols))
     # no check passes vacuously: each configuration checked enough
-    # solutions, and under each of its branching rules
+    # solutions, under each of its branching rules, and enough of them
+    # under rule 2
     for name, cfg in configs.items():
         rules = [c for c in FailureCondition
                  if cfg.d_ms or c is not FailureCondition.CUT_TOO_SMALL]
         assert all(checked[name, c] > 0 for c in rules), checked
         assert sum(checked[name, c] for c in rules) >= 150, checked
+        assert checked[name, FailureCondition.OVERLONG] >= 75, checked
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from pathpack import PackingInstance, Solution, from_packing, validate_solution
-from pathpack import SolverConfig, Workspace
+from pathpack import SolverConfig, Workspace, format_graph, parse_graph
+from pathpack.graph import _FlatRows
 from pathpack.model import CheckpointInstance, IntervalStore
 from pathpack.search import node_infeasible
 
@@ -29,10 +30,21 @@ def test_instance_validation(gex):
         PackingInstance(gex, 0, 4, 2, 0)
 
 
-@pytest.mark.parametrize("k", [1, 2, 7])
+@pytest.mark.parametrize("k", [1, 2, 7, 1200])
 def test_from_packing_bare_lists(gex, k):
-    ci = from_packing(PackingInstance(gex, vid(1), vid(5), k, 5))
+    # from_packing skips the constructor checks, so it must come out
+    # exactly as the checked constructor would build it
+    inst = PackingInstance(gex, vid(1), vid(5), k, 5)
+    ci = from_packing(inst)
     assert ci.lists == tuple((vid(1), vid(5)) for _ in range(k))
+    checked = CheckpointInstance(inst, ((vid(1), vid(5)),) * k)
+    assert ci == checked
+    assert hash(ci) == hash(checked)
+    assert type(ci) is CheckpointInstance
+    with pytest.raises(ValueError):  # one list too few
+        CheckpointInstance(inst, ((vid(1), vid(5)),) * (k - 1))
+    with pytest.raises(ValueError):  # reversed terminals
+        CheckpointInstance(inst, ((vid(5), vid(1)),) * k)
 
 
 def test_checkpoint_list_invariants(gex):
@@ -257,3 +269,104 @@ def test_validate_checkpoint_missing_or_out_of_order(gex):
     assert not validate_solution(ci, Solution((vids(1, 2, 3, 4, 5),)))
     ci2 = CheckpointInstance(base, ((vid(1), vid(3), vid(5)),))
     assert validate_solution(ci2, Solution((vids(1, 2, 3, 4, 5),)))
+
+
+# The violation table: one witness per rule, on the worked graph (s = v1,
+# t = v5, k = 2, ell = 5 unless a row says otherwise).  A and B are
+# disjoint, and C shares v2 with B and v4 with A.  Each row names the
+# checkpoint lists its paths meet except for the rule under test; a row
+# whose rule is not about checkpoints also runs with bare lists, and a
+# checkpoint row only with interior ones, which the bare-list shortcut of
+# the order check does not touch.
+_A, _B, _C = vids(1, 6, 7, 8, 4, 5), vids(1, 2, 9, 10, 11, 5), vids(1, 2, 3, 4, 5)
+_AB_LISTS = (vids(1, 7, 5), vids(1, 10, 5))
+_VIOLATIONS = [
+    # (rule, ell, paths, interior lists, violation, also with bare lists)
+    ("path count", 5, (_A,), _AB_LISTS, "expected 2 paths, got 1", True),
+    ("short path", 5, (_A, vids(1)), _AB_LISTS,
+     "path 1 has fewer than two vertices", True),
+    ("endpoints", 5, (_A, vids(1, 2, 9, 10, 11)), _AB_LISTS,
+     "path 1: endpoints are not (s, t)", True),
+    ("revisit", 5, (_A, vids(1, 2, 9, 2, 3, 4, 5)), _AB_LISTS,
+     "path 1 revisits a vertex", True),
+    ("revisit of s", 5, (vids(1, 2, 1, 6, 7, 8, 4, 5), _B), _AB_LISTS,
+     "path 0 revisits a vertex", True),
+    ("out of range, high first", 5, (_A, (vid(1), 20, -3, vid(5))),
+     _AB_LISTS, "path 1: vertex 20 out of range", True),
+    ("out of range, low first", 5, (_A, (vid(1), -3, 20, vid(5))),
+     _AB_LISTS, "path 1: vertex -3 out of range", True),
+    ("non-edge", 5, (_A, vids(1, 2, 9, 11, 5)), _AB_LISTS,
+     f"path 1: ({vid(9)},{vid(11)}) is not an edge", True),
+    ("too long", 4, (_A, _B), _AB_LISTS, "path 0: length 5 exceeds 4", True),
+    ("checkpoint missing", 5, (_A, _B), (vids(1, 7, 5), vids(1, 3, 5)),
+     f"path 1: checkpoint {vid(3)} missing", False),
+    ("checkpoint out of order", 5, (_A, _B), (vids(1, 7, 5), vids(1, 10, 9, 5)),
+     f"path 1: checkpoint {vid(9)} out of order", False),
+    # a terminal as an interior checkpoint: the checked constructor refuses
+    # such a list, and the order check reports it, since it places each
+    # interior entry strictly between two others, never at a terminal
+    ("checkpoint at a terminal", 5, (_A, _B), (vids(1, 1, 7, 5), vids(1, 10, 5)),
+     f"path 0: checkpoint {vid(1)} out of order", False),
+    ("shared internal vertex", 5, (_A, _C), (vids(1, 7, 5), vids(1, 3, 5)),
+     f"paths 0 and 1 share internal vertex {vid(4)}", True),
+    ("identical paths", 5, (_A, _A), (vids(1, 7, 5), vids(1, 8, 5)),
+     "paths 0 and 1 are identical", True),
+]
+_VIOLATION_CASES = [
+    pytest.param(rule, ell, paths, lists, violation, id=f"{rule}-{kind}")
+    for rule, ell, paths, interior, violation, bare_too in _VIOLATIONS
+    for kind, lists in (("bare", None), ("interior", interior))
+    if lists is not None or bare_too]
+
+
+@pytest.fixture(params=["tuple rows", "flat rows"])
+def any_gex(request, gex):
+    """The worked graph as built from edges, and as parsed from its text."""
+    if request.param == "tuple rows":
+        return gex
+    parsed = parse_graph(format_graph(gex))
+    assert isinstance(parsed.adj, _FlatRows)
+    return parsed
+
+
+@pytest.mark.parametrize("rule, ell, paths, lists, violation",
+                         _VIOLATION_CASES)
+def test_validate_violation_table(any_gex, rule, ell, paths, lists,
+                                  violation):
+    base = _inst(any_gex, ell=ell)
+    if lists is None:
+        ci = from_packing(base)
+    elif rule == "checkpoint at a terminal":
+        with pytest.raises(ValueError):
+            CheckpointInstance(base, lists)
+        ci = CheckpointInstance._trusted(base, lists)
+    else:
+        ci = CheckpointInstance(base, lists)
+    report = validate_solution(ci, Solution(paths))
+    assert not report.ok
+    assert report.violation == violation
+
+
+@pytest.mark.parametrize("paths, violation", [
+    # paths 0 and 1 share v4, and path 2 takes the non-edge v9-v11: every
+    # per-path check runs before the disjointness pass
+    ((_A, _C, vids(1, 2, 9, 11, 5)),
+     f"path 2: ({vid(9)},{vid(11)}) is not an edge"),
+    # path 1 takes the non-edge v9-v11 before its out-of-range vertex: the
+    # range check covers the whole path before any edge is read
+    ((_A, (vid(1), vid(2), vid(9), vid(11), 20, vid(5)), _C),
+     "path 1: vertex 20 out of range"),
+])
+def test_validate_reports_the_first_check_that_fires(any_gex, paths,
+                                                     violation):
+    ci = from_packing(_inst(any_gex, k=3, ell=5))
+    report = validate_solution(ci, Solution(paths))
+    assert report.violation == violation
+
+
+@pytest.mark.parametrize("lists", [None, _AB_LISTS])
+def test_validate_accepts_on_both_layouts(any_gex, lists):
+    base = _inst(any_gex)
+    ci = from_packing(base) if lists is None else CheckpointInstance(base,
+                                                                     lists)
+    assert validate_solution(ci, Solution((_A, _B))).ok
