@@ -84,7 +84,10 @@ class SolveStats:
 
     ``nodes`` counts search-tree nodes entered (>= 1 whenever the tree is
     entered at all); ``max_depth`` uses the convention that the root sits at
-    depth 0, which keeps max_depth <= k*ell structural.  ``bfi_recorded``
+    depth 0, which keeps max_depth <= k*ell structural.  ``br1``/``br2``/
+    ``br3`` count the nodes whose greedy broke off under branching rule 1,
+    2 or 3; ``br3`` is thereby also the number of failed ``d-ms``
+    separator checks, the only failure that names rule 3.  ``bfi_recorded``
     counts pushed forbidden intervals, ``bfi_masked`` the candidate
     insertions they masked out of the branching.  The field order is the
     column order of the bench CSV.  ``n_after``/``m_after`` are the size of
@@ -106,7 +109,6 @@ class SolveStats:
     prunes_bsp: int = 0
     bfi_recorded: int = 0
     bfi_masked: int = 0
-    dms_fired: int = 0
     max_depth: int = 0
     n_before: int = 0
     n_after: int = 0

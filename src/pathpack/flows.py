@@ -4,6 +4,7 @@ which the greedy's ``d-ms`` check runs with the consumed vertices closed)
 and k internally vertex-disjoint s-t paths of minimum total length by
 min-cost unit flow with successive shortest paths
 (``min_total_length_disjoint_paths``, which trivial detection runs once).
+Both return plain data: the flow value, and the k paths as vertex tuples.
 
 Splitting each vertex v into v_in -> v_out (unit arc) turns vertex
 disjointness into arc disjointness; an original s-t path of length L becomes
@@ -40,13 +41,14 @@ A closed vertex is shut out of the flow, as if it were deleted.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
     from .graph import Graph
 
 __all__ = ["st_flow_value", "min_total_length_disjoint_paths"]
+
+Paths = tuple[tuple[int, ...], ...]
 
 
 class _UnitFlow:
@@ -88,16 +90,6 @@ class _UnitFlow:
                 if nxt[u] == w:
                     nxt[u] = -1
             y = x
-
-
-@dataclass(frozen=True)
-class DisjointPathsResult:
-    """k pairwise internally vertex-disjoint s-t paths of minimum total
-    length, in ascending order of their second vertex; ``total_length`` is
-    the sum of their edge counts."""
-
-    paths: tuple[tuple[int, ...], ...]
-    total_length: int
 
 
 _UNREACHED = 1 << 60
@@ -207,11 +199,12 @@ def st_flow_value(g: Graph, s: int, t: int, limit: int,
     return _augment(_UnitFlow(g, s, t), limit, closed)
 
 
-def min_total_length_disjoint_paths(g: Graph, s: int, t: int, k: int,
-                                    ) -> Optional[DisjointPathsResult]:
-    """k internally vertex-disjoint s-t paths minimizing total length, or
-    None when fewer than k disjoint paths exist: the flow of k augmenting
-    rounds, split into its paths.
+def min_total_length_disjoint_paths(g: Graph, s: int, t: int,
+                                    k: int) -> Optional[Paths]:
+    """k internally vertex-disjoint s-t paths minimizing total length, in
+    ascending order of their second vertex, or None when fewer than k
+    disjoint paths exist: the flow of k augmenting rounds, split into its
+    paths.
 
     The rounds fall short of k exactly when the max flow is below k, so
     None also refutes a separator bound of k.
@@ -222,7 +215,7 @@ def min_total_length_disjoint_paths(g: Graph, s: int, t: int, k: int,
     return _decompose(flow, k)
 
 
-def _decompose(flow: _UnitFlow, k: int) -> DisjointPathsResult:
+def _decompose(flow: _UnitFlow, k: int) -> Paths:
     """Split the unit flow into its k paths: one per flowed neighbour of s,
     in ascending order, each following ``nxt`` to t.
 
@@ -245,4 +238,4 @@ def _decompose(flow: _UnitFlow, k: int) -> DisjointPathsResult:
 
     if len(paths) != k:
         raise AssertionError("flow decomposition found the wrong path count")
-    return DisjointPathsResult(tuple(paths), sum(len(p) - 1 for p in paths))
+    return tuple(paths)

@@ -8,7 +8,8 @@ byte mask that only grows during a run, but for the one target each
 search opens.  A success is the k paths themselves, one tuple of vertex
 ids per list.  Failure is data, never an exception: a
 :class:`GreedyFailure` holds the failure kind plus the exact partial state
-at the break point, which drive the branching rules.
+at the break point, which drive the branching rules.  The greedy counts
+nothing: the search node that runs it counts its failures, by kind.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .config import SolverConfig, SolveStats
+from .config import SolverConfig
 from .flows import st_flow_value
 from .graph import Workspace, shortest_path_blocked
 from .model import CheckpointInstance
@@ -62,9 +63,9 @@ class GreedyFailure:
 GreedyOutcome = Union[tuple[tuple[int, ...], ...], GreedyFailure]
 
 
-def run_greedy(inst: CheckpointInstance, cfg: SolverConfig, ws: Workspace,
-               stats: SolveStats) -> GreedyOutcome:
-    """One greedy attempt at the instance.
+def run_greedy(inst: CheckpointInstance, cfg: SolverConfig,
+               ws: Workspace) -> GreedyOutcome:
+    """One greedy attempt at the instance: the k paths, or the break point.
 
     Working graph of subpath j of path i: the input graph minus every
     checkpoint of every list, minus the vertices of the completed paths and
@@ -106,7 +107,6 @@ def run_greedy(inst: CheckpointInstance, cfg: SolverConfig, ws: Workspace,
                 and all(len(lists[x]) == 2 for x in range(i0, k))):
             need = k - i0
             if st_flow_value(g, s, t, need, blocked) < need:
-                stats.dms_fired += 1
                 return GreedyFailure(FailureCondition.CUT_TOO_SMALL,
                                      i0 + 1, None, tuple(completed), ())
         entries = lists[i0]

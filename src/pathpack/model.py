@@ -58,31 +58,32 @@ class IntervalStore:
     pops and reads it.  A search node takes a mark on entry, pushes one
     interval after each refuted child, and truncates back to its mark on
     exit, so an interval is visible exactly to the later siblings of the
-    refuted child and to their subtrees.  The intervals are plain tuples
-    on a stack, indexed by (list_index, x) so that a lookup reads only the
-    intervals that can match, against the checked list itself.
+    refuted child and to their subtrees.  The endpoints (a, b) are kept
+    once, indexed by (list_index, x) so that a lookup reads only the
+    intervals that can match, against the checked list itself; the stack
+    holds each interval's key, in push order.
     """
 
     def __init__(self):
-        self._items: list[tuple[int, int, int, int]] = []
+        self._keys: list[tuple[int, int]] = []
         # (list_index, x) -> [(a, b), ...] in push order
         self._ends: dict[tuple[int, int], list[tuple[int, int]]] = {}
 
     def mark(self) -> int:
-        return len(self._items)
+        return len(self._keys)
 
     def push(self, list_index: int, a: int, b: int, x: int) -> None:
         if x == a or x == b:
             raise ValueError("interval vertex must differ from its endpoints")
-        self._items.append((list_index, a, b, x))
-        self._ends.setdefault((list_index, x), []).append((a, b))
+        key = (list_index, x)
+        self._keys.append(key)
+        self._ends.setdefault(key, []).append((a, b))
 
     def pop_to(self, mark: int) -> None:
-        items = self._items
-        while len(items) > mark:
-            list_index, _, _, x = items.pop()
+        keys = self._keys
+        while len(keys) > mark:
             # the stack is LIFO, so the popped interval is its key's last
-            key = (list_index, x)
+            key = keys.pop()
             ends = self._ends[key]
             ends.pop()
             if not ends:

@@ -94,8 +94,6 @@ def reduce_instance(inst: CheckpointInstance,
     s, t, ell = inst.base.s, inst.base.t, inst.base.ell
     adj = g.adj
     half = ell // 2
-    # the kernel is looked up as kernels.ball at call time, so wrapping that
-    # one name sees these searches
     ds = kernels.ball(adj, s, half)
     # dist(s, t) + half <= ell holds when t lies within half of s or, for
     # an odd ell, next to a vertex that does
@@ -195,8 +193,6 @@ def detect_on_input(inst: CheckpointInstance,
     blocked: set[int] = set()
     paths: list[tuple[int, ...]] = []
     for _ in range(k):
-        # looked up at call time, so that wrapping kernels.bidir_path
-        # sees these searches
         path = kernels.bidir_path(g.adj, blocked, s, t, ell)
         _check(deadline)
         if path is None:
@@ -232,12 +228,12 @@ def detect_trivial(inst: CheckpointInstance) -> TrivialOutcome:
 
     # successive shortest paths finds k paths exactly when the max flow
     # reaches k, so its failure is the separator refutation
-    result = min_total_length_disjoint_paths(g, s, t, k)
-    if result is None:
+    paths = min_total_length_disjoint_paths(g, s, t, k)
+    if paths is None:
         return _no("min-separator")
-    longest = max(len(p) - 1 for p in result.paths)
-    if longest <= ell:
-        return _yes(Solution(result.paths), "min-total-length")
-    if result.total_length > k * ell:
+    lengths = [len(p) - 1 for p in paths]
+    if max(lengths) <= ell:
+        return _yes(Solution(paths), "min-total-length")
+    if sum(lengths) > k * ell:
         return _no("min-total-length")
     return TrivialOutcome("unknown")

@@ -37,15 +37,14 @@ _RULES = ("len", "bsp")  # entry checks, in the order they apply
 
 class Candidate(NamedTuple):
     """One child insertion: splice ``vertex`` into list ``list_index`` at
-    0-based position ``pos``, splitting the consecutive pair (u, u2).
-    ``gaps`` is gap(u, vertex) + gap(vertex, u2), the unmasked distances,
-    an unreachable side counting ``graph.FAR``."""
+    0-based position ``pos``, splitting the consecutive pair (u, u2) =
+    ``lists[list_index][pos - 1:pos + 1]``.  ``gaps`` is gap(u, vertex) +
+    gap(vertex, u2), the unmasked distances, an unreachable side counting
+    ``graph.FAR``."""
 
     list_index: int
     pos: int
     vertex: int
-    u: int
-    u2: int
     gaps: int
 
 
@@ -65,7 +64,7 @@ def _position_candidates(list_index: int, pos: int, u: int, u2: int,
     du, du2 = dist_fn(u), dist_fn(u2)
     keyed = [(du[v] + du2[v], v) for v in pool]
     keyed.sort(key=None if cfg.c_dist else itemgetter(1))
-    return [Candidate(list_index, pos, v, u, u2, gaps) for gaps, v in keyed]
+    return [Candidate(list_index, pos, v, gaps) for gaps, v in keyed]
 
 
 def _pool_base(fail: GreedyFailure, cp_union: set[int],
@@ -94,9 +93,9 @@ def branch(fail: GreedyFailure, inst: CheckpointInstance, cfg: SolverConfig,
     position's own subpath, with c-pl by descending greedy subpath length
     (the rejected one at its actual length), else by ascending position.
     Rule 3, CUT_TOO_SMALL (at most k^2 * ell^2): after a failed separator
-    check some pending subpath of some pending list must use a consumed
-    vertex; every position of lists i_beta..k, all with the one pool of the
-    completed paths' vertices.
+    check some pending list's path must use a consumed vertex; one slot
+    per list i_beta..k, its (s, t) at position 1, all with the one pool of
+    the completed paths' vertices.
     """
     cp_union = inst.checkpoint_union()
     li, j_b = fail.i_beta - 1, fail.j_beta
@@ -112,10 +111,10 @@ def branch(fail: GreedyFailure, inst: CheckpointInstance, cfg: SolverConfig,
         slots = [(li, j, _pool_base(fail, cp_union, skip_subpath=j))
                  for j in positions]
     else:
-        # a CUT failure has no partial subpaths
+        # a CUT failure has no partial subpaths, and the separator check's
+        # gate keeps every pending list bare: one slot (s, t) per list
         pool = _pool_base(fail, cp_union)
-        slots = [(i, j, pool) for i in range(li, inst.base.k)
-                 for j in range(1, len(inst.lists[i]))]
+        slots = [(i, 1, pool) for i in range(li, inst.base.k)]
     out: list[Candidate] = []
     for i, j, pool in slots:
         entries = inst.lists[i]
@@ -228,7 +227,7 @@ class _TreeSearch:
         children recorded."""
         stats = self.stats
         cfg = self.cfg
-        outcome = run_greedy(inst, cfg, self.ws, stats)
+        outcome = run_greedy(inst, cfg, self.ws)
         if not isinstance(outcome, GreedyFailure):
             return outcome
 
@@ -250,16 +249,17 @@ class _TreeSearch:
         gaps = self.gaps
         ell = self.ell
         mark = self.store.mark()
-        for cand in candidates:
-            li, pos, v, u, u2, new_gaps = cand
+        for li, pos, v, new_gaps in candidates:
+            entries = inst.lists[li]
             # an active forbidden interval refutes the insertion: the
             # vertex between its endpoints forces a refuted order
-            if cfg.b_fi and self.store.forbids(li, inst.lists[li], pos, v):
+            if cfg.b_fi and self.store.forbids(li, entries, pos, v):
                 stats.bfi_masked += 1
                 continue
             self._enter(depth + 1)
+            u, u2 = entries[pos - 1], entries[pos]
             # the child's gap sum on the one list it changes
-            size = len(inst.lists[li]) + 1
+            size = len(entries) + 1
             old_gaps = gaps[li]
             child_gaps = old_gaps - self.row(u)[u2] + new_gaps
             reason = _list_verdict(size, child_gaps, ell, cfg)

@@ -2,9 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from pathpack import Graph, PackingInstance, SolveStats, Workspace
-from pathpack.flows import (DisjointPathsResult,
-                            min_total_length_disjoint_paths, st_flow_value)
+from pathpack import Graph, PackingInstance, Workspace
+from pathpack.flows import min_total_length_disjoint_paths, st_flow_value
 from pathpack.greedy import run_greedy
 
 # Walkthrough fixture graph on eleven vertices: a short middle route from
@@ -77,13 +76,12 @@ def min_total_paths(g: Graph, s: int, t: int, k: int):
     rest = min_total_length_disjoint_paths(g.without_edge(s, t), s, t, k - 1)
     if rest is None:
         return None
-    return DisjointPathsResult(tuple(sorted(((s, t),) + rest.paths)),
-                               rest.total_length + 1)
+    return tuple(sorted(((s, t),) + rest))
 
 
 def greedy(ci, cfg):
-    """``run_greedy`` with a fresh workspace and stats."""
-    return run_greedy(ci, cfg, Workspace(ci.base.graph), SolveStats())
+    """``run_greedy`` with a fresh workspace."""
+    return run_greedy(ci, cfg, Workspace(ci.base.graph))
 
 
 @pytest.fixture(scope="session")

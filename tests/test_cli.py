@@ -23,7 +23,7 @@ from conftest import GEX_EDGES_1BASED, grid_graph
 # describe the run, the rest are the solve statistics
 CSV_HEADER = ("graph,s,t,k,ell,config,decision,solved_by,nodes,br1,br2,br3,"
               "prunes_len,prunes_bcpl,prunes_bsp,bfi_recorded,bfi_masked,"
-              "dms_fired,max_depth,n_before,n_after,m_before,m_after,wall_ms")
+              "max_depth,n_before,n_after,m_before,m_after,wall_ms")
 STATS_COLUMNS = CSV_HEADER.split(",")[7:]
 
 

@@ -15,11 +15,15 @@ from conftest import flow_value, min_total_paths, vid
 # split transformation
 # ---------------------------------------------------------------------------
 
+def _total_length(paths) -> int:
+    return sum(len(p) - 1 for p in paths)
+
+
 def test_total_length_counts_the_paths_edges():
     # s-a-t: one path of length 2, found through the split digraph
     g = Graph(3, [(0, 1), (1, 2)])
     r = min_total_length_disjoint_paths(g, 0, 2, 1)
-    assert r.paths == ((0, 1, 2),) and r.total_length == 2
+    assert r == ((0, 1, 2),) and _total_length(r) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -67,14 +71,12 @@ def test_menger_flow_equals_max_unbounded_packing(seed):
 def test_four_cycle_two_paths():
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     r = min_total_length_disjoint_paths(g, 0, 2, 2)
-    assert r.total_length == 4
-    assert sorted(len(p) - 1 for p in r.paths) == [2, 2]
+    assert sorted(len(p) - 1 for p in r) == [2, 2]
 
 
 def test_fixture_two_paths(gex):
     r = min_total_length_disjoint_paths(gex, vid(1), vid(5), 2)
-    assert r.total_length == 10
-    assert sorted(len(p) - 1 for p in r.paths) == [5, 5]
+    assert sorted(len(p) - 1 for p in r) == [5, 5]
 
 
 def test_absent_when_separator_too_small():
@@ -127,11 +129,10 @@ def test_matches_brute_force_minimum(seed):
         assert got is None
         return
     assert got is not None
-    assert got.total_length == want
-    assert got.total_length == sum(len(p) - 1 for p in got.paths)
+    assert _total_length(got) == want
     # every path simple, endpoints right, pairwise internally disjoint
     seen = set()
-    for p in got.paths:
+    for p in got:
         assert p[0] == s and p[-1] == t
         assert len(set(p)) == len(p)
         for a, b in zip(p, p[1:]):
@@ -139,7 +140,6 @@ def test_matches_brute_force_minimum(seed):
         inner = set(p[1:-1])
         assert not (inner & seen)
         seen |= inner
-    assert got.total_length == sum(len(p) - 1 for p in got.paths)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +325,7 @@ def _assert_matches_reference(g, s, t, removed=()):
         got = min_total_paths(h, new[s], new[t], k)
         want = _reference_min_cost_paths(g, s, t, k, removed)
         assert (None if got is None else
-                tuple(tuple(old[v] for v in p) for p in got.paths)) == want
+                tuple(tuple(old[v] for v in p) for p in got)) == want
         assert (got is None) == (k > value)
 
 
@@ -346,7 +346,7 @@ def test_two_calls_on_one_graph_agree(gex):
     assert st_flow_value(gex, s, t, gex.n, _closed(gex, [vid(3)])) == 2
     assert (st_flow_value(gex, s, t, gex.n),
             min_total_length_disjoint_paths(gex, s, t, 2)) == first
-    assert first[0] == 2 and first[1].total_length == 10
+    assert first[0] == 2 and _total_length(first[1]) == 10
 
 
 def _delete(g, removed):
@@ -462,8 +462,7 @@ def test_min_total_length_matches_networkx_min_cost(name, g, seed):
             assert got is None
             continue
         assert got is not None
-        assert got.total_length == want
-        assert got.total_length == sum(len(p) - 1 for p in got.paths)
+        assert _total_length(got) == want
 
 
 # ---------------------------------------------------------------------------
@@ -496,4 +495,4 @@ def test_min_total_length_witnesses_pinned(spec, s, t, k, paths):
     kind, a, b = spec
     g = random_gnp(a, 0.15, b) if kind == "gnp" else _grid(a, b)
     got = min_total_paths(g, s, t, k)
-    assert (None if got is None else got.paths) == paths
+    assert got == paths

@@ -73,14 +73,21 @@ def test_pins_cover_every_field_config_and_case(pins):
 
 def test_pins_exercise_every_counter(pins):
     # the pins check only the counters that some case makes nonzero
-    totals = dict.fromkeys(FIELDS[1:], 0)
-    for rows in pins["configs"].values():
-        for row in rows.values():
-            for field, value in zip(FIELDS[1:], row[1:]):
-                totals[field] += value
+    rows = [row for rows in pins["configs"].values() for row in rows.values()]
+    columns = dict(zip(FIELDS[1:], zip(*(row[1:] for row in rows))))
     for field in ("nodes", "br1", "br2", "br3", "prunes_len", "prunes_bsp",
                   "bfi_recorded", "bfi_masked", "max_depth"):
-        assert totals[field] > 0, field
+        assert sum(columns[field]) > 0, field
+    # a counter that reads the same as another on every pinned row stores
+    # one fact twice, and a constant one stores none; prunes_bcpl reads 0
+    # while the benchmark's tracer still reads it
+    constant = [f for f, col in columns.items() if len(set(col)) == 1]
+    assert constant == ["prunes_bcpl"], constant
+    fields_of: dict[tuple, list[str]] = {}
+    for field, col in columns.items():
+        fields_of.setdefault(col, []).append(field)
+    assert all(len(fs) == 1 for fs in fields_of.values()), [
+        fs for fs in fields_of.values() if len(fs) > 1]
 
 
 @pytest.mark.parametrize("name", list(CONFIGS))

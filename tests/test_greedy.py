@@ -1,11 +1,11 @@
 import collections
+import itertools
 import random
 
 import pytest
 
 from pathpack import (Graph, PackingInstance, Solution, SolverConfig,
-                      SolveStats, Workspace, from_packing, random_gnp,
-                      validate_solution)
+                      Workspace, from_packing, random_gnp, validate_solution)
 from pathpack.flows import st_flow_value
 from pathpack.graph import FAR, shortest_path_blocked
 from pathpack.greedy import FailureCondition, GreedyFailure, run_greedy
@@ -292,20 +292,49 @@ def _lemma_roots():
                 g, s, t, rng.choice([2, 3]), dist + rng.randrange(0, 2)))
 
 
+def _checkpointed_roots():
+    """Roots whose lists already hold interior checkpoints, as (seed,
+    root): on small grids with dist(s, t) <= ell <= dist(s, t) + 2, each
+    list gets at most one interior vertex of its path in one solution.
+    Walks from bare roots almost never reach a list with interior
+    checkpoints that runs overlong, so these are where rule 2 breaks after
+    the first subpath and its earlier positions matter."""
+    for seed in range(1000):
+        rng = random.Random(seed + 5000)
+        g = grid_graph(rng.randrange(3, 6), rng.randrange(3, 6),
+                       rng.choice([0.0, 0.15]), rng)
+        g, s, t = _apart(g, rng)
+        dist = Workspace(g).distance_row(s)[t]
+        if dist == FAR:
+            continue
+        base = PackingInstance(g, s, t, rng.choice([2, 3]),
+                               dist + rng.randrange(0, 3))
+        sols = all_solutions(from_packing(base))
+        if not sols:
+            continue
+        lists = []
+        for path in rng.choice(sols):
+            inner = path[1:-1]
+            picked = rng.sample(inner, min(len(inner), rng.randrange(0, 2)))
+            lists.append((s, *picked, t))
+        yield seed, CheckpointInstance(base, tuple(lists))
+
+
 def test_branch_covers_every_solution_at_depth():
     """The branching lemma, checked below the root: at every node of a
     walk where the greedy fails, each solution of the node has some
     candidate (li, pos, v) of ``branch`` with v interior to the solution's
     subpath between entries pos - 1 and pos of list li, so the children
-    together keep every solution.  The walk starts at the bare root,
-    expands every candidate depth first and visits up to 60 nodes; a node
-    without solutions has children without any, so it is not expanded.
-    Seeded G(n, p) graphs and small grids (see :func:`_lemma_roots`), with
-    d-ms on and off."""
+    together keep every solution.  The walk starts at a root, expands
+    every candidate depth first and visits up to 60 nodes; a node without
+    solutions has children without any, so it is not expanded.  Seeded
+    G(n, p) graphs and small grids, from bare roots (see
+    :func:`_lemma_roots`) and from roots with interior checkpoints (see
+    :func:`_checkpointed_roots`), with d-ms on and off."""
     configs = {"d-ms": SolverConfig(trivial_detection=False),
                "no d-ms": SolverConfig(trivial_detection=False, d_ms=False)}
     checked = collections.Counter()
-    for seed, root in _lemma_roots():
+    for seed, root in itertools.chain(_lemma_roots(), _checkpointed_roots()):
         root_sols = None  # enumerated once a root greedy fails
         ws = Workspace(root.base.graph)
         for name, cfg in configs.items():
@@ -316,7 +345,7 @@ def test_branch_covers_every_solution_at_depth():
                 ci, sols = stack.pop()
                 if node_infeasible(ci, cfg, ws.distance_row) is not None:
                     continue
-                out = run_greedy(ci, cfg, ws, SolveStats())
+                out = run_greedy(ci, cfg, ws)
                 if not isinstance(out, GreedyFailure):
                     continue
                 if sols is None:
@@ -331,6 +360,9 @@ def test_branch_covers_every_solution_at_depth():
                             ci.lists[c.list_index])[c.pos - 1][1:-1]
                         for c in cands), (seed, name, ci.lists, sol, out)
                     checked[name, out.condition] += 1
+                    if (out.condition is FailureCondition.OVERLONG
+                            and out.j_beta > 1):
+                        checked[name, "overlong after subpath 1"] += 1
                 for c in reversed(cands):
                     child = ci.with_insertion(c.list_index, c.pos, c.vertex)
                     child_sols = _conforming(sols, child)
@@ -338,13 +370,14 @@ def test_branch_covers_every_solution_at_depth():
                         stack.append((child, child_sols))
     # no check passes vacuously: each configuration checked enough
     # solutions, under each of its branching rules, and enough of them
-    # under rule 2
+    # under rule 2, also where it branches over positions before the break
     for name, cfg in configs.items():
         rules = [c for c in FailureCondition
                  if cfg.d_ms or c is not FailureCondition.CUT_TOO_SMALL]
         assert all(checked[name, c] > 0 for c in rules), checked
         assert sum(checked[name, c] for c in rules) >= 150, checked
         assert checked[name, FailureCondition.OVERLONG] >= 75, checked
+        assert checked[name, "overlong after subpath 1"] >= 20, checked
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +389,7 @@ def _reference_greedy(ci: CheckpointInstance, cfg: SolverConfig):
     subpath's search avoids the completed paths' internal vertices, this
     path's earlier subpaths and every checkpoint, but for the subpath's two
     endpoints; the separator check closes the completed paths' internal
-    vertices.  Returns the outcome and the number of separator refutations.
+    vertices.
     """
     base = ci.base
     g, s, t, k, ell = base.graph, base.s, base.t, base.k, base.ell
@@ -372,7 +405,7 @@ def _reference_greedy(ci: CheckpointInstance, cfg: SolverConfig):
                 closed[v] = 1
             if st_flow_value(g, s, t, k - i0, closed) < k - i0:
                 return GreedyFailure(FailureCondition.CUT_TOO_SMALL, i0 + 1,
-                                     None, tuple(completed), ()), 1
+                                     None, tuple(completed), ())
         entries = ci.lists[i0]
         subpaths = []
         length = 0
@@ -385,16 +418,16 @@ def _reference_greedy(ci: CheckpointInstance, cfg: SolverConfig):
             if q is None:
                 return GreedyFailure(FailureCondition.NO_SUBPATH, i0 + 1,
                                      j0 + 1, tuple(completed),
-                                     tuple(subpaths)), 0
+                                     tuple(subpaths))
             if length + len(q) - 1 > ell:
                 return GreedyFailure(FailureCondition.OVERLONG, i0 + 1,
                                      j0 + 1, tuple(completed),
                                      tuple(subpaths),
-                                     overlong_len=len(q) - 1), 0
+                                     overlong_len=len(q) - 1)
             length += len(q) - 1
             subpaths.append(q)
         completed.append(tuple(v for q in subpaths for v in q[:-1]) + (t,))
-    return tuple(completed), 0
+    return tuple(completed)
 
 
 def _checkpoint_instance(rng, g, s, t, k, ell):
@@ -414,12 +447,11 @@ def _checkpoint_instance(rng, g, s, t, k, ell):
 
 
 def test_greedy_matches_its_definition():
-    """``run_greedy``'s one growing mask gives the whole outcome, and the
-    separator count, of the greedy whose masks are built from the
-    definition, on seeded grids and G(n, p) graphs with interior
-    checkpoints in several lists and bare tails, with d-ms and trivial
-    detection each on and off.  The runs on one graph share a workspace,
-    as the nodes of one search do."""
+    """``run_greedy``'s one growing mask gives the whole outcome of the
+    greedy whose masks are built from the definition, on seeded grids and
+    G(n, p) graphs with interior checkpoints in several lists and bare
+    tails, with d-ms and trivial detection each on and off.  The runs on
+    one graph share a workspace, as the nodes of one search do."""
     configs = [SolverConfig(d_ms=d_ms, trivial_detection=trivial)
                for d_ms in (True, False) for trivial in (True, False)]
     seen = collections.Counter()
@@ -439,11 +471,9 @@ def test_greedy_matches_its_definition():
             ci = _checkpoint_instance(rng, g, s, t, rng.randrange(1, 5),
                                       rng.randrange(2, 9))
             for cfg in configs:
-                want, fired = _reference_greedy(ci, cfg)
-                stats = SolveStats()
-                got = run_greedy(ci, cfg, ws, stats)
+                want = _reference_greedy(ci, cfg)
+                got = run_greedy(ci, cfg, ws)
                 assert got == want, (seed, ci, cfg)
-                assert stats.dms_fired == fired
                 if not isinstance(got, GreedyFailure):
                     # the k paths pass through their own checkpoint lists
                     assert validate_solution(ci, Solution(got)).ok, (seed, ci)

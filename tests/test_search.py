@@ -161,7 +161,6 @@ def test_branch_after_missing_subpath_fixture(gex):
     cands = branch(fail, ci, PLAIN, _dist_fn(gex))
     assert [c.vertex for c in cands] == list(vids(2, 3, 4))
     assert all(c.list_index == 1 and c.pos == 1 for c in cands)
-    assert all((c.u, c.u2) == (vid(1), vid(5)) for c in cands)
     # c-dist ties on this instance: order unchanged
     cfg = SolverConfig(trivial_detection=False, d_ms=False, c_dist=True)
     cands2 = branch(fail, ci, cfg, _dist_fn(gex))
@@ -198,7 +197,7 @@ def test_branch_cut_empty_pool_before_first_path():
                        c_dist=False, c_pl=False)
     decision, _, stats = solve(PackingInstance(g, 0, 2, 2, 5), cfg)
     assert decision == "no"
-    assert stats.nodes == 1 and stats.br3 == 1 and stats.dms_fired == 1
+    assert stats.nodes == 1 and stats.br3 == 1
 
 
 @pytest.fixture()
