@@ -25,8 +25,11 @@ same paths as :func:`shortest_path_blocked`, and
 ``preprocess.reduce_instance`` takes its balls as dicts from
 ``kernels.ball`` too.
 
-:func:`parse_graph` checks the whole text with numpy in one pass; only a
-text that breaks a rule is read again line by line, to name the line.
+:func:`parse_graph` reads a canonical text, whose every line is
+``<digits> <digits>\n`` as :func:`format_graph` writes it, with one pass
+over its separators and one integer read; any other text gets a per-byte
+numpy check that each line holds two tokens or none.  Only a text that
+breaks a rule is read again line by line, to name the line.
 A file's ASCII bytes are checked as read: bytes are decoded only when one
 is not ASCII, and whitespace and comment lines are rewritten only when
 the text holds a byte other than a digit, a sign, a space or a newline.
@@ -281,8 +284,9 @@ _MAX_ISOLATED = 2**20
 # b"\n", and the other ASCII whitespace of str.split becomes b" ".
 _WHITESPACE = bytes.maketrans(b"\r\x0b\x0c\x1c\x1d\x1e\t\x1f",
                               b"\n\n\n\n\n\n  ")
+_DIGITS = b"0123456789"
 # The bytes of a text with nothing to rewrite: digits, signs, b" ", b"\n".
-_PLAIN = b"0123456789+- \n"
+_PLAIN = _DIGITS + b"+- \n"
 _TOKEN = re.compile(r"[+-]?[0-9]+")
 
 
@@ -302,9 +306,13 @@ def parse_graph(text: Union[str, bytes]) -> Graph:
     here and when an edge is removed from parsed rows.  ASCII ``bytes``,
     as :func:`load_graph` reads a file, are checked as they are; only
     bytes with a non-ASCII byte are decoded, to find their comment lines,
-    and a ``str`` is encoded once.  Whitespace other than ``b" "`` and
-    ``b"\n"``, and comment lines, are rewritten only in a text that holds
-    some byte other than a digit, a sign, ``b" "`` or ``b"\n"``.  The
+    and a ``str`` is encoded once.  A canonical text, each line a digit
+    run, ``b" "``, a digit run and ``b"\n"``, is checked by its
+    separators and its token count alone; any other text, and a canonical
+    one with an empty token, is checked byte by byte.  Whitespace other
+    than ``b" "`` and ``b"\n"``, and comment lines, are rewritten only in
+    a text that holds some byte other than a digit, a sign, ``b" "`` or
+    ``b"\n"``.  The
     edges are sorted as keys ``u * n + v``: int32 keys when ``n * n <
     2**31`` (n <= 46340), int64 keys otherwise.  Only a text that breaks
     a rule is read again line by line, decoded, to report the first
@@ -339,6 +347,10 @@ def _scan(text: Union[str, bytes]) -> Optional[tuple[int, np.ndarray]]:
     for both directions (u, v) and (v, u) of every edge, 0-based, as an
     int32 array when every key fits in one (n * n < 2**31) and as an int64
     array otherwise; or None if a rule fails.
+
+    A text that :func:`_canonical_separators` accepts is read with one
+    integer read; any other, and a canonical one with an empty token, is
+    read by :func:`_read_checked`.
     """
     import numpy as np
     if not text.isascii():
@@ -349,47 +361,18 @@ def _scan(text: Union[str, bytes]) -> Optional[tuple[int, np.ndarray]]:
             return None
         text = "\n".join(line if line.isascii() else "#" for line in lines)
     raw = text.encode("ascii") if isinstance(text, str) else text
-    # a plain text, as format_graph writes it, skips the rewrite and its
-    # copies, which would leave it as it is
-    if raw.translate(None, _PLAIN):
-        raw = raw.translate(_WHITESPACE)
-        if b"#" in raw:
-            raw = _drop_comment_lines(raw)
-        if raw.translate(None, _PLAIN):
-            return None
-    # framed so that every token has a byte before and after it, and every
-    # line, the first too, starts right after a b"\n"
-    b = np.frombuffer(b"\n" + raw + b" ", dtype=np.uint8)
-    in_token = b > 32              # digits and signs; ' ' is 32, '\n' 10
-    # the events, in text order: line ends and token starts.  The gaps
-    # between line ends count the tokens of each line, from arrays with
-    # one entry per event rather than per byte
-    event = b == 10
-    event[1:] |= in_token[1:] > in_token[:-1]
-    kinds = b[np.flatnonzero(event)]
-    line_ends = np.flatnonzero(kinds == 10)
-    tokens = len(kinds) - len(line_ends)
-    if tokens < 2:
-        return None
-    # two tokens per line, or none
-    per_line = np.diff(line_ends, append=len(kinds)) - 1
-    if ((per_line != 0) & (per_line != 2)).any():
-        return None
-    if b"+" in raw or b"-" in raw:
-        # a sign must start its token and be followed by a digit
-        signs = np.flatnonzero((b == 43) | (b == 45))
-        if in_token[signs - 1].any() or (b[signs + 1] < 48).any():
-            return None
-    # free the arrays with one entry per byte or event before fromstring
-    # allocates its own; that lowers a parse's peak memory by about 1.4 MB
-    # on a 20k-vertex file
-    del b, in_token, event, kinds, line_ends, per_line
-    try:
+    # a canonical text's line holds at most two tokens, so a count of one
+    # token per separator proves two on every line
+    tokens = _canonical_separators(raw)
+    values = None
+    if tokens:
         values = np.fromstring(raw, dtype=np.int64, sep=" ")
-    except ValueError:
-        return None
-    if len(values) != tokens:
-        return None
+        if len(values) != tokens:
+            values = None
+    if values is None:
+        values = _read_checked(raw)
+        if values is None:
+            return None
     # fromstring saturates an overflowing token to an extreme int64 value,
     # which the range checks below reject
     n, m = int(values[0]), int(values[1])
@@ -421,6 +404,67 @@ def _scan(text: Union[str, bytes]) -> Optional[tuple[int, np.ndarray]]:
     if (key[1:] == key[:-1]).any():
         return None
     return n, key
+
+
+def _canonical_separators(raw: bytes) -> int:
+    """The number of separators in ``raw`` if it is canonical, else 0.
+
+    Canonical: every line a digit run, b" ", a digit run and b"\n", as
+    :func:`format_graph` writes it.  The final b"\n" is needed: in
+    b"4 1\n3 \n2" a one-token line and an unterminated last line make up
+    each other's token count.
+    """
+    seps = raw.translate(None, _DIGITS)
+    if raw.endswith(b"\n") and seps == b" \n" * (len(seps) // 2):
+        return len(seps)
+    return 0
+
+
+def _read_checked(raw: bytes) -> Optional[np.ndarray]:
+    """The tokens of ``raw``, an ASCII text that is not canonical, as int64
+    values after a per-byte check that every line holds two tokens or
+    none; or None if a line breaks that rule."""
+    import numpy as np
+    # whitespace other than b" " and b"\n", and comment lines, are
+    # rewritten only in a text that has any
+    if raw.translate(None, _PLAIN):
+        raw = raw.translate(_WHITESPACE)
+        if b"#" in raw:
+            raw = _drop_comment_lines(raw)
+        if raw.translate(None, _PLAIN):
+            return None
+    # framed so that every token has a byte before and after it, and every
+    # line, the first too, starts right after a b"\n"
+    b = np.frombuffer(b"\n" + raw + b" ", dtype=np.uint8)
+    in_token = b > 32              # digits and signs; ' ' is 32, '\n' 10
+    # the events, in text order: line ends and token starts.  The gaps
+    # between line ends count the tokens of each line, from arrays with
+    # one entry per event rather than per byte
+    event = b == 10
+    event[1:] |= in_token[1:] > in_token[:-1]
+    kinds = b[np.flatnonzero(event)]
+    line_ends = np.flatnonzero(kinds == 10)
+    tokens = len(kinds) - len(line_ends)
+    if tokens < 2:
+        return None
+    # two tokens per line, or none
+    per_line = np.diff(line_ends, append=len(kinds)) - 1
+    if ((per_line != 0) & (per_line != 2)).any():
+        return None
+    if b"+" in raw or b"-" in raw:
+        # a sign must start its token and be followed by a digit
+        signs = np.flatnonzero((b == 43) | (b == 45))
+        if in_token[signs - 1].any() or (b[signs + 1] < 48).any():
+            return None
+    # free the arrays with one entry per byte or event before fromstring
+    # allocates its own; that lowers this path's peak memory by about
+    # 1.4 MB on a 20k-vertex file
+    del b, in_token, event, kinds, line_ends, per_line
+    try:
+        values = np.fromstring(raw, dtype=np.int64, sep=" ")
+    except ValueError:
+        return None
+    return values if len(values) == tokens else None
 
 
 def _is_comment(line: str) -> bool:

@@ -55,16 +55,15 @@ DistFn = Callable[[int], Sequence[int]]
 Paths = tuple[tuple[int, ...], ...]
 
 
-def _position_candidates(list_index: int, pos: int, u: int, u2: int,
-                         pool: list[int], cfg: SolverConfig,
-                         dist_fn: DistFn) -> list[Candidate]:
-    """The candidates splicing each pool vertex between u and u2, in
+def _ranked(u: int, u2: int, pool: list[int], cfg: SolverConfig,
+            dist_fn: DistFn) -> list[tuple[int, int]]:
+    """(gap sum, vertex) for each pool vertex spliced between u and u2, in
     branching order: with c-dist by ascending gap sum (an unreachable gap
     counting ``graph.FAR``), ties by vertex id; otherwise by vertex id."""
     du, du2 = dist_fn(u), dist_fn(u2)
     keyed = [(du[v] + du2[v], v) for v in pool]
     keyed.sort(key=None if cfg.c_dist else itemgetter(1))
-    return [Candidate(list_index, pos, v, gaps) for gaps, v in keyed]
+    return keyed
 
 
 def _pool_base(fail: GreedyFailure, cp_union: set[int],
@@ -84,7 +83,7 @@ def branch(fail: GreedyFailure, inst: CheckpointInstance, cfg: SolverConfig,
            dist_fn: DistFn) -> list[Candidate]:
     """The child insertions of a greedy failure, in branching order: the
     failure's rule names (list, position, pool) slots, and each slot splices
-    its pool's vertices in through :func:`_position_candidates`.
+    its pool's vertices in through :func:`_ranked`.
 
     Rule 1, NO_SUBPATH (at most k * ell children): the missing subpath must
     use a consumed vertex; one slot, the break position (i_beta, j_beta).
@@ -95,32 +94,32 @@ def branch(fail: GreedyFailure, inst: CheckpointInstance, cfg: SolverConfig,
     Rule 3, CUT_TOO_SMALL (at most k^2 * ell^2): after a failed separator
     check some pending list's path must use a consumed vertex; one slot
     per list i_beta..k, its (s, t) at position 1, all with the one pool of
-    the completed paths' vertices.
+    the completed paths' vertices, so the lists share one ranking.
     """
     cp_union = inst.checkpoint_union()
     li, j_b = fail.i_beta - 1, fail.j_beta
+    entries = inst.lists[li]
     rule = fail.condition.value
+    if rule == 3:
+        # a CUT failure has no partial subpaths, and the separator check's
+        # gate keeps every pending list bare, (s, t) like this one
+        ranked = _ranked(entries[0], entries[1], _pool_base(fail, cp_union),
+                         cfg, dist_fn)
+        return [Candidate(i, 1, v, gaps)
+                for i in range(li, inst.base.k) for gaps, v in ranked]
     if rule == 1:
-        slots = [(li, j_b, _pool_base(fail, cp_union))]
-    elif rule == 2:
+        slots = [(j_b, _pool_base(fail, cp_union))]
+    else:
         lengths = [len(q) - 1 for q in fail.partial_subpaths]
         lengths.append(fail.overlong_len or 0)
         positions = range(1, j_b + 1)
         if cfg.c_pl:  # a stable sort keeps equal lengths by position
             positions = sorted(positions, key=lambda j: -lengths[j - 1])
-        slots = [(li, j, _pool_base(fail, cp_union, skip_subpath=j))
+        slots = [(j, _pool_base(fail, cp_union, skip_subpath=j))
                  for j in positions]
-    else:
-        # a CUT failure has no partial subpaths, and the separator check's
-        # gate keeps every pending list bare: one slot (s, t) per list
-        pool = _pool_base(fail, cp_union)
-        slots = [(i, 1, pool) for i in range(li, inst.base.k)]
-    out: list[Candidate] = []
-    for i, j, pool in slots:
-        entries = inst.lists[i]
-        out.extend(_position_candidates(i, j, entries[j - 1], entries[j],
-                                        pool, cfg, dist_fn))
-    return out
+    return [Candidate(li, j, v, gaps) for j, pool in slots
+            for gaps, v in _ranked(entries[j - 1], entries[j], pool, cfg,
+                                   dist_fn)]
 
 
 def _gap_sum(entries: tuple[int, ...], dist_fn: DistFn) -> int:

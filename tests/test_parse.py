@@ -12,7 +12,8 @@ from array import array
 
 import pytest
 
-from pathpack import Graph, GraphFormatError, parse_graph, random_gnp
+from pathpack import (Graph, GraphFormatError, format_graph, parse_graph,
+                      random_gnp)
 from pathpack.graph import _scan
 
 
@@ -207,6 +208,113 @@ def test_mutations_reach_both_outcomes_and_every_message():
                     "endpoint out of range N..N", "self-loop not allowed",
                     "declared N edges but found N"}
     assert any(s.startswith("duplicate edge") for s in seen)
+
+
+# ---------------------------------------------------------------------------
+# canonical texts: one separator pass, and the per-byte check on a mismatch
+# ---------------------------------------------------------------------------
+
+OVERFLOWS = ["99999999999999999999", "9223372036854775808", "2147483648",
+             "4294967296"]
+
+
+def _canonical_mutation(rng, lines, n):
+    """Apply one token-level mutation to ``lines`` (lists of two digit
+    strings) that keeps every byte a digit, b" " or b"\n"."""
+    kind = rng.randrange(10)
+    i = rng.randrange(len(lines))
+    line = lines[i]
+    j = rng.randrange(2)
+    if kind == 0:                                       # empty digit run
+        line[j] = ""
+    elif kind == 1:                                     # only a space
+        lines.insert(rng.randrange(len(lines) + 1), ["", ""])
+    elif kind == 2:                                     # overflowing token
+        line[j] = rng.choice(OVERFLOWS)
+    elif kind == 3 and line[j]:                         # zero-padded token
+        line[j] = "0" * rng.randrange(1, 4) + line[j]
+    elif kind == 4 and lines[0][j].isdigit():           # header change
+        lines[0][j] = str(max(0, int(lines[0][j]) + rng.choice([-1, 1, 2])))
+    elif kind == 5 and len(lines) > 1:                  # duplicate
+        dup = list(rng.choice(lines[1:]))
+        lines.insert(rng.randrange(1, len(lines) + 1),
+                     dup[::rng.choice([1, -1])])
+    elif kind == 6 and i > 0:                           # self-loop
+        line[1] = line[0]
+    elif kind == 7 and i > 0:                           # out of range
+        line[j] = str(n + rng.randrange(1, 3))
+    elif kind == 8 and len(lines) > 1:                  # missing edge line
+        del lines[rng.randrange(1, len(lines))]
+    else:                                               # extra edge line
+        lines.append([str(rng.randrange(1, n + 1)),
+                      str(rng.randrange(1, n + 1))])
+
+
+def _canonical_text(seed):
+    """A valid graph written as format_graph writes it, with up to three
+    token-level mutations; a quarter of the texts lose the final b"\n"."""
+    rng = random.Random(seed)
+    lines = _valid_lines(rng)
+    n = int(lines[0][0])
+    for _ in range(rng.choice([0, 1, 1, 2, 3])):
+        _canonical_mutation(rng, lines, n)
+    text = "".join(f"{a} {b}\n" for a, b in lines)
+    return text[:-1] if rng.random() < 0.25 else text
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_canonical_texts_and_their_mutations_match_the_reference(seed):
+    text = _canonical_text(seed)
+    want = reference_parse(text)
+    assert outcome(text) == want
+    assert outcome(text.encode("ascii")) == want
+
+
+def test_canonical_mutations_reach_both_outcomes_and_every_message():
+    seen = set()
+    for seed in range(300):
+        result = reference_parse(_canonical_text(seed))
+        seen.add(result[0] if result[0] == "ok"
+                 else re.sub(r"[0-9]+", "N", result[2].split(": ", 1)[1]))
+    assert seen >= {"ok", "expected two integers", "header values above N",
+                    "more than the declared N edges",
+                    "endpoint out of range N..N", "self-loop not allowed",
+                    "declared N edges but found N"}
+    assert any(s.startswith("duplicate edge") for s in seen)
+
+
+@pytest.mark.parametrize("text,want", [
+    # a one-token line and an unterminated last line give as many tokens
+    # as separators
+    ("4 1\n3 \n2", ("error", 2, "line 2: expected two integers")),
+    # a line holding only a space is blank: fewer tokens than separators,
+    # and still valid
+    ("3 2\n \n1 2\n2 3\n", ("ok", ((1,), (0, 2), (1,)))),
+    ("5 \n", ("error", 1, "line 1: expected two integers")),
+    (" 5\n", ("error", 1, "line 1: expected two integers")),
+    (" \n", ("error", 1, "line 1: missing '<n> <m>' header")),
+    ("3 1\n1 2\n \n", ("ok", ((1,), (0,), ()))),
+])
+def test_canonical_edge_cases(text, want):
+    assert reference_parse(text) == want
+    assert outcome(text) == want
+    assert outcome(text.encode("ascii")) == want
+
+
+def test_valid_canonical_texts_skip_the_per_byte_check(monkeypatch):
+    def refuse(raw):
+        raise AssertionError(f"per-byte check reached for {raw[:20]!r}")
+
+    monkeypatch.setattr("pathpack.graph._read_checked", refuse)
+    for seed in range(40):
+        g = random_gnp(1 + seed, 0.3, seed)
+        text = format_graph(g)
+        for given in (text, text.encode("ascii")):
+            assert rows(parse_graph(given)) == g.adj
+    # a canonical text with an empty token, and any other text, take it
+    for text in ("3 2\n \n1 2\n2 3\n", "3 1\n1 2", "3 1\n1\t2\n"):
+        with pytest.raises(AssertionError, match="per-byte check"):
+            parse_graph(text)
 
 
 # ---------------------------------------------------------------------------

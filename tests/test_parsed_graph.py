@@ -13,6 +13,7 @@ import pytest
 
 from pathpack import (Graph, PackingInstance, SolverConfig, Workspace,
                       format_graph, from_packing, parse_graph, random_gnp)
+from pathpack.graph import FAR
 from pathpack.greedy import run_greedy
 from pathpack.preprocess import reduce_instance
 from pathpack.search import solve
@@ -80,14 +81,15 @@ def _parsed(g, seed=0):
 
 def _queries(g, count, seed):
     """(s, t, k, ell) with ell at most 3 above the s-t distance, so that
-    some queries reach the search under the default config."""
+    some queries reach the search under the default config; an unreachable
+    pair (distance FAR) gets ell 4 to 7."""
     rng = random.Random(seed)
     ws = Workspace(g)
     out = []
     for _ in range(count):
         s, t = rng.sample(range(g.n), 2)
         d = ws.distance_row(s)[t]
-        ell = (d if d > 0 else 4) + rng.randrange(4)
+        ell = (d if d < FAR else 4) + rng.randrange(4)
         out.append((s, t, rng.choice([1, 2, 2, 3]), ell))
     return out
 

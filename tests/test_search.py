@@ -17,8 +17,7 @@ from pathpack.greedy import FailureCondition, GreedyFailure
 from pathpack.model import CheckpointInstance
 from pathpack.oracle import oracle_decide
 from pathpack.preprocess import detect_on_input
-from pathpack.search import (_position_candidates, branch,
-                             node_infeasible, solve)
+from pathpack.search import branch, node_infeasible, solve
 
 from conftest import GEX_EDGES_1BASED, greedy, grid_graph, vid, vids
 
@@ -248,6 +247,17 @@ def test_branch_after_cut_failure_counts(gex):
     assert len(cands) == 6
     assert {(c.list_index, c.pos) for c in cands} == {(1, 1), (2, 1)}
     assert [c.vertex for c in cands[:3]] == list(vids(2, 3, 4))
+    # both pending lists are (s, t): one ranking, emitted per list
+    per_list = _per_list(cands)
+    assert per_list.keys() == {1, 2} and per_list[1] == per_list[2]
+
+
+def _per_list(cands):
+    """Each list's candidates in order, without their list index."""
+    out = {}
+    for c in cands:
+        out.setdefault(c.list_index, []).append(c[1:])
+    return out
 
 
 def test_branch_candidates_never_listed_vertices(gex):
@@ -265,6 +275,16 @@ def test_branch_candidates_never_listed_vertices(gex):
 # the three per-rule branchers that branch() replaced, as a reference: on
 # every greedy failure the search meets, branch() must return their list
 # ---------------------------------------------------------------------------
+
+def _position_candidates(list_index, pos, u, u2, pool, cfg, dist_fn):
+    """The candidates splicing each pool vertex between u and u2, as
+    (list_index, pos, vertex, gap sum): with c-dist by gap sum, then id;
+    otherwise by id."""
+    du, du2 = dist_fn(u), dist_fn(u2)
+    order = sorted(pool, key=(lambda v: (du[v] + du2[v], v)) if cfg.c_dist
+                   else None)
+    return [(list_index, pos, v, du[v] + du2[v]) for v in order]
+
 
 def _reference_pool(fail, cp_union, skip_subpath=None):
     pool = set()
@@ -367,6 +387,8 @@ def test_branch_matches_the_per_rule_reference(name, monkeypatch):
         assert got == _REFERENCE[fail.condition](fail, inst, cfg, dist_fn)
         if len({c.list_index for c in got}) > 1:
             met.add("lists")
+            # only rule 3 spreads, and its lists differ in the index only
+            assert len({tuple(seq) for seq in _per_list(got).values()}) == 1
         if got:
             met.add(fail.condition)
         return got
