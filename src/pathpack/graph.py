@@ -25,14 +25,13 @@ same paths as :func:`shortest_path_blocked`, and
 ``preprocess.reduce_instance`` takes its balls as dicts from
 ``kernels.ball`` too.
 
-:func:`parse_graph` reads a canonical text, whose every line is
-``<digits> <digits>\n`` as :func:`format_graph` writes it, with one pass
-over its separators and one integer read; any other text gets a per-byte
-numpy check that each line holds two tokens or none.  Only a text that
-breaks a rule is read again line by line, to name the line.
-A file's ASCII bytes are checked as read: bytes are decoded only when one
-is not ASCII, and whitespace and comment lines are rewritten only when
-the text holds a byte other than a digit, a sign, a space or a newline.
+:func:`parse_graph` reads a text by one of three routes.  A canonical
+text, whose every line is ``<digits> <digits>\n`` as :func:`format_graph`
+writes it, is read in bulk: one pass over its separators and one integer
+read.  Any other ASCII text is rewritten to canonical form and then read
+in bulk the same way.  A text with a signed token or a non-ASCII
+character, and one that breaks a rule, is read line by line, which
+returns its values or names the first offending line.
 The parse sorts its edges as 32-bit keys when ``n * n < 2**31`` (n <=
 46340) and as 64-bit keys above.
 numpy is loaded only when graph text is parsed or when an edge is removed
@@ -48,8 +47,8 @@ import random
 import re
 from array import array
 from bisect import bisect_left
-from typing import (TYPE_CHECKING, Iterable, Iterator, NoReturn, Optional,
-                    Sequence, Union)
+from typing import (TYPE_CHECKING, Iterable, Iterator, Optional, Sequence,
+                    Union)
 
 from .kernels import ball, bfs_tree
 
@@ -285,8 +284,14 @@ _MAX_ISOLATED = 2**20
 _WHITESPACE = bytes.maketrans(b"\r\x0b\x0c\x1c\x1d\x1e\t\x1f",
                               b"\n\n\n\n\n\n  ")
 _DIGITS = b"0123456789"
-# The bytes of a text with nothing to rewrite: digits, signs, b" ", b"\n".
-_PLAIN = _DIGITS + b"+- \n"
+# A comment line after its line end, a run of spaces, and a line end
+# followed by blank lines or by the next line's leading spaces.  Each
+# pattern starts with a literal byte, which lets re skip ahead to it: a
+# text with nothing to collapse is scanned over ten times as fast as with
+# one pattern that starts with b" *".
+_COMMENT_LINE = re.compile(rb"\n *#[^\n]*")
+_SPACE_RUN = re.compile(rb"  +")
+_BLANK_RUN = re.compile(rb"\n[ \n]+")
 _TOKEN = re.compile(r"[+-]?[0-9]+")
 
 
@@ -302,29 +307,21 @@ def parse_graph(text: Union[str, bytes]) -> Graph:
     ``bytes`` are read as UTF-8; bytes that are not UTF-8 count as
     non-ASCII characters.
 
-    The whole text is checked in bulk with numpy, which is loaded only
-    here and when an edge is removed from parsed rows.  ASCII ``bytes``,
-    as :func:`load_graph` reads a file, are checked as they are; only
-    bytes with a non-ASCII byte are decoded, to find their comment lines,
-    and a ``str`` is encoded once.  A canonical text, each line a digit
-    run, ``b" "``, a digit run and ``b"\n"``, is checked by its
-    separators and its token count alone; any other text, and a canonical
-    one with an empty token, is checked byte by byte.  Whitespace other
-    than ``b" "`` and ``b"\n"``, and comment lines, are rewritten only in
-    a text that holds some byte other than a digit, a sign, ``b" "`` or
-    ``b"\n"``.  The
+    A text takes one of three routes.  A canonical text, each line a
+    digit run, ``b" "``, a digit run and ``b"\n"``, is read in bulk with
+    numpy: one pass over its separators and one integer read.  Any other
+    ASCII text is rewritten to canonical form first (whitespace, comment
+    lines, blank lines, padding and the final ``b"\n"``) and then read
+    the same way.  A text with a signed token or a non-ASCII character,
+    and one that breaks a rule, is read line by line, which reports the
+    first offending line.  ASCII ``bytes``, as :func:`load_graph` reads
+    a file, are read as they are, and a ``str`` is encoded once.  The
     edges are sorted as keys ``u * n + v``: int32 keys when ``n * n <
-    2**31`` (n <= 46340), int64 keys otherwise.  Only a text that breaks
-    a rule is read again line by line, decoded, to report the first
-    offending line.
+    2**31`` (n <= 46340), int64 keys otherwise.  numpy is loaded only
+    here and when an edge is removed from parsed rows.
     """
     import numpy as np
-    scanned = _scan(text)
-    if scanned is None:
-        if isinstance(text, bytes):
-            text = text.decode("utf-8", "surrogateescape")
-        _raise_first_error(text)
-    n, key = scanned
+    n, key = _scan(text)
     # key = src * n + dst over both directions of every edge, sorted: the
     # rows come out grouped by source, each in ascending order, and one
     # division gives both (with n = 0 the key is empty, and dividing it by
@@ -340,39 +337,77 @@ def parse_graph(text: Union[str, bytes]) -> Graph:
     return g
 
 
-def _scan(text: Union[str, bytes]) -> Optional[tuple[int, np.ndarray]]:
-    """Check every rule of the format on the whole of ``text`` at once.
+def _scan(text: Union[str, bytes]) -> tuple[int, np.ndarray]:
+    """Read ``text`` and check every rule of the format.
 
     Returns (n, key), where ``key`` holds ``u * n + v`` in ascending order
     for both directions (u, v) and (v, u) of every edge, 0-based, as an
     int32 array when every key fits in one (n * n < 2**31) and as an int64
-    array otherwise; or None if a rule fails.
+    array otherwise; raises GraphFormatError at the first line that
+    breaks a rule.
 
-    A text that :func:`_canonical_separators` accepts is read with one
-    integer read; any other, and a canonical one with an empty token, is
-    read by :func:`_read_checked`.
+    An ASCII text is read by :func:`_read_canonical`, as it is or else
+    after :func:`_canonical_form`.  A text that reads neither way, and one
+    whose values fail :func:`_checked_keys`, goes to :func:`_read_lines`.
     """
     import numpy as np
-    if not text.isascii():
-        if isinstance(text, bytes):
-            text = text.decode("utf-8", "surrogateescape")
-        lines = text.splitlines()
-        if not all(line.isascii() or _is_comment(line) for line in lines):
-            return None
-        text = "\n".join(line if line.isascii() else "#" for line in lines)
-    raw = text.encode("ascii") if isinstance(text, str) else text
-    # a canonical text's line holds at most two tokens, so a count of one
-    # token per separator proves two on every line
-    tokens = _canonical_separators(raw)
-    values = None
-    if tokens:
-        values = np.fromstring(raw, dtype=np.int64, sep=" ")
-        if len(values) != tokens:
-            values = None
-    if values is None:
-        values = _read_checked(raw)
+    if text.isascii():
+        raw = text.encode("ascii") if isinstance(text, str) else text
+        values = _read_canonical(raw)
         if values is None:
-            return None
+            values = _read_canonical(_canonical_form(raw))
+        scanned = None if values is None else _checked_keys(values)
+        if scanned is not None:
+            return scanned
+    if isinstance(text, bytes):
+        text = text.decode("utf-8", "surrogateescape")
+    scanned = _checked_keys(np.array(_read_lines(text), dtype=np.int64))
+    if scanned is None:
+        raise AssertionError("graph text read line by line but rejected "
+                             "in bulk")
+    return scanned
+
+
+def _read_canonical(raw: bytes) -> Optional[np.ndarray]:
+    """The tokens of ``raw`` as int64 values if it is canonical, else None.
+
+    Canonical: every line a digit run, b" ", a digit run and b"\n", as
+    :func:`format_graph` writes it.  Such a line holds at most two tokens,
+    so a count of one token per separator proves two on every line; the
+    count fails on an empty digit run.  The final b"\n" is needed: in
+    b"4 1\n3 \n2" a one-token line and an unterminated last line make up
+    each other's token count.
+    """
+    import numpy as np
+    seps = raw.translate(None, _DIGITS)
+    if not (raw.endswith(b"\n") and seps == b" \n" * (len(seps) // 2)):
+        return None
+    values = np.fromstring(raw, dtype=np.int64, sep=" ")
+    return values if len(values) == len(seps) else None
+
+
+def _canonical_form(raw: bytes) -> bytes:
+    """ASCII ``raw`` with its whitespace rewritten, so that a text whose
+    tokens are unsigned becomes canonical if it holds two tokens on every
+    line or none: the other whitespace becomes b" " and b"\n", comment
+    lines, blank lines and the spaces at both ends of a line go, a run of
+    spaces becomes one, and the text ends in b"\n".  A '#' after a token
+    is kept, and keeps the text from being canonical."""
+    # b"\r\n" is one line end, and one bytes.replace spares _BLANK_RUN a
+    # match on every line of a CRLF text.  The leading b"\n" puts one
+    # before the first line too, and goes at the end
+    raw = b"\n" + raw.replace(b"\r\n", b"\n").translate(_WHITESPACE) + b"\n"
+    raw = _COMMENT_LINE.sub(b"\n", raw)
+    raw = _SPACE_RUN.sub(b" ", raw).replace(b" \n", b"\n")
+    return _BLANK_RUN.sub(b"\n", raw)[1:]
+
+
+def _checked_keys(values: np.ndarray) -> Optional[tuple[int, np.ndarray]]:
+    """(n, key) as :func:`_scan` returns it from the int64 ``values`` of
+    a text, n, m and then the endpoints of each edge; or None if they
+    break a rule of the header, the edge count, the endpoint range, the
+    self-loops or the duplicates."""
+    import numpy as np
     # fromstring saturates an overflowing token to an extreme int64 value,
     # which the range checks below reject
     n, m = int(values[0]), int(values[1])
@@ -406,98 +441,17 @@ def _scan(text: Union[str, bytes]) -> Optional[tuple[int, np.ndarray]]:
     return n, key
 
 
-def _canonical_separators(raw: bytes) -> int:
-    """The number of separators in ``raw`` if it is canonical, else 0.
-
-    Canonical: every line a digit run, b" ", a digit run and b"\n", as
-    :func:`format_graph` writes it.  The final b"\n" is needed: in
-    b"4 1\n3 \n2" a one-token line and an unterminated last line make up
-    each other's token count.
-    """
-    seps = raw.translate(None, _DIGITS)
-    if raw.endswith(b"\n") and seps == b" \n" * (len(seps) // 2):
-        return len(seps)
-    return 0
-
-
-def _read_checked(raw: bytes) -> Optional[np.ndarray]:
-    """The tokens of ``raw``, an ASCII text that is not canonical, as int64
-    values after a per-byte check that every line holds two tokens or
-    none; or None if a line breaks that rule."""
-    import numpy as np
-    # whitespace other than b" " and b"\n", and comment lines, are
-    # rewritten only in a text that has any
-    if raw.translate(None, _PLAIN):
-        raw = raw.translate(_WHITESPACE)
-        if b"#" in raw:
-            raw = _drop_comment_lines(raw)
-        if raw.translate(None, _PLAIN):
-            return None
-    # framed so that every token has a byte before and after it, and every
-    # line, the first too, starts right after a b"\n"
-    b = np.frombuffer(b"\n" + raw + b" ", dtype=np.uint8)
-    in_token = b > 32              # digits and signs; ' ' is 32, '\n' 10
-    # the events, in text order: line ends and token starts.  The gaps
-    # between line ends count the tokens of each line, from arrays with
-    # one entry per event rather than per byte
-    event = b == 10
-    event[1:] |= in_token[1:] > in_token[:-1]
-    kinds = b[np.flatnonzero(event)]
-    line_ends = np.flatnonzero(kinds == 10)
-    tokens = len(kinds) - len(line_ends)
-    if tokens < 2:
-        return None
-    # two tokens per line, or none
-    per_line = np.diff(line_ends, append=len(kinds)) - 1
-    if ((per_line != 0) & (per_line != 2)).any():
-        return None
-    if b"+" in raw or b"-" in raw:
-        # a sign must start its token and be followed by a digit
-        signs = np.flatnonzero((b == 43) | (b == 45))
-        if in_token[signs - 1].any() or (b[signs + 1] < 48).any():
-            return None
-    # free the arrays with one entry per byte or event before fromstring
-    # allocates its own; that lowers this path's peak memory by about
-    # 1.4 MB on a 20k-vertex file
-    del b, in_token, event, kinds, line_ends, per_line
-    try:
-        values = np.fromstring(raw, dtype=np.int64, sep=" ")
-    except ValueError:
-        return None
-    return values if len(values) == tokens else None
-
-
-def _is_comment(line: str) -> bool:
-    return line.strip().startswith("#")
-
-
-def _drop_comment_lines(raw: bytes) -> bytes:
-    """``raw`` (only b"\\n" and b" " as whitespace) without its comment
-    lines.  A '#' after a token is kept, and fails the character check."""
-    pieces = []
-    done = 0
-    pos = raw.find(b"#")
-    while pos >= 0:
-        start = raw.rfind(b"\n", 0, pos) + 1
-        end = raw.find(b"\n", pos)
-        if end < 0:
-            end = len(raw)
-        if not raw[start:pos].strip(b" "):
-            pieces.append(raw[done:start])
-            done = end
-        pos = raw.find(b"#", end)
-    pieces.append(raw[done:])
-    return b"".join(pieces)
-
-
-def _raise_first_error(text: str) -> NoReturn:
-    """Raise GraphFormatError at the first line of ``text`` that breaks a
-    rule of :func:`parse_graph`, in the order the rules apply to a line."""
+def _read_lines(text: str) -> list[int]:
+    """The values of ``text``, n, m and then the endpoints of each edge,
+    read one line at a time; raises GraphFormatError at the first line
+    that breaks a rule of :func:`parse_graph`, in the order the rules
+    apply to a line."""
     lines = text.splitlines()
     header: Optional[tuple[int, int]] = None
     seen: set[tuple[int, int]] = set()
+    values: list[int] = []
     for line_no, line in enumerate(lines, start=1):
-        if _is_comment(line):
+        if line.strip().startswith("#"):
             continue
         parts = line.split()
         if not parts and line.isascii():
@@ -506,6 +460,7 @@ def _raise_first_error(text: str) -> NoReturn:
                 or not all(map(_TOKEN.fullmatch, parts))):
             raise GraphFormatError("expected two integers", line_no)
         a, b = int(parts[0]), int(parts[1])
+        values += (a, b)
         if header is None:
             if a < 0 or b < 0:
                 raise GraphFormatError("negative header values", line_no)
@@ -535,7 +490,7 @@ def _raise_first_error(text: str) -> NoReturn:
         raise GraphFormatError(
             f"declared {header[1]} edges but found {len(seen)}",
             len(lines) or 1)
-    raise AssertionError("graph text rejected in bulk but not line by line")
+    return values
 
 
 def load_graph(path) -> Graph:

@@ -14,6 +14,7 @@ import pytest
 
 from pathpack import (Graph, GraphFormatError, format_graph, parse_graph,
                       random_gnp)
+from pathpack import graph
 from pathpack.graph import _scan
 
 
@@ -151,7 +152,7 @@ def _mutate(rng, lines):
     elif kind == 7 and isinstance(lines[0], list) and len(lines[0]) == 2:
         head = lines[0]                                 # change the header
         j = rng.randrange(2)
-        if head[j].lstrip("+-").isdigit():
+        if TOKEN.fullmatch(head[j]):
             head[j] = str(int(head[j]) + rng.choice([-2, -1, 1, 2**31]))
     elif kind == 8 and isinstance(line, list) and len(line) == 2:
         line[1] = line[0]                               # self-loop
@@ -189,7 +190,9 @@ def _mutated_text(seed):
     return _render(rng, lines)
 
 
-@pytest.mark.parametrize("seed", range(300))
+# in 5770 and 15149 an odd token ("+-3", "\u00b2") replaces a header value
+# that a later mutation would change
+@pytest.mark.parametrize("seed", [*range(300), 5770, 15149])
 def test_mutated_files_match_the_line_by_line_reference(seed):
     text = _mutated_text(seed)
     want = reference_parse(text)
@@ -211,7 +214,7 @@ def test_mutations_reach_both_outcomes_and_every_message():
 
 
 # ---------------------------------------------------------------------------
-# canonical texts: one separator pass, and the per-byte check on a mismatch
+# canonical texts: one separator pass, and the rewrite on a count mismatch
 # ---------------------------------------------------------------------------
 
 OVERFLOWS = ["99999999999999999999", "9223372036854775808", "2147483648",
@@ -301,20 +304,66 @@ def test_canonical_edge_cases(text, want):
     assert outcome(text.encode("ascii")) == want
 
 
-def test_valid_canonical_texts_skip_the_per_byte_check(monkeypatch):
-    def refuse(raw):
-        raise AssertionError(f"per-byte check reached for {raw[:20]!r}")
+def _line_reads(monkeypatch):
+    """A list of the texts that parse_graph hands to the line reader for
+    the rest of the test."""
+    reads = []
+    read_lines = graph._read_lines
 
-    monkeypatch.setattr("pathpack.graph._read_checked", refuse)
-    for seed in range(40):
-        g = random_gnp(1 + seed, 0.3, seed)
+    def spy(text):
+        reads.append(text)
+        return read_lines(text)
+
+    monkeypatch.setattr(graph, "_read_lines", spy)
+    return reads
+
+
+def _copies(text):
+    """Valid copies of the canonical ``text`` that the rewrite makes
+    canonical, by name."""
+    lines = text.splitlines()
+    return {
+        "canonical": text,
+        "crlf": text.replace("\n", "\r\n"),
+        "tab": text.replace(" ", "\t"),
+        "comment line": "# made by hand\n" + text + "  # the end\n",
+        "blank line": "\n" + text.replace("\n", "\n\n"),
+        "padded": "".join(f"  {line.replace(' ', '   ')} \n"
+                          for line in lines),
+        "unterminated": text[:-1],
+    }
+
+
+def test_valid_ascii_texts_are_read_in_bulk_and_the_rest_line_by_line(
+        monkeypatch):
+    reads = _line_reads(monkeypatch)
+    for seed in range(20):
+        g = random_gnp(2 + seed, 0.3, seed)
         text = format_graph(g)
-        for given in (text, text.encode("ascii")):
+        for name, copy in _copies(text).items():
+            for given in (copy, copy.encode("ascii")):
+                assert rows(parse_graph(given)) == g.adj, name
+        assert reads == []
+    # a canonical text with an empty token is rewritten, not read by line
+    assert rows(parse_graph("3 2\n \n1 2\n2 3\n")) == ((1,), (0, 2), (1,))
+    assert reads == []
+    # a signed token, and a comment line that is not ASCII, are read line
+    # by line to the same rows
+    g = random_gnp(12, 0.3, 1)
+    text = format_graph(g)
+    for copy in (text.replace("\n", "\n+", 1), "# caf\u00e9\n" + text):
+        for given in (copy, copy.encode("utf-8")):
             assert rows(parse_graph(given)) == g.adj
-    # a canonical text with an empty token, and any other text, take it
-    for text in ("3 2\n \n1 2\n2 3\n", "3 1\n1 2", "3 1\n1\t2\n"):
-        with pytest.raises(AssertionError, match="per-byte check"):
-            parse_graph(text)
+    assert len(reads) == 4
+
+
+def test_a_text_read_line_by_line_must_pass_the_bulk_checks(monkeypatch):
+    # the line reader and the bulk checks apply the same rules; a text one
+    # accepts and the other rejects is a fault of the parser, and raises
+    # also under python -O
+    monkeypatch.setattr(graph, "_checked_keys", lambda values: None)
+    with pytest.raises(AssertionError, match="rejected in bulk"):
+        parse_graph("3 2\n1 2\n2 3\n")
 
 
 # ---------------------------------------------------------------------------
