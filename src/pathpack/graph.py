@@ -28,10 +28,10 @@ same paths as :func:`shortest_path_blocked`, and
 :func:`parse_graph` reads a text by one of three routes.  A canonical
 text, whose every line is ``<digits> <digits>\n`` as :func:`format_graph`
 writes it, is read in bulk: one pass over its separators and one integer
-read.  Any other ASCII text is rewritten to canonical form and then read
-in bulk the same way.  A text with a signed token or a non-ASCII
-character, and one that breaks a rule, is read line by line, which
-returns its values or names the first offending line.
+read.  Any other ASCII text is rewritten to canonical form, '+' signs
+dropped, and then read in bulk the same way.  A text with a '-' sign or a
+non-ASCII character, and one that breaks a rule, is read line by line,
+which returns its values or names the first offending line.
 The parse sorts its edges as 32-bit keys when ``n * n < 2**31`` (n <=
 46340) and as 64-bit keys above.
 numpy is loaded only when graph text is parsed or when an edge is removed
@@ -311,10 +311,11 @@ def parse_graph(text: Union[str, bytes]) -> Graph:
     digit run, ``b" "``, a digit run and ``b"\n"``, is read in bulk with
     numpy: one pass over its separators and one integer read.  Any other
     ASCII text is rewritten to canonical form first (whitespace, comment
-    lines, blank lines, padding and the final ``b"\n"``) and then read
-    the same way.  A text with a signed token or a non-ASCII character,
-    and one that breaks a rule, is read line by line, which reports the
-    first offending line.  ASCII ``bytes``, as :func:`load_graph` reads
+    lines, blank lines, padding, the '+' that starts a token and the final
+    ``b"\n"``) and then read the same way.  A text with a '-' sign (only
+    ``-0`` is a valid negative token) or a non-ASCII character, and one
+    that breaks a rule, is read line by line, which reports the first
+    offending line.  ASCII ``bytes``, as :func:`load_graph` reads
     a file, are read as they are, and a ``str`` is encoded once.  The
     edges are sorted as keys ``u * n + v``: int32 keys when ``n * n <
     2**31`` (n <= 46340), int64 keys otherwise.  numpy is loaded only
@@ -388,18 +389,23 @@ def _read_canonical(raw: bytes) -> Optional[np.ndarray]:
 
 def _canonical_form(raw: bytes) -> bytes:
     """ASCII ``raw`` with its whitespace rewritten, so that a text whose
-    tokens are unsigned becomes canonical if it holds two tokens on every
-    line or none: the other whitespace becomes b" " and b"\n", comment
-    lines, blank lines and the spaces at both ends of a line go, a run of
-    spaces becomes one, and the text ends in b"\n".  A '#' after a token
-    is kept, and keeps the text from being canonical."""
+    tokens are unsigned or '+'-signed becomes canonical if it holds two
+    tokens on every line or none: the other whitespace becomes b" " and
+    b"\n", comment lines, blank lines and the spaces at both ends of a line
+    go, a run of spaces becomes one, the '+' that starts a token goes, and
+    the text ends in b"\n".  A '#' after a token is kept, and keeps the
+    text from being canonical."""
     # b"\r\n" is one line end, and one bytes.replace spares _BLANK_RUN a
     # match on every line of a CRLF text.  The leading b"\n" puts one
     # before the first line too, and goes at the end
     raw = b"\n" + raw.replace(b"\r\n", b"\n").translate(_WHITESPACE) + b"\n"
     raw = _COMMENT_LINE.sub(b"\n", raw)
     raw = _SPACE_RUN.sub(b" ", raw).replace(b" \n", b"\n")
-    return _BLANK_RUN.sub(b"\n", raw)[1:]
+    raw = _BLANK_RUN.sub(b"\n", raw)
+    # each token now follows one b" " or b"\n": a '+' dropped there started
+    # a digit run, or leaves a double separator, a '+' or an empty token,
+    # which the separator pass or the token count of _read_canonical rejects
+    return raw.replace(b" +", b" ").replace(b"\n+", b"\n")[1:]
 
 
 def _checked_keys(values: np.ndarray) -> Optional[tuple[int, np.ndarray]]:

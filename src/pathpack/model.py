@@ -1,5 +1,7 @@
 """Problem instances, checkpoint lists, forbidden intervals, solutions, and
-solver-independent solution validation."""
+solver-independent solution validation.  Checkpoint lists are valid by
+construction and not checked; a witness is checked once, against the
+instance, by :func:`validate_solution`."""
 
 from __future__ import annotations
 
@@ -105,56 +107,23 @@ class IntervalStore:
         return any(a in before and b in after for a, b in ends)
 
 
-def check_checkpoint_list(entries: Sequence[int], s: int, t: int) -> None:
-    """Raise unless ``entries`` is a valid checkpoint list for (s, t)."""
-    if len(entries) < 2 or entries[0] != s or entries[-1] != t:
-        raise ValueError("checkpoint list must start at s and end at t")
-    interior = entries[1:-1]
-    if len(set(interior)) != len(interior):
-        raise ValueError("interior checkpoints must be distinct")
-    if s in interior or t in interior:
-        raise ValueError("terminals cannot be interior checkpoints")
-
-
 @dataclass(frozen=True)
 class CheckpointInstance:
     """A search-tree node's state: base instance and k checkpoint lists.
     The forbidden intervals, scoped to a node's later siblings, live in the
     search's own :class:`IntervalStore`.
 
-    Interior checkpoints are globally distinct across lists: the branching
-    rules exclude already-listed vertices, so no vertex is inserted twice.
-
-    Calling the class checks the lists.  :func:`from_packing` and
-    :meth:`with_insertion` build through :meth:`_trusted` and skip the
-    checks, because their lists are valid by construction.
+    Each list runs from s to t, and its interior checkpoints are distinct
+    non-terminal vertices, also across lists.  The lists are valid by
+    construction, so nothing checks them: :func:`from_packing` makes
+    k bare lists (s, t) of a checked :class:`PackingInstance`, and the
+    branching rules insert only unlisted vertices strictly between two
+    entries.  A witness is checked once, against the lists, by
+    :func:`validate_solution`.
     """
 
     base: PackingInstance
     lists: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.lists) != self.base.k:
-            raise ValueError("need exactly k checkpoint lists")
-        seen: set[int] = set()
-        for entries in self.lists:
-            check_checkpoint_list(entries, self.base.s, self.base.t)
-            for v in entries[1:-1]:
-                self.base.graph.check_vertex(v)
-                if v in seen:
-                    raise ValueError(
-                        f"checkpoint {v} appears in more than one list")
-                seen.add(v)
-
-    @classmethod
-    def _trusted(cls, base: PackingInstance,
-                 lists: tuple[tuple[int, ...], ...]) -> "CheckpointInstance":
-        """The instance of ``lists`` as given, without the checks of
-        ``__post_init__``, for lists that are valid by construction."""
-        inst = object.__new__(cls)
-        object.__setattr__(inst, "base", base)
-        object.__setattr__(inst, "lists", lists)
-        return inst
 
     def checkpoint_union(self) -> set[int]:
         """All list entries across lists, terminals included."""
@@ -171,19 +140,16 @@ class CheckpointInstance:
         new_entries = entries[:pos] + (v,) + entries[pos:]
         new_lists = (self.lists[:list_index] + (new_entries,)
                      + self.lists[list_index + 1:])
-        # the parent passed the checks and the branching rules only insert
-        # unlisted non-terminal vertices, so the child skips __post_init__
-        return CheckpointInstance._trusted(self.base, new_lists)
+        # the branching rules only insert unlisted vertices strictly between
+        # two entries, so the child's lists are valid as the parent's are
+        return CheckpointInstance(self.base, new_lists)
 
 
 def from_packing(inst: PackingInstance) -> CheckpointInstance:
-    """Wrap a plain instance: k bare lists (s, t).
-
-    The lists are not checked again: ``PackingInstance`` has proved s and
-    t in range and distinct and k >= 1, and a bare list has no interior
-    entries, so the result equals the checked
-    ``CheckpointInstance(inst, ((s, t),) * k)``."""
-    return CheckpointInstance._trusted(inst, ((inst.s, inst.t),) * inst.k)
+    """Wrap a plain instance: k bare lists (s, t), valid because
+    ``PackingInstance`` has proved s and t in range and distinct and
+    k >= 1, and a bare list has no interior entries."""
+    return CheckpointInstance(inst, ((inst.s, inst.t),) * inst.k)
 
 
 @dataclass(frozen=True)

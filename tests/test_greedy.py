@@ -325,10 +325,12 @@ def test_branch_covers_every_solution_at_depth():
     walk where the greedy fails, each solution of the node has some
     candidate (li, pos, v) of ``branch`` with v interior to the solution's
     subpath between entries pos - 1 and pos of list li, so the children
-    together keep every solution.  The walk starts at a root, expands
-    every candidate depth first and visits up to 60 nodes; a node without
-    solutions has children without any, so it is not expanded.  Seeded
-    G(n, p) graphs and small grids, from bare roots (see
+    together keep every solution.  Every candidate's v is unlisted and
+    1 <= pos < len(list li), so each child that ``with_insertion`` builds,
+    unchecked, has valid checkpoint lists.  The walk starts at a root,
+    expands every candidate depth first and visits up to 60 nodes; a node
+    without solutions has children without any, so it is not expanded.
+    Seeded G(n, p) graphs and small grids, from bare roots (see
     :func:`_lemma_roots`) and from roots with interior checkpoints (see
     :func:`_checkpointed_roots`), with d-ms on and off."""
     configs = {"d-ms": SolverConfig(trivial_detection=False),
@@ -353,6 +355,12 @@ def test_branch_covers_every_solution_at_depth():
                         root_sols = all_solutions(root)
                     sols = root_sols
                 cands = branch(out, ci, cfg, ws.distance_row)
+                # each child's lists stay valid: an unlisted vertex goes in
+                # strictly between two entries of its list
+                listed = ci.checkpoint_union()
+                assert all(c.vertex not in listed
+                           and 1 <= c.pos < len(ci.lists[c.list_index])
+                           for c in cands), (seed, name, ci.lists, cands)
                 for sol in sols:
                     assert any(
                         c.vertex in _subpath_split(

@@ -331,6 +331,7 @@ def _copies(text):
         "padded": "".join(f"  {line.replace(' ', '   ')} \n"
                           for line in lines),
         "unterminated": text[:-1],
+        "signed": "".join(f"+{line.replace(' ', ' +')}\n" for line in lines),
     }
 
 
@@ -347,13 +348,13 @@ def test_valid_ascii_texts_are_read_in_bulk_and_the_rest_line_by_line(
     # a canonical text with an empty token is rewritten, not read by line
     assert rows(parse_graph("3 2\n \n1 2\n2 3\n")) == ((1,), (0, 2), (1,))
     assert reads == []
-    # a signed token, and a comment line that is not ASCII, are read line
-    # by line to the same rows
+    # a '-' sign, and a comment line that is not ASCII, are read line by
+    # line to the same rows
     g = random_gnp(12, 0.3, 1)
-    text = format_graph(g)
-    for copy in (text.replace("\n", "\n+", 1), "# caf\u00e9\n" + text):
+    for copy, want in (("3 -0\n", ((), (), ())),
+                       ("# caf\u00e9\n" + format_graph(g), g.adj)):
         for given in (copy, copy.encode("utf-8")):
-            assert rows(parse_graph(given)) == g.adj
+            assert rows(parse_graph(given)) == want
     assert len(reads) == 4
 
 
