@@ -1,8 +1,11 @@
-"""Brute-force exact reference: bounded-length path enumeration plus
+"""Brute-force exact reference: bounded-length path enumeration plus one
 exhaustive disjoint-packing search.
 
-Deliberately naive so it stays independently trustworthy; intended for
-graphs up to roughly 18 vertices.
+Every s-t path of length <= ell is held in memory, and that list is what
+limits the oracle's reach: roughly graphs of up to 18 vertices.  One
+depth-first search over the paths, shortest first, serves both questions:
+the decision stops at k disjoint paths, a maximum packing searches on.  It
+imports nothing from the solver, so it stays independently trustworthy.
 """
 
 from __future__ import annotations
@@ -65,83 +68,52 @@ def _internal_bits(path: tuple[int, ...]) -> int:
 
 def oracle_decide(inst: PackingInstance,
                   want_max_packing: bool = False) -> OracleAnswer:
-    """Exact decision by backtracking over enumerated candidate paths.
+    """Exact decision by one depth-first search over the enumerated paths,
+    taken shortest first (paths of one length in lexicographic order).
+
+    The search keeps ``best``, the packing size to beat: k - 1 for the
+    decision, 0 for a maximum packing.  A level skips each path that meets
+    the chosen ones, and ends once too few paths are left or once ``need``
+    more paths as long as the next would overrun the n - 2 inner vertices;
+    later paths are at least as long, so both bounds hold for them too.  A
+    packing that beats ``best`` is recorded, and the search stops once
+    ``best`` reaches k (decision) or the path count (``want_max_packing``).
 
     With ``want_max_packing`` the answer also carries the maximum number of
     pairwise internally disjoint paths of length <= ell (pass ell = n to get
-    the unbounded disjoint-path count).
+    the unbounded disjoint-path count).  A ``yes`` witness is the first k
+    paths of the largest packing found.
     """
-    paths = enumerate_bounded_paths(inst.graph, inst.s, inst.t, inst.ell)
+    paths = sorted(enumerate_bounded_paths(inst.graph, inst.s, inst.t,
+                                           inst.ell), key=len)
     masks = [_internal_bits(p) for p in paths]
     inner = [len(p) - 2 for p in paths]
     n_paths = len(paths)
     k = inst.k
-    # k disjoint paths can use at most n - 2 internal vertices in total;
-    # together with per-path internal sizes this bounds the backtracking
-    full_budget = inst.graph.n - 2
-    suffix_min = [0] * (n_paths + 1)
-    if n_paths:
-        suffix_min[n_paths] = 1 << 30
-        for i in range(n_paths - 1, -1, -1):
-            suffix_min[i] = min(inner[i], suffix_min[i + 1])
-
-    def fits(start: int, spent: int, need: int) -> bool:
-        """Whether ``need`` more paths, from index ``start`` on, can still
-        fit in the budget of internal vertices."""
-        if n_paths - start < need:
-            return False
-        return need * suffix_min[start] <= full_budget - spent
-
-    # depth-first over explicit stacks, one entry per chosen path, so that
-    # k and the packing size may exceed the recursion limit
-    chosen: list[int] = []
-    found = k == 0
-    levels = [[0, 0, 0]] if fits(0, 0, k) else []  # [next index, used, spent]
-    while levels and not found:
+    budget = inst.graph.n - 2
+    best = 0 if want_max_packing else k - 1
+    goal = n_paths if want_max_packing else k
+    packing: list[int] = []
+    # depth-first over an explicit stack, one level per chosen path, so
+    # that the packing may be deeper than the recursion limit; the path a
+    # level chose is its next index less one
+    levels = [[0, 0, 0]]                # [next index, used, spent]
+    while levels and best < goal:
         level = levels[-1]
-        start, used, spent = level
-        i = start
+        i, used, spent = level
+        need = best + 2 - len(levels)   # more paths, this one included
         while i < n_paths and masks[i] & used:
             i += 1
-        if i == n_paths:
+        if n_paths - i < need or spent + need * inner[i] > budget:
             levels.pop()
-            if levels:
-                chosen.pop()
             continue
         level[0] = i + 1
-        chosen.append(i)
-        need = k - len(chosen)
-        if need == 0:
-            found = True
-        elif fits(i + 1, spent + inner[i], need):
-            levels.append([i + 1, used | masks[i], spent + inner[i]])
-        else:
-            chosen.pop()
-    witness = (Solution(tuple(paths[i] for i in chosen)) if found else None)
+        if len(levels) > best:
+            best = len(levels)
+            packing = [lv[0] - 1 for lv in levels]
+        levels.append([i + 1, used | masks[i], spent + inner[i]])
 
-    best: Optional[int] = None
-    if want_max_packing:
-        by_len = sorted(range(n_paths), key=lambda i: (inner[i], i))
-        best = 0
-        levels = [[0, 0, 0]]            # [next position, used, spent]
-        while levels:
-            level = levels[-1]
-            _, used, spent = level
-            count = len(levels)         # the packing size with one more path
-            for ii in range(level[0], n_paths):
-                i = by_len[ii]
-                # in ascending-length order every later path is at least
-                # this long, so an exceeded budget ends the whole level
-                if (spent + inner[i] > full_budget
-                        or count + (n_paths - ii - 1) <= best):
-                    levels.pop()
-                    break
-                if not masks[i] & used:
-                    level[0] = ii + 1
-                    levels.append([ii + 1, used | masks[i], spent + inner[i]])
-                    best = max(best, count)
-                    break
-            else:
-                levels.pop()
-
-    return OracleAnswer("yes" if found else "no", witness, best)
+    found = best >= k
+    witness = Solution(tuple(paths[i] for i in packing[:k])) if found else None
+    return OracleAnswer("yes" if found else "no", witness,
+                        best if want_max_packing else None)

@@ -273,7 +273,8 @@ def _edge_file(tmp_path, name, n, edges):
 
 # each reaches past the default recursion limit in one walk of the oracle:
 # the 1500-vertex path in the path enumeration, and the 1200 disjoint paths
-# of K_{2,1200} in the decision and in the maximum packing
+# of K_{2,1200} in the one packing search, in both of its modes (the
+# decision stops at k paths, the maximum packing searches on)
 @pytest.mark.parametrize("graph,extra,last_line", [
     ("path", ["--t", "1500", "--k", "1", "--ell", "2000"],
      "path 1: " + " ".join(map(str, range(1, 1501)))),

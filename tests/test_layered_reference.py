@@ -23,7 +23,9 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_array
 
-from pathpack import Graph, PackingInstance, SolverConfig, solve
+from pathpack import (Graph, PackingInstance, SolverConfig, from_packing,
+                      random_gnp, solve, validate_solution)
+from pathpack.oracle import oracle_decide
 
 from conftest import grid_graph
 from suite import build_suite
@@ -91,6 +93,34 @@ def test_reference_on_small_cases():
     assert layered_decision(PackingInstance(lollipop, 1, 4, 2, 9)) == "no"
     split = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
     assert layered_decision(PackingInstance(split, 0, 5, 1, 9)) == "no"
+
+
+def test_oracle_max_packing_agrees_with_the_reference():
+    """The oracle's bounded maximum packing is the largest k the reference
+    answers yes, and both oracle modes decide every k up to one past it
+    as the reference does."""
+    maxima = []
+    for seed in range(150):
+        rng = random.Random(seed)
+        n = rng.randint(5, 11)
+        g = random_gnp(n, rng.choice((0.25, 0.35, 0.5)), seed)
+        s, t = rng.sample(range(n), 2)
+        ell = rng.randint(2, 6)
+        most = 0
+        while layered_decision(PackingInstance(g, s, t, most + 1, ell)) \
+                == "yes":
+            most += 1
+        maxima.append(most)
+        for k in range(1, most + 2):
+            inst = PackingInstance(g, s, t, k, ell)
+            for mode in (False, True):
+                ans = oracle_decide(inst, want_max_packing=mode)
+                assert ans.max_packing == (most if mode else None), seed
+                assert ans.decision == ("yes" if k <= most else "no"), \
+                    (seed, k, mode)
+                if ans.decision == "yes":
+                    assert validate_solution(from_packing(inst), ans.witness)
+    assert len(set(maxima)) > 2
 
 
 CONFIGS = {
